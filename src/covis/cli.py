@@ -140,25 +140,25 @@ def _records_from_dataset(lines: list[str], cfg: RunConfig):
                 truth = relative_pose(poses[est.src], poses[est.dst])
                 records.append(EdgeRecord(truth, est, float(nodes[est.src]["fov_deg"])))
             if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
-                grid_scores.extend(_fusion_scores(nodes, poses, ests, cfg))
+                grid_scores.extend(_fusion_scores(nodes, ests, cfg))
         except Exception as exc:  # malformed line: report, keep going
             errors.append((no, str(exc)))
     return records, grid_scores, errors
 
 
-def _fusion_scores(nodes, poses, ests, cfg) -> list[tuple[float, float]]:
+def _fusion_scores(nodes, ests, cfg) -> list[tuple[float, float]]:
     """Free-space Dice/IoU of fused observed grids against each node's truth."""
     out = []
     by_src: dict[int, list[PoseEstimate]] = {}
     for est in ests:
         by_src.setdefault(est.src, []).append(est)
-    for node_id, node in nodes.items():
-        truth = BevGrid.from_base64(node["bev_b64"])
-        ego = BevGrid.from_base64(node["bev_obs_b64"])
-        neighbors = [
-            (BevGrid.from_base64(nodes[e.dst]["bev_obs_b64"]), e)
-            for e in by_src.get(node_id, [])
-        ]
+    # Each node's grids are decoded once, then shared by all its in-edges.
+    grids = {
+        node_id: (BevGrid.from_base64(node["bev_b64"]), BevGrid.from_base64(node["bev_obs_b64"]))
+        for node_id, node in nodes.items()
+    }
+    for node_id, (truth, ego) in grids.items():
+        neighbors = [(grids[e.dst][1], e) for e in by_src.get(node_id, [])]
         fused = fuse(ego, neighbors, gate_sigma=cfg.gate_sigma_m)
         t_free = truth.cells < cfg.bin_threshold
         out.append(mask_dice_iou(t_free, fused.cells < cfg.bin_threshold))

@@ -8,8 +8,11 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
+
+from .netproto import MAX_PAYLOAD
 
 
 class ConfigError(Exception):
@@ -105,9 +108,9 @@ class RunConfig:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         try:
             cfg = RunConfig(**data)
+            cfg.validate()  # a value of the wrong type fails a bound with TypeError
         except TypeError as exc:
             raise ConfigError(str(exc)) from exc
-        cfg.validate()
         return cfg
 
     @staticmethod
@@ -138,6 +141,20 @@ class RunConfig:
             raise ConfigError("counts must be >= 1")
         if not 0.0 < self.fov_deg <= 180.0:
             raise ConfigError("fov_deg must be in (0, 180]")
+        if self.superframe_hz <= 0:
+            raise ConfigError("superframe_hz must be positive")
+        if not 0 <= self.payload_bytes <= MAX_PAYLOAD:
+            raise ConfigError(f"payload_bytes must be in [0, {MAX_PAYLOAD}]")
+        if self.world_resolution_m <= 0 or self.bev_resolution_m <= 0:
+            raise ConfigError("grid resolutions must be positive")
+        if self.world_extent_m < 12.0:
+            raise ConfigError("world_extent_m must be >= 12 so 6 m crops fit with margin")
+        # Same whole-cells rule as BevGrid.
+        bev_cells = round(self.bev_extent_m / self.bev_resolution_m)
+        if bev_cells < 1 or not math.isclose(
+            bev_cells * self.bev_resolution_m, self.bev_extent_m, rel_tol=1e-9
+        ):
+            raise ConfigError("bev_extent_m must be a whole number (>= 1) of bev_resolution_m cells")
 
     def replace(self, **kw) -> "RunConfig":
         cfg = dataclasses.replace(self, **kw)

@@ -197,6 +197,8 @@ def observed_grid(
 
     bearing = np.degrees(np.arctan2(ey, ex))
     in_fov = np.abs(bearing) <= fov_deg / 2.0
+    # Only cells inside the FOV can be visible, so only their rays are marched.
+    ex, ey = ex[in_fov], ey[in_fov]
 
     dist = np.hypot(ex, ey)
     # Sample each ray from the ego to just short of the cell itself.
@@ -204,16 +206,24 @@ def observed_grid(
     cutoff = 1.0 - resolution / np.maximum(dist, resolution)
     yaw = pose.rotation.yaw()
     c, s = math.cos(yaw), math.sin(yaw)
-    px = ex[..., None] * alphas
-    py = ey[..., None] * alphas
+    px = ex[:, None] * alphas
+    py = ey[:, None] * alphas
     wx = pose.position.x + c * px - s * py
     wy = pose.position.y + s * px + c * py
-    occ = _lookup(world, wx, wy) > 0.5
-    blocking = occ & (alphas[None, None, :] < cutoff[..., None])
-    clear = ~blocking.any(axis=-1)
+    # Wall cells padded by one never-blocking cell: samples off the floor
+    # clip onto the pad, just as unknown (0.5) is never a wall.
+    n_world = world.occupancy.shape[0]
+    walls = np.zeros((n_world + 2, n_world + 2), dtype=bool)
+    walls[1:-1, 1:-1] = world.occupancy > 0.5
+    half = world.extent / 2.0
+    i = np.clip(np.floor((wx + half) / world.resolution), -1, n_world).astype(np.intp) + 1
+    j = np.clip(np.floor((wy + half) / world.resolution), -1, n_world).astype(np.intp) + 1
+    occ = walls.ravel()[i * (n_world + 2) + j]
+    blocking = occ & (alphas[None, :] < cutoff[:, None])
 
+    visible = np.zeros((n, n), dtype=bool)
+    visible[in_fov] = ~blocking.any(axis=-1)
     cells = np.full((n, n), 0.5)
-    visible = in_fov & clear
     cells[visible] = truth[visible]
     return BevGrid(cells, extent, resolution)
 

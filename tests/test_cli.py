@@ -45,6 +45,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             RunConfig().replace(trajectory="spiral")
 
+    @pytest.mark.parametrize(
+        "command, key, value",
+        [
+            ("datagen", "bev_resolution_m", 0),
+            ("datagen", "world_resolution_m", 0),
+            ("datagen", "bev_extent_m", 6.05),
+            ("datagen", "world_extent_m", 8),
+            ("netbench", "superframe_hz", 0),
+            ("netbench", "payload_bytes", 9000),
+            ("simulate", "world_extent_m", "large"),
+        ],
+    )
+    def test_out_of_bounds_exits_config_error(self, tmp_path, command, key, value):
+        cfg = write_config(tmp_path, n_groups=1, **{key: value})
+        assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
 
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):

@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from covis.metrics import EdgeRecord, is_invisible
 from covis.netsim import KIND_DELIVER
 from covis.scenario import (
     TrajectorySpec,
+    _lookup,
     bev_crop,
     dataset_jsonl,
     follower_offsets,
@@ -20,6 +22,7 @@ from covis.scenario import (
     run_formation,
     run_homing,
     runlog_jsonl,
+    sample_free_position,
     sample_groups,
     tracking_errors,
 )
@@ -126,6 +129,63 @@ class TestBevCrops:
         assert np.all(obs.cells[m + 14 :, m] == 0.5)  # beyond the wall
         assert obs.cells[m + 10, m] == 1.0  # the wall is seen
         assert obs.cells[m + 5, m] == 0.0  # free space before it
+
+
+def _observed_grid_reference(world, pose, fov_deg, extent=6.0, resolution=6.0 / 64, ray_steps=96):
+    """The original ray march: every cell's ray, then the FOV mask."""
+    n = int(round(extent / resolution))
+    coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
+    ex, ey = np.meshgrid(coords, coords, indexing="ij")
+    truth = bev_crop(world, pose, extent, resolution).cells
+
+    bearing = np.degrees(np.arctan2(ey, ex))
+    in_fov = np.abs(bearing) <= fov_deg / 2.0
+
+    dist = np.hypot(ex, ey)
+    alphas = (np.arange(ray_steps) + 0.5) / ray_steps
+    cutoff = 1.0 - resolution / np.maximum(dist, resolution)
+    yaw = pose.rotation.yaw()
+    c, s = math.cos(yaw), math.sin(yaw)
+    px = ex[..., None] * alphas
+    py = ey[..., None] * alphas
+    wx = pose.position.x + c * px - s * py
+    wy = pose.position.y + s * px + c * py
+    occ = _lookup(world, wx, wy) > 0.5
+    blocking = occ & (alphas[None, None, :] < cutoff[..., None])
+    clear = ~blocking.any(axis=-1)
+
+    cells = np.full((n, n), 0.5)
+    visible = in_fov & clear
+    cells[visible] = truth[visible]
+    return cells
+
+
+class TestObservedGridReference:
+    """observed_grid returns byte-identical cells to the original ray march."""
+
+    @pytest.mark.parametrize(
+        "world_seed, extent, n_rooms", [(0, 24.0, 4), (7, 14.0, 2), (11, 18.0, 6)]
+    )
+    def test_matches_reference_on_random_poses(self, world_seed, extent, n_rooms):
+        world = gen_world(world_seed, extent=extent, n_rooms=n_rooms)
+        rng = np.random.default_rng(world_seed)
+        half = world.extent / 2.0
+        for fov in (30.0, 90.0, 120.0, 180.0):
+            for k in range(17):
+                if k % 3 == 0:  # anywhere on the floor, walls included
+                    x, y = rng.uniform(-half, half, size=2)
+                elif k % 3 == 1:  # within 3 m of the world edge, either side of it
+                    x = rng.uniform(-half, half)
+                    y = rng.choice([-1.0, 1.0]) * rng.uniform(half - 3.0, half + 3.0)
+                    if k % 2:
+                        x, y = y, x
+                else:  # free space
+                    x, y = sample_free_position(world, rng)
+                pose = Pose(Vec3(x, y, 0.0), UnitQuat.from_yaw(rng.uniform(-math.pi, math.pi)))
+                grid = (4.0, 0.125) if k % 4 == 0 else (6.0, 6.0 / 64)
+                got = observed_grid(world, pose, fov, *grid).cells
+                want = _observed_grid_reference(world, pose, fov, *grid)
+                assert got.tobytes() == want.tobytes(), (fov, x, y, grid)
 
 
 class TestLeaderPose:

@@ -31,21 +31,24 @@ import numpy as np
 from .bev import BevGrid, fuse
 from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
-from .geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
+from .geometry import Pose, relative_pose
 from .metrics import EdgeRecord, evaluate_records, mask_dice_iou
-from .netsim import BroadcastNode, Medium, Simulator, events_to_jsonl, summarize
+from .netsim import BroadcastNode, events_to_jsonl, summarize
 from .scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
     FormationRun,
     dataset_jsonl,
+    follower_error,
     follower_offsets,
     gen_world,
-    profile_from_config,
+    pose_from_dict,
     run_formation,
     run_homing,
     runlog_jsonl,
     sample_groups,
+    scheduler_from_config,
+    simulator_from_config,
     tracking_errors,
 )
 
@@ -69,6 +72,33 @@ def _load_config(args) -> RunConfig:
     if args.seed is not None:
         cfg = cfg.replace(seed=args.seed)
     return cfg
+
+
+# Keys that steer only the readers, so a runlog header never overrides them.
+_READER_KEYS = ("youden_labeling", "youden_error_threshold_m", "gate_sigma_m", "bin_threshold")
+
+
+def _read_input(args) -> tuple[RunConfig, str, list[str]]:
+    """Config, header schema and record lines of a JSONL input.
+
+    A runlog is read with the config in its header: ``--config`` supplies
+    only the reader keys, and a conflict on any other key is logged.
+    """
+    cfg = _load_config(args)
+    lines = Path(args.input).read_text().strip().split("\n")
+    header = json.loads(lines[0])
+    if not isinstance(header, dict):
+        raise ValueError("header line is not a JSON object")
+    schema = header.get("schema", "")
+    if schema == RUNLOG_SCHEMA and "config" in header:
+        own = RunConfig.from_dict(header["config"])
+        if args.config:
+            ours, theirs = cfg.to_dict(), own.to_dict()
+            differ = [k for k in ours if k not in _READER_KEYS and ours[k] != theirs[k]]
+            if differ:
+                log.warning("--config differs from the runlog header on %s; using the header", differ)
+        cfg = own.replace(**{k: getattr(cfg, k) for k in _READER_KEYS})
+    return cfg, schema, lines[1:]
 
 
 def _out_dir(args) -> Path:
@@ -105,16 +135,7 @@ def cmd_simulate(args) -> int:
     (out / "runlog.jsonl").write_text(runlog_jsonl(cfg, records))
     stats = tracking_errors(records, follower_offsets(cfg), skip_s=10.0)
     rows = [
-        {
-            "schema": "covis.summary@1",
-            "node_id": f,
-            "role": "follower",
-            "mean_abs_pos_m": s["mean_abs_pos_m"],
-            "median_pos_m": s["median_pos_m"],
-            "mean_abs_rot_deg": s["mean_abs_rot_deg"],
-            "median_rot_deg": s["median_rot_deg"],
-            "mean_vel_mps": s["mean_vel_mps"],
-        }
+        {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
         for f, s in sorted(stats.items())
     ]
     _write_rows(out / "summary", rows, args.format)
@@ -134,7 +155,7 @@ def _records_from_dataset(lines: list[str], cfg: RunConfig):
         try:
             rec = json.loads(line)
             nodes = {n["id"]: n for n in rec["nodes"]}
-            poses = {i: Pose(Vec3(*n["pose"]["p"]), UnitQuat(*n["pose"]["q"])) for i, n in nodes.items()}
+            poses = {i: pose_from_dict(n["pose"]) for i, n in nodes.items()}
             ests = [PoseEstimate.from_dict(d) for d in rec.get("estimates", [])]
             for est in ests:
                 truth = relative_pose(poses[est.src], poses[est.dst])
@@ -175,7 +196,7 @@ def _records_from_runlog(lines: list[str], cfg: RunConfig):
         try:
             rec = json.loads(line)
             tick = round(rec["t"] / period)
-            pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
+            pose = pose_from_dict(rec["pose_truth"])
             pose_at[(tick, rec["node_id"])] = pose
             parsed.append((no, tick, rec, pose))
         except Exception as exc:
@@ -193,30 +214,19 @@ def _records_from_runlog(lines: list[str], cfg: RunConfig):
 
 
 def cmd_metrics(args) -> int:
-    cfg = _load_config(args)
+    cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
-    src = Path(args.input)
-    if not src.exists():
-        log.error("input not found: %s", src)
-        return EXIT_IO
-    lines = src.read_text().strip().split("\n")
-    try:
-        header = json.loads(lines[0])
-        schema = header.get("schema", "")
-    except json.JSONDecodeError:
-        log.error("missing or malformed header line")
-        return EXIT_VALIDATION
     if schema == DATASET_SCHEMA:
-        records, grid_scores, errors = _records_from_dataset(lines[1:], cfg)
+        records, grid_scores, errors = _records_from_dataset(lines, cfg)
     elif schema == RUNLOG_SCHEMA:
-        records, grid_scores, errors = _records_from_runlog(lines[1:], cfg)
+        records, grid_scores, errors = _records_from_runlog(lines, cfg)
     else:
         log.error("unknown schema %r", schema)
         return EXIT_VALIDATION
     for no, msg in errors:
         log.error("line %d: %s", no, msg)
-    if len(errors) > 0.01 * max(1, len(lines) - 1):
-        log.error("%d malformed lines out of %d", len(errors), len(lines) - 1)
+    if len(errors) > 0.01 * max(1, len(lines)):
+        log.error("%d malformed lines out of %d", len(errors), len(lines))
         return EXIT_VALIDATION
     if not records:
         log.error("no usable edge records")
@@ -283,44 +293,14 @@ def cmd_datagen(args) -> int:
         bev_extent=cfg.bev_extent_m,
         bev_resolution=cfg.bev_resolution_m,
     )
-    profile = None if cfg.estimator == "oracle" else profile_from_config(cfg)
-    text = dataset_jsonl(groups, seed=cfg.seed, profile=profile)
-    if cfg.estimator == "oracle":
-        text = _attach_oracle_estimates(text, groups, cfg)
-    (out / "dataset.jsonl").write_text(text)
+    (out / "dataset.jsonl").write_text(dataset_jsonl(cfg, groups))
     return EXIT_OK
-
-
-def _attach_oracle_estimates(text: str, groups, cfg: RunConfig) -> str:
-    from .estimator import Observation, estimate_oracle
-
-    lines = text.strip().split("\n")
-    out_lines = [lines[0]]
-    for line, group in zip(lines[1:], groups):
-        rec = json.loads(line)
-        ests = []
-        for a, b in group.directed_pairs():
-            e = estimate_oracle(
-                Observation(a.node_id, a.pose, a.fov_deg, b""),
-                Observation(b.node_id, b.pose, b.fov_deg, b""),
-                sigma_floor=cfg.sigma_floor,
-            )
-            ests.append(e.to_dict())
-        rec["estimates"] = ests
-        out_lines.append(json.dumps(rec, sort_keys=True))
-    return "\n".join(out_lines) + "\n"
 
 
 def cmd_netbench(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    medium = Medium(
-        bitrate=cfg.bitrate_bps,
-        base_loss=cfg.base_loss,
-        loss_slope=cfg.loss_slope,
-        propagation=cfg.propagation_s,
-    )
-    sim = Simulator(medium, seed=cfg.seed, superframe_hz=cfg.superframe_hz)
+    sim = simulator_from_config(cfg)
     capture: list[str] = []
     sim.capture_sink = lambda t, wire: capture.append(
         json.dumps({"t": t, "frame_b64": base64.b64encode(wire).decode("ascii")})
@@ -330,16 +310,10 @@ def cmd_netbench(args) -> int:
     for i in range(cfg.n_nodes):
         node = BroadcastNode(
             i,
-            n_slots=cfg.n_slots,
             payload_bytes=cfg.payload_bytes,
             roster=roster,
-            superframe_hz=cfg.superframe_hz,
+            scheduler=scheduler_from_config(cfg, i),
         )
-        node.scheduler.high_watermark = cfg.high_watermark
-        node.scheduler.low_watermark = cfg.low_watermark
-        node.scheduler.loss_window = cfg.loss_window_s
-        node.scheduler.max_divisor = cfg.max_divisor
-        node.scheduler.loss_aggregate = cfg.loss_aggregate
         behaviors.append(node)
         sim.add_node(node)
     events = sim.run(cfg.duration_s)
@@ -393,23 +367,14 @@ def cmd_homing(args) -> int:
 
 
 def cmd_traces(args) -> int:
-    cfg = _load_config(args)
+    cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
-    src = Path(args.input)
-    if not src.exists():
-        log.error("input not found: %s", src)
-        return EXIT_IO
-    lines = src.read_text().strip().split("\n")
-    try:
-        header = json.loads(lines[0])
-        if header.get("schema") != RUNLOG_SCHEMA:
-            log.error("traces needs a runlog input")
-            return EXIT_VALIDATION
-    except json.JSONDecodeError:
+    if schema != RUNLOG_SCHEMA:
+        log.error("traces needs a runlog input")
         return EXIT_VALIDATION
     offsets = follower_offsets(cfg)
     by_tick: dict[float, dict[int, dict]] = {}
-    for line in lines[1:]:
+    for line in lines:
         rec = json.loads(line)
         by_tick.setdefault(rec["t"], {})[rec["node_id"]] = rec
     rows = []
@@ -418,27 +383,24 @@ def cmd_traces(args) -> int:
         leader = recs.get(FormationRun.LEADER)
         for node_id in sorted(recs):
             rec = recs[node_id]
-            p = rec["pose_truth"]["p"]
-            row = {
-                "schema": "covis.traces@1",
-                "t": t,
-                "node_id": node_id,
-                "x_m": p[0],
-                "y_m": p[1],
-                "yaw_rad": UnitQuat(*rec["pose_truth"]["q"]).yaw(),
-                "gated": rec["gated"],
-                "pos_err_m": math.nan,
-                "rot_err_deg": math.nan,
-            }
+            pose = pose_from_dict(rec["pose_truth"])
+            pos_err = rot_err = math.nan
             if leader is not None and node_id in offsets:
-                fp = Pose(Vec3(*p), UnitQuat(*rec["pose_truth"]["q"]))
-                lp = Pose(
-                    Vec3(*leader["pose_truth"]["p"]), UnitQuat(*leader["pose_truth"]["q"])
-                )
-                rel = relative_pose(fp, lp)
-                row["pos_err_m"] = (rel.position - offsets[node_id].position).norm()
-                row["rot_err_deg"] = rot_geodesic_deg(rel.rotation, offsets[node_id].rotation)
-            rows.append(row)
+                l_pose = pose_from_dict(leader["pose_truth"])
+                pos_err, rot_err = follower_error(pose, l_pose, offsets[node_id])
+            rows.append(
+                {
+                    "schema": "covis.traces@1",
+                    "t": t,
+                    "node_id": node_id,
+                    "x_m": pose.position.x,
+                    "y_m": pose.position.y,
+                    "yaw_rad": pose.rotation.yaw(),
+                    "gated": rec["gated"],
+                    "pos_err_m": pos_err,
+                    "rot_err_deg": rot_err,
+                }
+            )
     _write_rows(out / "traces", rows, args.format)
     return EXIT_OK
 

@@ -19,6 +19,11 @@ class ConfigError(Exception):
     pass
 
 
+# Accepted JSON value types per annotated field type; a bool is accepted only
+# for a bool field, although Python counts it as an int.
+_FIELD_TYPES = {"int": (int,), "float": (int, float), "bool": (bool,), "str": (str,)}
+
+
 @dataclass(frozen=True)
 class RunConfig:
     # Reproducibility
@@ -102,15 +107,14 @@ class RunConfig:
 
     @staticmethod
     def from_dict(data: dict) -> "RunConfig":
+        if not isinstance(data, dict):
+            raise ConfigError("config must be a JSON object")
         known = RunConfig.field_names()
         unknown = set(data) - known
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        try:
-            cfg = RunConfig(**data)
-            cfg.validate()  # a value of the wrong type fails a bound with TypeError
-        except TypeError as exc:
-            raise ConfigError(str(exc)) from exc
+        cfg = RunConfig(**data)
+        cfg.validate()
         return cfg
 
     @staticmethod
@@ -122,11 +126,15 @@ class RunConfig:
             data = json.loads(p.read_text())
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
-        if not isinstance(data, dict):
-            raise ConfigError("config must be a JSON object")
         return RunConfig.from_dict(data)
 
     def validate(self) -> None:
+        for f in dataclasses.fields(self):
+            value = getattr(self, f.name)
+            if not isinstance(value, _FIELD_TYPES[f.type]) or (
+                isinstance(value, bool) and f.type != "bool"
+            ):
+                raise ConfigError(f"{f.name} must be of type {f.type}, got {value!r}")
         if self.estimator not in ("synthetic", "oracle"):
             raise ConfigError(f"unknown estimator {self.estimator!r}")
         if self.trajectory not in ("fig8_dynamic", "fig8_static", "rect_dynamic"):
@@ -143,6 +151,10 @@ class RunConfig:
             raise ConfigError("fov_deg must be in (0, 180]")
         if self.superframe_hz <= 0:
             raise ConfigError("superframe_hz must be positive")
+        if self.max_divisor < 1:
+            raise ConfigError("max_divisor must be >= 1")
+        if self.stale_timeout_s <= 0:
+            raise ConfigError("stale_timeout_s must be positive")
         if not 0 <= self.payload_bytes <= MAX_PAYLOAD:
             raise ConfigError(f"payload_bytes must be in [0, {MAX_PAYLOAD}]")
         if self.world_resolution_m <= 0 or self.bev_resolution_m <= 0:

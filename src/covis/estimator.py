@@ -26,7 +26,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfinv
 
-from .geometry import Pose, UnitQuat, Vec3, compose, relative_pose, rot_geodesic_deg
+from .geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 
 # Median of |N(0,1)| = sqrt(2)*erfinv(1/2); a half-normal with scale
 # median/_HN_MEDIAN has the requested median.
@@ -243,11 +243,6 @@ def estimate_oracle(
         src=obs_i.node_id,
         dst=obs_j.node_id,
     )
-
-
-def compose_estimates(a: PoseEstimate, b: PoseEstimate) -> Pose:
-    """Chain two relative estimates (i->j, j->k) into an i->k pose."""
-    return compose(Pose(a.p_hat, a.q_hat), Pose(b.p_hat, b.q_hat))
 
 
 def encode_request(emb_i: bytes, emb_j: bytes) -> bytes:

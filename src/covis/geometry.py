@@ -179,11 +179,6 @@ def compose(a: Pose, b: Pose) -> Pose:
     return Pose(a.position + a.rotation.rotate(b.position), a.rotation.multiply(b.rotation))
 
 
-def apply(pose_i: Pose, rel: Pose) -> Pose:
-    """World pose of a frame given its pose relative to pose_i."""
-    return compose(pose_i, rel)
-
-
 def inverse(pose: Pose) -> Pose:
     """Pose of the parent frame expressed in pose's own frame."""
     inv = pose.rotation.conjugate()

@@ -11,15 +11,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable, Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from .estimator import PoseEstimate
 from .geometry import Pose, UnitQuat, pos_dist, rot_geodesic_deg
-
-if TYPE_CHECKING:
-    from .bev import BevGrid
 
 CATEGORY_ALL = "All"
 CATEGORY_VISIBLE = "Visible"
@@ -124,8 +121,10 @@ def category_report(recs: Sequence[EdgeRecord], reject_threshold: float) -> list
     """
     if not recs:
         raise ValueError("empty record list")
-    invisible = [r for r in recs if is_invisible(r)]
-    visible = [r for r in recs if not is_invisible(r)]
+    visible: list[EdgeRecord] = []
+    invisible: list[EdgeRecord] = []
+    for r in recs:
+        (invisible if is_invisible(r) else visible).append(r)
     kept = [r for r in invisible if r.est.sigma_p_norm() < reject_threshold]
     return [
         _report(CATEGORY_ALL, recs),
@@ -195,13 +194,6 @@ def mask_dice_iou(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     dice = 2.0 * inter / (sa + sb)
     iou = inter / union if union > 0.0 else 1.0
     return dice, iou
-
-
-def dice_iou(truth: "BevGrid", pred: "BevGrid", bin_threshold: float = 0.5) -> tuple[float, float]:
-    """Dice and IoU of grids binarized at the threshold (cells > threshold)."""
-    if truth.cells.shape != pred.cells.shape:
-        raise ValueError("grid shapes differ")
-    return mask_dice_iou(truth.cells > bin_threshold, pred.cells > bin_threshold)
 
 
 def uncertainty_scores(

@@ -4,7 +4,7 @@ Frame layout (all multi-byte fields little-endian)::
 
     magic      2 bytes   0x43 0x56
     version    1 byte    currently 1
-    msg_type   1 byte    0 = embedding, 1 = heartbeat
+    msg_type   1 byte    0 = embedding
     node_id    uint16
     seq        uint32    increments per transmitted frame
     superframe uint32    superframe index of the transmission
@@ -34,7 +34,6 @@ import numpy as np
 MAGIC = b"CV"
 VERSION = 1
 MSG_EMBEDDING = 0
-MSG_HEARTBEAT = 1
 HEADER_LEN = 16
 CRC_LEN = 4
 MAX_PAYLOAD = 8192
@@ -88,9 +87,6 @@ class Frame:
             raise ValueError("superframe_idx out of uint32 range")
         if not 0 <= self.msg_type < 1 << 8:
             raise ValueError("msg_type out of uint8 range")
-
-    def wire_length(self) -> int:
-        return HEADER_LEN + len(self.payload) + CRC_LEN
 
 
 def encode(frame: Frame) -> bytes:

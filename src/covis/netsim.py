@@ -18,7 +18,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .netproto import Frame, SchedulerState, adapt_rate, encode, on_frame_received
+from .netproto import Frame, SchedulerState, adapt_rate, encode, next_tx_time, on_frame_received
 
 KIND_TX_START = "tx_start"
 KIND_TX_END = "tx_end"
@@ -245,7 +245,7 @@ class BroadcastNode:
         for peer in self.roster:
             if peer != self.node_id:
                 self.scheduler.register_peer(peer, now)
-        sim.schedule(next_tx_time_first(self.scheduler, now), self._slot_callback)
+        sim.schedule(next_tx_time(self.scheduler, now), self._slot_callback)
 
     def _slot_callback(self, now: float) -> None:
         sim = self._sim
@@ -270,13 +270,6 @@ class BroadcastNode:
     def on_receive(self, sim: Simulator, frame: Frame, now: float) -> None:
         on_frame_received(self.scheduler, frame, now)
         self.handle_frame(sim, frame, now)
-
-
-def next_tx_time_first(state: SchedulerState, now: float) -> float:
-    """First slot wakeup: every superframe, regardless of divisor."""
-    offset = state.slot_index * state.slot_width
-    k = max(0, math.ceil((now - offset) / state.superframe_period - 1e-9))
-    return k * state.superframe_period + offset
 
 
 def run(

@@ -29,6 +29,7 @@ from .estimator import (
     estimate_oracle,
 )
 from .geometry import Pose, UnitQuat, Vec3, compose, inverse, relative_pose, rot_geodesic_deg
+from .netproto import SchedulerState
 from .netsim import BroadcastNode, Medium, SimEvent, Simulator
 
 RUNLOG_SCHEMA = "covis.runlog@1"
@@ -293,14 +294,13 @@ def sample_groups(
     return groups
 
 
-def dataset_jsonl(
-    groups: list[SampleGroup],
-    seed: int,
-    profile: Optional[NoiseProfile] = None,
-    include_grids: bool = True,
-) -> str:
-    """Serialize sample groups; optionally attach synthetic estimates."""
-    lines = [json.dumps({"schema": DATASET_SCHEMA, "seed": seed}, sort_keys=True)]
+def dataset_jsonl(cfg: RunConfig, groups: list[SampleGroup]) -> str:
+    """Serialize sample groups with an estimate for every directed pair.
+
+    Estimates come from ``make_estimator(cfg)`` with the group index as tick.
+    """
+    estimator = make_estimator(cfg)
+    lines = [json.dumps({"schema": DATASET_SCHEMA, "seed": cfg.seed}, sort_keys=True)]
     for g_idx, group in enumerate(groups):
         nodes = []
         for node in group.nodes:
@@ -309,20 +309,17 @@ def dataset_jsonl(
                 "pose": _pose_dict(node.pose),
                 "fov_deg": node.fov_deg,
             }
-            if include_grids and node.bev is not None:
+            if node.bev is not None:
                 entry["bev_b64"] = node.bev.to_base64()
-            if include_grids and node.bev_obs is not None:
+            if node.bev_obs is not None:
                 entry["bev_obs_b64"] = node.bev_obs.to_base64()
             nodes.append(entry)
-        record: dict = {"group": g_idx, "nodes": nodes}
-        if profile is not None:
-            ests = []
-            for a, b in group.directed_pairs():
-                obs_a = Observation(a.node_id, a.pose, a.fov_deg, b"", tick=g_idx)
-                obs_b = Observation(b.node_id, b.pose, b.fov_deg, b"", tick=g_idx)
-                e = estimate(obs_a, obs_b, profile, edge_rng(seed, g_idx, a.node_id, b.node_id))
-                ests.append(e.to_dict())
-            record["estimates"] = ests
+        ests = []
+        for a, b in group.directed_pairs():
+            obs_a = Observation(a.node_id, a.pose, a.fov_deg, b"", tick=g_idx)
+            obs_b = Observation(b.node_id, b.pose, b.fov_deg, b"", tick=g_idx)
+            ests.append(estimator(obs_a, obs_b, g_idx).to_dict())
+        record = {"group": g_idx, "nodes": nodes, "estimates": ests}
         lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n"
 
@@ -331,7 +328,7 @@ def _pose_dict(pose: Pose) -> dict:
     return {"p": list(pose.position.as_tuple()), "q": list(pose.rotation.as_tuple())}
 
 
-def _pose_from_dict(d: dict) -> Pose:
+def pose_from_dict(d: dict) -> Pose:
     return Pose(Vec3(*d["p"]), UnitQuat(*d["q"]))
 
 
@@ -463,12 +460,26 @@ def gains_from_config(cfg: RunConfig) -> PdGains:
     )
 
 
-def medium_from_config(cfg: RunConfig) -> Medium:
-    return Medium(
+def simulator_from_config(cfg: RunConfig) -> Simulator:
+    medium = Medium(
         bitrate=cfg.bitrate_bps,
         base_loss=cfg.base_loss,
         loss_slope=cfg.loss_slope,
         propagation=cfg.propagation_s,
+    )
+    return Simulator(medium, seed=cfg.seed, superframe_hz=cfg.superframe_hz)
+
+
+def scheduler_from_config(cfg: RunConfig, node_id: int) -> SchedulerState:
+    return SchedulerState(
+        node_id=node_id,
+        n_slots=cfg.n_slots,
+        superframe_period=1.0 / cfg.superframe_hz,
+        max_divisor=cfg.max_divisor,
+        high_watermark=cfg.high_watermark,
+        low_watermark=cfg.low_watermark,
+        loss_window=cfg.loss_window_s,
+        loss_aggregate=cfg.loss_aggregate,
     )
 
 
@@ -511,10 +522,9 @@ class RobotNode(BroadcastNode):
     def __init__(self, node_id: int, cfg: RunConfig, run: "FormationRun"):
         super().__init__(
             node_id,
-            n_slots=cfg.n_slots,
             payload_bytes=cfg.payload_bytes,
             roster=tuple(range(cfg.n_nodes)),
-            superframe_hz=cfg.superframe_hz,
+            scheduler=scheduler_from_config(cfg, node_id),
         )
         self.cfg = cfg
         self.run = run
@@ -522,11 +532,6 @@ class RobotNode(BroadcastNode):
         self.cmd = Command(Vec3.zero(), 0.0, gated=True)
         self.pd_state: Optional[PdState] = None
         self.inbox: dict[int, Observation] = {}  # freshest observation per peer
-        self.scheduler.high_watermark = cfg.high_watermark
-        self.scheduler.low_watermark = cfg.low_watermark
-        self.scheduler.loss_window = cfg.loss_window_s
-        self.scheduler.max_divisor = cfg.max_divisor
-        self.scheduler.loss_aggregate = cfg.loss_aggregate
 
     # Embedding payloads carry no information in simulation; the observation
     # registry stands in for decoding them on receipt.
@@ -597,7 +602,7 @@ class FormationRun:
             v_body = node.pose.rotation.rotate_inverse(vel_world) if tick else Vec3.zero()
             node.cmd = Command(v_body, 0.0, gated=False)
         else:
-            node.pose = self._integrate(node.pose, node.cmd)
+            node.pose = _integrate(node.pose, node.cmd, self.dt)
         estimates = node.fresh_estimates(tick, now)
         gated = False
         if node.node_id != self.LEADER:
@@ -632,22 +637,21 @@ class FormationRun:
             }
         )
 
-    def _integrate(self, pose: Pose, cmd: Command) -> Pose:
-        # First-order kinematics: body velocity realized exactly, Euler step.
-        delta_world = pose.rotation.rotate(cmd.v) * self.dt
-        yaw = pose.rotation.yaw() + cmd.w * self.dt
-        return Pose(pose.position + delta_world, UnitQuat.from_yaw(yaw))
-
     def run(self) -> tuple[list[dict], list[SimEvent]]:
-        sim = Simulator(
-            medium_from_config(self.cfg), seed=self.cfg.seed, superframe_hz=self.cfg.superframe_hz
-        )
+        sim = simulator_from_config(self.cfg)
         for node_id in range(self.cfg.n_nodes):
             node = RobotNode(node_id, self.cfg, self)
             node.pose = self.initial_pose(node_id)
             sim.add_node(node)
         events = sim.run(self.cfg.duration_s)
         return self.records, events
+
+
+def _integrate(pose: Pose, cmd: Command, dt: float) -> Pose:
+    # First-order kinematics: body velocity realized exactly, Euler step.
+    delta_world = pose.rotation.rotate(cmd.v) * dt
+    yaw = pose.rotation.yaw() + cmd.w * dt
+    return Pose(pose.position + delta_world, UnitQuat.from_yaw(yaw))
 
 
 def run_formation(cfg: RunConfig) -> tuple[list[dict], list[SimEvent]]:
@@ -661,6 +665,15 @@ def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
     )
     lines = [header] + [json.dumps(r, sort_keys=True) for r in records]
     return "\n".join(lines) + "\n"
+
+
+def follower_error(f_pose: Pose, l_pose: Pose, offset: Pose) -> tuple[float, float]:
+    """Position (m) and rotation (deg) tracking error of one follower.
+
+    Compares the true leader pose in the follower's frame with ``offset``.
+    """
+    rel = relative_pose(f_pose, l_pose)
+    return (rel.position - offset.position).norm(), rot_geodesic_deg(rel.rotation, offset.rotation)
 
 
 def tracking_errors(
@@ -683,22 +696,22 @@ def tracking_errors(
             tick_recs = by_tick[t]
             if follower not in tick_recs or FormationRun.LEADER not in tick_recs:
                 continue
-            f_pose = _pose_from_dict(tick_recs[follower]["pose_truth"])
-            l_pose = _pose_from_dict(tick_recs[FormationRun.LEADER]["pose_truth"])
+            f_pose = pose_from_dict(tick_recs[follower]["pose_truth"])
+            l_pose = pose_from_dict(tick_recs[FormationRun.LEADER]["pose_truth"])
             if prev_pos is not None:
                 speeds.append((f_pose.position - prev_pos).norm())
             prev_pos = f_pose.position
             if t < skip_s:
                 continue
-            rel = relative_pose(f_pose, l_pose)
-            pos_errs.append((rel.position - offset.position).norm())
-            rot_errs.append(rot_geodesic_deg(rel.rotation, offset.rotation))
+            pos_err, rot_err = follower_error(f_pose, l_pose, offset)
+            pos_errs.append(pos_err)
+            rot_errs.append(rot_err)
         dt = sorted(by_tick)[1] - sorted(by_tick)[0] if len(by_tick) > 1 else 1.0
         out[follower] = {
-            "median_pos_m": float(np.median(pos_errs)) if pos_errs else math.nan,
             "mean_abs_pos_m": float(np.mean(pos_errs)) if pos_errs else math.nan,
-            "median_rot_deg": float(np.median(rot_errs)) if rot_errs else math.nan,
+            "median_pos_m": float(np.median(pos_errs)) if pos_errs else math.nan,
             "mean_abs_rot_deg": float(np.mean(rot_errs)) if rot_errs else math.nan,
+            "median_rot_deg": float(np.median(rot_errs)) if rot_errs else math.nan,
             "mean_vel_mps": float(np.mean(speeds) / dt) if speeds else math.nan,
         }
     return out
@@ -754,7 +767,6 @@ def run_homing(cfg: RunConfig, replay_factor: float = 3.0) -> HomingResult:
     kf_index = 0
     arrivals: list[float] = []
     cross: list[float] = []
-    run_obj = FormationRun(cfg)  # reuse the integrator
     path_xy = np.array([(p.x, p.y) for p in taught_path])
     max_ticks = int(replay_factor * n_teach)
     completed = False
@@ -775,7 +787,7 @@ def run_homing(cfg: RunConfig, replay_factor: float = 3.0) -> HomingResult:
                 completed = True
                 break
             kf_index = next_index
-        pose = run_obj._integrate(pose, cmd)
+        pose = _integrate(pose, cmd, dt)
         cross.append(
             float(
                 np.min(np.hypot(path_xy[:, 0] - pose.position.x, path_xy[:, 1] - pose.position.y))

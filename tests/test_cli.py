@@ -1,6 +1,7 @@
 import csv
 import json
 
+import numpy as np
 import pytest
 
 from covis.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
@@ -55,6 +56,11 @@ class TestConfig:
             ("netbench", "superframe_hz", 0),
             ("netbench", "payload_bytes", 9000),
             ("simulate", "world_extent_m", "large"),
+            ("simulate", "seed", 1.5),
+            ("netbench", "n_nodes", 2.5),
+            ("netbench", "max_divisor", 0),
+            ("simulate", "seed", "abc"),
+            ("simulate", "stale_timeout_s", -1),
         ],
     )
     def test_out_of_bounds_exits_config_error(self, tmp_path, command, key, value):
@@ -64,12 +70,35 @@ class TestConfig:
 
 class TestSimulate:
     def test_deterministic_outputs(self, tmp_path):
-        cfg = write_config(tmp_path, seed=7)
+        cfg = write_config(tmp_path, seed=7, n_groups=2, world_extent_m=12.0, world_rooms=1)
+
+        # (command, output directory, input file or None, exit code)
+        runs = [
+            ("simulate", "sim", None, EXIT_OK),
+            ("datagen", "data", None, EXIT_OK),
+            ("netbench", "net", None, EXIT_OK),
+            ("homing", "home", None, EXIT_OK),
+            ("metrics", "met_sim", "sim/runlog.jsonl", EXIT_OK),
+            ("metrics", "met_data", "data/dataset.jsonl", EXIT_OK),
+            ("traces", "tr_sim", "sim/runlog.jsonl", EXIT_OK),
+            ("traces", "tr_data", "data/dataset.jsonl", EXIT_VALIDATION),
+        ]
+
+        def run_all(out):
+            for command, name, source, code in runs:
+                argv = [command, "--config", cfg, "--out", str(out / name)]
+                if source is not None:
+                    argv += ["--input", str(out / source)]
+                assert main(argv) == code, argv
+
         out_a, out_b = tmp_path / "a", tmp_path / "b"
-        assert main(["simulate", "--config", cfg, "--out", str(out_a)]) == EXIT_OK
-        assert main(["simulate", "--config", cfg, "--out", str(out_b)]) == EXIT_OK
-        assert (out_a / "runlog.jsonl").read_bytes() == (out_b / "runlog.jsonl").read_bytes()
-        assert (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
+        run_all(out_a)
+        run_all(out_b)
+        files = sorted(p.relative_to(out_a) for p in out_a.rglob("*") if p.is_file())
+        assert files == sorted(p.relative_to(out_b) for p in out_b.rglob("*") if p.is_file())
+        assert len(files) == 16
+        for name in files:
+            assert (out_a / name).read_bytes() == (out_b / name).read_bytes(), name
 
     def test_summary_columns(self, tmp_path):
         cfg = write_config(tmp_path)
@@ -194,6 +223,14 @@ class TestDatagenAndMetrics:
         summary = read_csv(met_dir / "summary.csv")[0]
         assert "dice" not in summary  # no grids in a runlog
 
+    def test_metrics_reads_runlog_config(self, tmp_path):
+        cfg = write_config(tmp_path, seed=3, superframe_hz=10.0, fov_deg=60.0)
+        sim_dir, met_dir = tmp_path / "sim", tmp_path / "met"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_dir)]) == EXIT_OK
+        rc = main(["metrics", "--input", str(sim_dir / "runlog.jsonl"), "--out", str(met_dir)])
+        assert rc == EXIT_OK
+        assert int(read_csv(met_dir / "summary.csv")[0]["malformed_lines"]) == 0
+
     def test_malformed_lines_exit(self, tmp_path):
         bad = tmp_path / "bad.jsonl"
         bad.write_text(
@@ -201,6 +238,15 @@ class TestDatagenAndMetrics:
         )
         rc = main(["metrics", "--input", str(bad), "--out", str(tmp_path / "m")])
         assert rc == EXIT_VALIDATION
+
+    @pytest.mark.parametrize(
+        "header, code",
+        [([1], EXIT_VALIDATION), ({"schema": "covis.runlog@1", "config": 5}, EXIT_CONFIG)],
+    )
+    def test_bad_header_exit(self, tmp_path, header, code):
+        path = tmp_path / "in.jsonl"
+        path.write_text(json.dumps(header) + "\n{}\n")
+        assert main(["metrics", "--input", str(path), "--out", str(tmp_path / "m")]) == code
 
     def test_missing_input(self, tmp_path):
         rc = main(["metrics", "--input", str(tmp_path / "none.jsonl"), "--out", str(tmp_path / "m")])
@@ -264,6 +310,28 @@ class TestTraces:
         assert rc == EXIT_OK
         rows = read_csv(tr_dir / "traces.csv")
         assert {"t", "node_id", "x_m", "y_m", "yaw_rad", "pos_err_m"} <= set(rows[0])
+
+    def test_traces_use_runlog_offsets(self, tmp_path, caplog):
+        cfg = write_config(tmp_path, seed=3, duration_s=20.0, follower_offset_m=2.0)
+        sim_dir, tr_dir = tmp_path / "sim", tmp_path / "tr"
+        assert main(["simulate", "--config", cfg, "--out", str(sim_dir)]) == EXIT_OK
+        rc = main(["traces", "--input", str(sim_dir / "runlog.jsonl"), "--out", str(tr_dir)])
+        assert rc == EXIT_OK
+        # A conflicting --config is named in a warning and loses to the header.
+        other = tmp_path / "other"
+        other.mkdir()
+        argv = ["traces", "--config", write_config(other), "--input", str(sim_dir / "runlog.jsonl")]
+        assert main(argv + ["--out", str(tmp_path / "tr2")]) == EXIT_OK
+        assert "follower_offset_m" in caplog.text
+        assert (tmp_path / "tr2" / "traces.csv").read_bytes() == (tr_dir / "traces.csv").read_bytes()
+        rows = read_csv(tr_dir / "traces.csv")
+        for summary in read_csv(sim_dir / "summary.csv"):
+            errs = [
+                float(r["pos_err_m"])
+                for r in rows
+                if r["node_id"] == summary["node_id"] and float(r["t"]) >= 10.0
+            ]
+            assert float(np.median(errs)) == float(summary["median_pos_m"])
 
 
 class TestJsonlFormat:

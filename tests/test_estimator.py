@@ -13,7 +13,6 @@ from covis.estimator import (
     RemoteFramingError,
     RemoteValidationError,
     chordal_sigma,
-    compose_estimates,
     decode_response,
     edge_rng,
     encode_request,
@@ -22,7 +21,7 @@ from covis.estimator import (
     remote_estimate,
     scale_for_median,
 )
-from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, quat_dist, rot_geodesic_deg
+from covis.geometry import Pose, UnitQuat, Vec3, compose, pos_dist, quat_dist, rot_geodesic_deg
 from covis.losses import LossWeights, pose_loss
 from covis.metrics import EdgeRecord, is_invisible
 
@@ -169,7 +168,7 @@ class TestOracle:
         b = obs(1, p=(1.0, 1.0, 0.0), yaw=-0.4)
         c = obs(2, p=(-0.5, 2.0, 0.0), yaw=2.0)
         ab, bc, ac = estimate_oracle(a, b), estimate_oracle(b, c), estimate_oracle(a, c)
-        chained = compose_estimates(ab, bc)
+        chained = compose(Pose(ab.p_hat, ab.q_hat), Pose(bc.p_hat, bc.q_hat))
         assert pos_dist(chained.position, ac.p_hat) < 1e-9
         assert quat_dist(chained.rotation, ac.q_hat) < 1e-9
 

@@ -7,7 +7,6 @@ from covis.geometry import (
     Pose,
     UnitQuat,
     Vec3,
-    apply,
     compose,
     pos_dist,
     quat_dist,
@@ -102,7 +101,7 @@ class TestRelativePose:
         rng = np.random.default_rng(11)
         for _ in range(200):
             a, b = random_pose(rng), random_pose(rng)
-            back = apply(a, relative_pose(a, b))
+            back = compose(a, relative_pose(a, b))
             assert pos_dist(back.position, b.position) < 1e-9
             assert quat_dist(back.rotation, b.rotation) < 1e-9
 

@@ -3,7 +3,6 @@ import math
 import numpy as np
 import pytest
 
-from covis.bev import BevGrid
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3
 from covis.metrics import (
@@ -14,9 +13,9 @@ from covis.metrics import (
     EdgeRecord,
     auc_at,
     category_report,
-    dice_iou,
     evaluate_records,
     is_invisible,
+    mask_dice_iou,
     max_edge_error_deg,
     uncertainty_scores,
     youden_threshold,
@@ -216,40 +215,39 @@ class TestAuc:
 
 class TestDiceIou:
     def g(self, arr):
-        a = np.asarray(arr, dtype=float)
-        return BevGrid(a, extent=float(a.shape[0]), resolution=1.0)
+        return np.asarray(arr, dtype=float) > 0.5
 
     def test_identical(self):
         g = self.g([[1.0, 0.0], [0.0, 1.0]])
-        assert dice_iou(g, g) == (1.0, 1.0)
+        assert mask_dice_iou(g, g) == (1.0, 1.0)
 
     def test_disjoint(self):
         a = self.g([[1.0, 0.0], [0.0, 0.0]])
         b = self.g([[0.0, 1.0], [0.0, 0.0]])
-        assert dice_iou(a, b) == (0.0, 0.0)
+        assert mask_dice_iou(a, b) == (0.0, 0.0)
 
     def test_half_overlap(self):
         a = self.g([[1, 1, 1, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
         b = self.g([[0, 0, 1, 1], [1, 1, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])
-        dice, iou = dice_iou(a, b)
+        dice, iou = mask_dice_iou(a, b)
         assert dice == pytest.approx(0.5)
         assert iou == pytest.approx(1.0 / 3.0)
 
     def test_both_empty(self):
         z = self.g(np.zeros((2, 2)))
-        assert dice_iou(z, z) == (1.0, 1.0)
+        assert mask_dice_iou(z, z) == (1.0, 1.0)
 
     def test_dice_iou_identity(self):
         rng = np.random.default_rng(11)
         for _ in range(100):
             a = self.g((rng.uniform(size=(8, 8)) > 0.5).astype(float))
             b = self.g((rng.uniform(size=(8, 8)) > 0.5).astype(float))
-            dice, iou = dice_iou(a, b)
+            dice, iou = mask_dice_iou(a, b)
             assert dice == pytest.approx(2.0 * iou / (1.0 + iou), abs=1e-12)
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            dice_iou(self.g(np.zeros((2, 2))), self.g(np.zeros((3, 3))))
+            mask_dice_iou(self.g(np.zeros((2, 2))), self.g(np.zeros((3, 3))))
 
 
 class TestEvaluateRecords:

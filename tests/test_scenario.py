@@ -331,9 +331,7 @@ class TestDatasetJsonl:
     def test_schema_and_roundtrip(self):
         w = gen_world(1, extent=12.0, n_rooms=1)
         groups = sample_groups(w, 2, n_max=3, seed=1, with_bev=True)
-        from covis.scenario import profile_from_config
-
-        text = dataset_jsonl(groups, seed=1, profile=profile_from_config(RunConfig()))
+        text = dataset_jsonl(RunConfig(seed=1), groups)
         lines = text.strip().split("\n")
         header = json.loads(lines[0])
         assert header["schema"] == "covis.dataset@1"

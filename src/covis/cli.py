@@ -373,21 +373,24 @@ def cmd_traces(args) -> int:
         log.error("traces needs a runlog input")
         return EXIT_VALIDATION
     offsets = follower_offsets(cfg)
-    by_tick: dict[float, dict[int, dict]] = {}
-    for line in lines:
-        rec = json.loads(line)
-        by_tick.setdefault(rec["t"], {})[rec["node_id"]] = rec
+    by_tick: dict[float, dict[int, tuple[Pose, object]]] = {}
+    for no, line in enumerate(lines, start=2):  # header was line 1
+        try:
+            rec = json.loads(line)
+            pose = pose_from_dict(rec["pose_truth"])
+            by_tick.setdefault(float(rec["t"]), {})[int(rec["node_id"])] = (pose, rec["gated"])
+        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
+            log.error("line %d: %s", no, exc)
+            return EXIT_VALIDATION
     rows = []
     for t in sorted(by_tick):
         recs = by_tick[t]
         leader = recs.get(FormationRun.LEADER)
         for node_id in sorted(recs):
-            rec = recs[node_id]
-            pose = pose_from_dict(rec["pose_truth"])
+            pose, gated = recs[node_id]
             pos_err = rot_err = math.nan
             if leader is not None and node_id in offsets:
-                l_pose = pose_from_dict(leader["pose_truth"])
-                pos_err, rot_err = follower_error(pose, l_pose, offsets[node_id])
+                pos_err, rot_err = follower_error(pose, leader[0], offsets[node_id])
             rows.append(
                 {
                     "schema": "covis.traces@1",
@@ -396,7 +399,7 @@ def cmd_traces(args) -> int:
                     "x_m": pose.position.x,
                     "y_m": pose.position.y,
                     "yaw_rad": pose.rotation.yaw(),
-                    "gated": rec["gated"],
+                    "gated": gated,
                     "pos_err_m": pos_err,
                     "rot_err_deg": rot_err,
                 }

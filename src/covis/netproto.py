@@ -38,12 +38,6 @@ HEADER_LEN = 16
 CRC_LEN = 4
 MAX_PAYLOAD = 8192
 
-DEFAULT_SUPERFRAME_HZ = 15.0
-DEFAULT_HIGH_WATERMARK = 0.10
-DEFAULT_LOW_WATERMARK = 0.05
-DEFAULT_LOSS_WINDOW = 2.0
-DEFAULT_MAX_DIVISOR = 8
-
 
 class FrameError(Exception):
     """Base class for frame decode failures."""
@@ -171,14 +165,13 @@ class SchedulerState:
 
     node_id: int
     n_slots: int = 4
-    superframe_period: float = 1.0 / DEFAULT_SUPERFRAME_HZ
+    superframe_period: float = 1.0 / 15.0
     tx_divisor: int = 1
     tx_phase: int = 0
-    max_divisor: int = DEFAULT_MAX_DIVISOR
-    high_watermark: float = DEFAULT_HIGH_WATERMARK
-    low_watermark: float = DEFAULT_LOW_WATERMARK
-    loss_window: float = DEFAULT_LOSS_WINDOW
-    loss_aggregate: str = "max"  # or "mean"
+    max_divisor: int = 8
+    high_watermark: float = 0.10
+    low_watermark: float = 0.05
+    loss_window: float = 2.0
     seq_counter: int = 0
     peers: dict[int, PeerTracker] = field(default_factory=dict)
     rng: Optional[np.random.Generator] = None
@@ -217,10 +210,7 @@ class SchedulerState:
         return seq
 
     def max_peer_loss(self, now: float) -> float:
-        losses = [tr.loss_estimate(now) for tr in self.peers.values()]
-        if not losses:
-            return 0.0
-        return max(losses) if self.loss_aggregate == "max" else sum(losses) / len(losses)
+        return max((tr.loss_estimate(now) for tr in self.peers.values()), default=0.0)
 
 
 def next_tx_time(state: SchedulerState, now: float) -> float:

@@ -184,17 +184,20 @@ def observed_grid(
     extent: float = 6.0,
     resolution: float = 6.0 / 64,
     ray_steps: int = 96,
+    truth: Optional[BevGrid] = None,
 ) -> BevGrid:
     """Ego crop masked to what the camera can actually see.
 
     A cell is visible when its bearing lies inside the horizontal FOV and no
     wall blocks the straight line from the ego (walls themselves are visible
-    as the first blocker). Invisible cells are unknown (0.5).
+    as the first blocker). Invisible cells are unknown (0.5). ``truth`` is
+    this pose's ``bev_crop``, built here when the caller does not pass it.
     """
     n = int(round(extent / resolution))
     coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
     ex, ey = np.meshgrid(coords, coords, indexing="ij")
-    truth = bev_crop(world, pose, extent, resolution).cells
+    if truth is None:
+        truth = bev_crop(world, pose, extent, resolution)
 
     bearing = np.degrees(np.arctan2(ey, ex))
     in_fov = np.abs(bearing) <= fov_deg / 2.0
@@ -225,7 +228,7 @@ def observed_grid(
     visible = np.zeros((n, n), dtype=bool)
     visible[in_fov] = ~blocking.any(axis=-1)
     cells = np.full((n, n), 0.5)
-    cells[visible] = truth[visible]
+    cells[visible] = truth.cells[visible]
     return BevGrid(cells, extent, resolution)
 
 
@@ -288,7 +291,7 @@ def sample_groups(
             bev = bev_obs = None
             if with_bev:
                 bev = bev_crop(world, pose, bev_extent, bev_resolution)
-                bev_obs = observed_grid(world, pose, fov_deg, bev_extent, bev_resolution)
+                bev_obs = observed_grid(world, pose, fov_deg, bev_extent, bev_resolution, truth=bev)
             nodes.append(GroupNode(idx, pose, fov_deg, bev, bev_obs))
         groups.append(SampleGroup(tuple(nodes)))
     return groups
@@ -479,7 +482,6 @@ def scheduler_from_config(cfg: RunConfig, node_id: int) -> SchedulerState:
         high_watermark=cfg.high_watermark,
         low_watermark=cfg.low_watermark,
         loss_window=cfg.loss_window_s,
-        loss_aggregate=cfg.loss_aggregate,
     )
 
 
@@ -543,7 +545,14 @@ class RobotNode(BroadcastNode):
             embedding=self._payload,
             tick=superframe_idx,
         )
-        self.run.registry[(self.node_id, seq)] = obs
+        registry = self.run.registry
+        registry[(self.node_id, seq)] = obs
+        # Observations arrive here in tick order. One older than the stale
+        # timeout plus a superframe is stale on delivery, so it is dropped.
+        oldest = next(iter(registry))
+        while registry[oldest].tick < superframe_idx - self.run.registry_ticks:
+            del registry[oldest]
+            oldest = next(iter(registry))
         return self._payload
 
     def handle_frame(self, sim: Simulator, frame, now: float) -> None:
@@ -575,7 +584,6 @@ class FormationRun:
     LEADER = 0
 
     def __init__(self, cfg: RunConfig):
-        cfg.validate()
         self.cfg = cfg
         self.spec = trajectory_from_config(cfg)
         self.gains = gains_from_config(cfg)
@@ -583,6 +591,7 @@ class FormationRun:
         self.estimator = make_estimator(cfg)
         self.offsets = follower_offsets(cfg)
         self.registry: dict[tuple[int, int], Observation] = {}
+        self.registry_ticks = math.ceil(cfg.stale_timeout_s * cfg.superframe_hz) + 1
         self.records: list[dict] = []
         self.dt = 1.0 / cfg.superframe_hz
 

@@ -1,11 +1,18 @@
 import csv
 import json
+import math
+import tempfile
+import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from covis.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
 from covis.config import ConfigError, RunConfig
+from covis.scenario import runlog_jsonl
 
 FAST = {
     "duration_s": 10.0,
@@ -28,6 +35,66 @@ def write_config(tmp_path, **extra):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+RECT = {"trajectory": "rect_dynamic"}
+
+# Every config starts short; a drawn key may then replace any of these.
+SHORT = {"duration_s": 1.0, "n_groups": 1, "n_max": 3}
+# In-box values keep runs short and teams small; every other in-box value lies
+# between half and twice its default.
+IN_BOX = {
+    "seed": st.integers(0, 2**32 - 1),
+    "duration_s": st.floats(0.05, 2.0),
+    "n_nodes": st.integers(1, 4),
+    "n_groups": st.integers(0, 2),
+    "n_max": st.integers(1, 3),
+    "world_extent_m": st.floats(12.0, 48.0),
+}
+WRONG_TYPE = ["1", None, [1], {"k": 1}, True, 1.5]
+
+
+def field_values(name, hint, default):
+    """In-box, out-of-range, wrongly typed and (for floats) non-finite values."""
+    kind, rule = typing.get_args(hint) if typing.get_origin(hint) is typing.Annotated else (hint, "")
+    if typing.get_origin(kind) is typing.Literal:
+        return st.sampled_from(typing.get_args(kind)), st.sampled_from(["neural", 1, None])
+    if kind is bool:
+        return st.booleans(), st.sampled_from(["true", 1, None])
+    in_box = IN_BOX.get(name)
+    if in_box is None and kind is int:
+        in_box = st.integers(default // 2, max(default * 2, 1))
+    elif in_box is None:
+        in_box = st.floats(default / 2, default * 2) if default else st.just(default)
+    bad = [v for v in WRONG_TYPE if not (kind is float and v == 1.5)]
+    if kind is float:
+        bad += [math.nan, math.inf, -math.inf]
+    if rule:  # just outside each end of the bound
+        if rule[0] == ">":
+            rule = ("[" if rule[1] == "=" else "(") + rule.lstrip(">=") + ", inf)"
+        lo, hi = (float(x) for x in rule[1:-1].split(","))
+        outside = [lo - 1, lo] if rule[0] == "(" else [lo - 1]
+        if hi < math.inf:
+            outside += [hi + 1, hi] if rule[-1] == ")" else [hi + 1]
+        bad += [kind(v) for v in outside]
+    return in_box, st.sampled_from(bad)
+
+
+FIELDS = {
+    name: field_values(name, hint, getattr(RunConfig(), name))
+    for name, hint in typing.get_type_hints(RunConfig, include_extras=True).items()
+}
+
+
+@st.composite
+def configs(draw):
+    """A few in-box keys, and in about half the examples one bad key."""
+    keys = draw(st.lists(st.sampled_from(sorted(FIELDS)), min_size=1, max_size=3, unique=True))
+    overrides = {k: draw(FIELDS[k][0]) for k in keys}
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(sorted(FIELDS)))
+        overrides[key] = draw(FIELDS[key][1])
+    return overrides
 
 
 class TestConfig:
@@ -61,11 +128,57 @@ class TestConfig:
             ("netbench", "max_divisor", 0),
             ("simulate", "seed", "abc"),
             ("simulate", "stale_timeout_s", -1),
+            ("simulate", "duration_s", math.inf),
+            ("netbench", "superframe_hz", math.inf),
+            pytest.param("simulate", "rect_dynamic", RECT | {"traj_size_x_m": 0, "traj_size_y_m": 0},
+                         id="simulate-rect_dynamic-zero_sides"),
+            ("homing", "sigma_jitter", 1e6),
+            ("simulate", "seed", -1),
+            ("netbench", "base_loss", 1.5),
+            ("simulate", "kp_pos", -1),
+            pytest.param("simulate", "oracle", {"estimator": "oracle", "sigma_floor": 0},
+                         id="simulate-oracle-sigma_floor_0"),
+            ("datagen", "world_rooms", 0),
+            ("simulate", "duration_s", math.nan),
+            pytest.param("simulate", "rect_dynamic", RECT | {"traj_corner_radius_m": 5},
+                         id="simulate-rect_dynamic-radius_5"),
+            ("datagen", "d_max_m", 1e6),
+            ("datagen", "world_resolution_m", 1e6),
+            ("netbench", "propagation_s", -1),
+            ("netbench", "loss_window_s", -1),
+            ("datagen", "n_groups", -1),
+            ("homing", "eps_reach_m", -1),
+            ("netbench", "high_watermark", math.nan),
+            ("netbench", "bitrate_bps", math.inf),
+            # Before these bounds the next three asked for terabytes of grid
+            # or built 70,000 nodes.
+            ("datagen", "world_extent_m", 1e5),
+            ("datagen", "bev_extent_m", 257 * 6.0 / 64),
+            ("netbench", "n_nodes", 70000),
         ],
     )
     def test_out_of_bounds_exits_config_error(self, tmp_path, command, key, value):
-        cfg = write_config(tmp_path, n_groups=1, **{key: value})
+        # A dict value is a case that needs several keys; the key then names it.
+        overrides = value if isinstance(value, dict) else {key: value}
+        cfg = write_config(tmp_path, **{"n_groups": 1, **overrides})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_any_config_runs_or_exits_config_error(self):
+        codes = []
+
+        @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+                  suppress_health_check=[HealthCheck.too_slow])
+        @given(st.sampled_from(("simulate", "datagen", "netbench", "homing")), configs())
+        def check(command, overrides):
+            with tempfile.TemporaryDirectory() as tmp:
+                path = Path(tmp) / "config.json"
+                path.write_text(json.dumps({**SHORT, **overrides}))
+                code = main([command, "--config", str(path), "--out", str(Path(tmp) / "o")])
+            assert code in (EXIT_OK, EXIT_CONFIG), (command, overrides)
+            codes.append(code)
+
+        check()
+        assert codes.count(EXIT_OK) >= len(codes) / 4, codes
 
 
 class TestSimulate:
@@ -332,6 +445,26 @@ class TestTraces:
                 if r["node_id"] == summary["node_id"] and float(r["t"]) >= 10.0
             ]
             assert float(np.median(errs)) == float(summary["median_pos_m"])
+
+    POSE = {"p": [0.0, 0.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]}
+
+    @pytest.mark.parametrize(
+        "records",
+        [
+            [{}],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": "x", "node_id": 0, "pose_truth": POSE, "gated": False},
+            ],
+        ],
+        ids=["empty", "t_not_a_number"],
+    )
+    def test_malformed_record_exits_validation(self, tmp_path, caplog, records):
+        runlog = tmp_path / "runlog.jsonl"
+        runlog.write_text(runlog_jsonl(RunConfig(), records))
+        rc = main(["traces", "--input", str(runlog), "--out", str(tmp_path / "tr")])
+        assert rc == EXIT_VALIDATION
+        assert f"line {len(records) + 1}:" in caplog.text
 
 
 class TestJsonlFormat:

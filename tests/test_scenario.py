@@ -9,8 +9,10 @@ from covis.config import RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, relative_pose, rot_geodesic_deg
 from covis.metrics import EdgeRecord, is_invisible
+from covis import scenario
 from covis.netsim import KIND_DELIVER
 from covis.scenario import (
+    FormationRun,
     TrajectorySpec,
     _lookup,
     bev_crop,
@@ -91,6 +93,13 @@ class TestSampleGroups:
         for ga, gb in zip(a, b):
             for na, nb in zip(ga.nodes, gb.nodes):
                 assert na.pose == nb.pose
+
+    def test_truth_crop_built_once_per_node(self, monkeypatch):
+        calls = []
+        crop = scenario.bev_crop
+        monkeypatch.setattr(scenario, "bev_crop", lambda *a, **kw: calls.append(1) or crop(*a, **kw))
+        groups = sample_groups(gen_world(0), 10)
+        assert len(calls) == sum(len(g.nodes) for g in groups) == 50
 
 
 class TestBevCrops:
@@ -283,6 +292,22 @@ class TestRunFormation:
             for f in so:
                 diffs.append(sn[f]["median_pos_m"] - so[f]["median_pos_m"])
         assert np.mean(diffs) > 0.0
+
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"n_nodes": 8}, {"propagation_s": 0.1, "bitrate_bps": 1e6}],
+        ids=["default", "8_nodes", "delayed"],
+    )
+    def test_registry_stays_bounded(self, extra):
+        cfg = RunConfig(seed=2, duration_s=20.0, **extra)
+        run = FormationRun(cfg)
+        sizes = []
+        tick = run.robot_tick
+        run.robot_tick = lambda node, k, now: sizes.append(len(run.registry)) or tick(node, k, now)
+        run.run()
+        bound = cfg.n_nodes * (math.ceil(cfg.stale_timeout_s * cfg.superframe_hz) + 2)
+        assert len(sizes) == cfg.n_nodes * 301
+        assert max(sizes) <= bound
 
     def test_followers_start_in_formation(self):
         cfg = RunConfig(seed=1, estimator="oracle", **ACCEPT)

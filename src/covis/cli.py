@@ -33,6 +33,7 @@ from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
 from .geometry import Pose, relative_pose
 from .metrics import EdgeRecord, evaluate_records, mask_dice_iou
+from .netproto import CRC_LEN, HEADER_LEN
 from .netsim import BroadcastNode, events_to_jsonl, summarize
 from .scenario import (
     DATASET_SCHEMA,
@@ -130,6 +131,15 @@ def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
+    # A frame is read at the first tick after it lands. If that tick is always
+    # past the stale timeout, every follower stays gated (rounded toward running).
+    airtime = (cfg.payload_bytes + HEADER_LEN + CRC_LEN) * 8.0 / cfg.bitrate_bps
+    lag = math.ceil((airtime + cfg.propagation_s) * cfg.superframe_hz - 1e-9)
+    if lag > cfg.stale_timeout_s * cfg.superframe_hz + 1e-9:
+        raise ConfigError(
+            f"no leader frame can arrive fresh: payload_bytes at bitrate_bps plus propagation_s "
+            f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
+        )
     out = _out_dir(args)
     records, events = run_formation(cfg)
     (out / "runlog.jsonl").write_text(runlog_jsonl(cfg, records))

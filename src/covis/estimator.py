@@ -16,6 +16,7 @@ distance sqrt(8)*sin(angle/2) that the chordal loss squares.
 
 from __future__ import annotations
 
+import hashlib
 import math
 import socket
 import struct
@@ -26,7 +27,7 @@ import numpy as np
 from scipy.optimize import brentq
 from scipy.special import erf, erfinv
 
-from .geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
+from .geometry import Pose, UnitQuat, Vec3, quat_angle_deg, quat_mul, quat_rotate, relative_pose
 
 # Median of |N(0,1)| = sqrt(2)*erfinv(1/2); a half-normal with scale
 # median/_HN_MEDIAN has the requested median.
@@ -169,29 +170,39 @@ def chordal_sigma(angle_scale_deg: float) -> float:
     return math.sqrt(8.0) * math.sin(0.5 * a)
 
 
-def edge_rng(seed: int, tick: int, src: int, dst: int) -> np.random.Generator:
-    """Deterministic per-edge RNG substream, independent of evaluation order."""
-    return np.random.default_rng(np.random.SeedSequence([seed, tick, src, dst]))
+_WORDS = struct.Struct("<10Q")
+_IDENTITY = (1.0, 0.0, 0.0, 0.0)
 
 
-def _edge_invisible(rel: Pose, fov_deg: float) -> bool:
-    # Same rule metrics.is_invisible applies to truth edges.
-    return rot_geodesic_deg(rel.rotation, UnitQuat.identity()) > fov_deg
+def edge_rng(seed: int, tick: int, src: int, dst: int) -> list[float]:
+    """The edge's ten standard normals, a pure function of (seed, tick, src, dst).
+
+    Counter-based and keyed (Salmon et al., SC 2011): SHAKE-128 of the decimal
+    key gives ten 64-bit words, the top 53 bits of each a uniform, and
+    Box-Muller turns each pair into two normals. Any non-negative integers are
+    valid keys, and no draw depends on the order edges are evaluated in.
+    """
+    words = _WORDS.unpack(hashlib.shake_128(b"%d,%d,%d,%d" % (seed, tick, src, dst)).digest(80))
+    z = []
+    for k in range(0, 10, 2):
+        r = math.sqrt(-2.0 * math.log(((words[k] >> 11) + 1) * 2.0**-53))  # uniform in (0, 1]
+        t = 2.0 * math.pi * (words[k + 1] >> 11) * 2.0**-53
+        z += (r * math.cos(t), r * math.sin(t))
+    return z
 
 
-def _unit_vector(rng: np.random.Generator) -> Vec3:
-    while True:
-        v = rng.standard_normal(3)
-        n = float(np.linalg.norm(v))
-        if n > 1e-12:
-            return Vec3(v[0] / n, v[1] / n, v[2] / n)
+def _unit(x: float, y: float, z: float) -> tuple[float, float, float]:
+    n = math.sqrt(x * x + y * y + z * z)
+    if n <= 1e-12:  # deterministic guard; a normal triple this short has probability ~1e-36
+        return (1.0, 0.0, 0.0)
+    return (x / n, y / n, z / n)
 
 
 def estimate(
     obs_i: Observation,
     obs_j: Observation,
     profile: NoiseProfile,
-    rng: np.random.Generator,
+    z: list[float],
 ) -> PoseEstimate:
     """Truth relative pose corrupted by calibrated synthetic noise.
 
@@ -200,30 +211,37 @@ def estimate(
     geodesic magnitude from the same family. Reported sigmas are the true
     per-sample scales times the profile miscalibration; the position report is
     split isotropically so its Euclidean norm equals the sample scale.
+
+    ``z`` holds ten standard normals, normally ``edge_rng(seed, tick, src,
+    dst)``, used in this order: z[0] position scale jitter, z[1:4] error
+    direction, z[4] position magnitude, z[5] rotation scale jitter, z[6:9]
+    rotation axis, z[9] rotation magnitude.
     """
-    rel = relative_pose(obs_i.pose_truth, obs_j.pose_truth)
-    invisible = _edge_invisible(rel, obs_i.fov_deg)
+    p_i, q_i = obs_i.pose_truth.position, obs_i.pose_truth.rotation
+    p_j = obs_j.pose_truth.position
+    inv = (q_i.w, -q_i.x, -q_i.y, -q_i.z)
+    rx, ry, rz = quat_rotate(inv, (p_j.x - p_i.x, p_j.y - p_i.y, p_j.z - p_i.z))
+    rel = quat_mul(inv, obs_j.pose_truth.rotation.as_tuple())
+    # Same rule metrics.is_invisible applies to truth edges.
+    invisible = quat_angle_deg(rel, _IDENTITY) > obs_i.fov_deg
     m_pos = profile.median_pos_invisible if invisible else profile.median_pos_visible
     m_rot = profile.median_rot_invisible if invisible else profile.median_rot_visible
     tau = profile.sigma_jitter
 
-    # Fixed draw order keeps results reproducible per substream.
-    s_pos = scale_for_median(m_pos, tau) * math.exp(tau * rng.standard_normal())
-    direction = _unit_vector(rng)
-    r_pos = s_pos * abs(rng.standard_normal())
-    s_rot = scale_for_median(m_rot, tau) * math.exp(tau * rng.standard_normal())
-    axis = _unit_vector(rng)
-    r_rot_deg = min(s_rot * abs(rng.standard_normal()), 179.9)
-
-    p_hat = rel.position + direction * r_pos
-    q_hat = rel.rotation.multiply(UnitQuat.from_axis_angle(axis, math.radians(r_rot_deg)))
+    s_pos = scale_for_median(m_pos, tau) * math.exp(tau * z[0])
+    dx, dy, dz = _unit(z[1], z[2], z[3])
+    r_pos = s_pos * abs(z[4])
+    s_rot = scale_for_median(m_rot, tau) * math.exp(tau * z[5])
+    ax, ay, az = _unit(z[6], z[7], z[8])
+    h = 0.5 * math.radians(min(s_rot * abs(z[9]), 179.9))
+    s = math.sin(h)
 
     mc = profile.miscalibration
     axis_sigma = s_pos / math.sqrt(3.0) * mc
     return PoseEstimate(
-        p_hat=p_hat,
+        p_hat=Vec3(rx + dx * r_pos, ry + dy * r_pos, rz + dz * r_pos),
         sigma_p=Vec3(axis_sigma, axis_sigma, axis_sigma),
-        q_hat=q_hat,
+        q_hat=UnitQuat(*quat_mul(rel, (math.cos(h), ax * s, ay * s, az * s))),
         sigma_q=chordal_sigma(s_rot) * mc,
         src=obs_i.node_id,
         dst=obs_j.node_id,

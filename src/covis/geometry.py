@@ -20,6 +20,32 @@ from dataclasses import dataclass
 _NORM_TOL = 1e-6
 
 
+def quat_mul(a: tuple, b: tuple) -> tuple[float, float, float, float]:
+    """Hamilton product a * b of scalar-first 4-tuples; UnitQuat.multiply without the object."""
+    w1, x1, y1, z1 = a
+    w2, x2, y2, z2 = b
+    return (
+        w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+        w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+        w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+        w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+    )
+
+
+def quat_rotate(q: tuple, v: tuple) -> tuple[float, float, float]:
+    """UnitQuat.rotate on a scalar-first 4-tuple q and a 3-tuple v."""
+    w, x, y, z = q
+    vx, vy, vz = v
+    # v' = v + 2*w*(u x v) + 2*(u x (u x v)) with u = (x, y, z)
+    ux = y * vz - z * vy
+    uy = z * vx - x * vz
+    uz = x * vy - y * vx
+    uux = y * uz - z * uy
+    uuy = z * ux - x * uz
+    uuz = x * uy - y * ux
+    return (vx + 2.0 * (w * ux + uux), vy + 2.0 * (w * uy + uuy), vz + 2.0 * (w * uz + uuz))
+
+
 @dataclass(frozen=True)
 class Vec3:
     """3-vector in meters. All components must be finite."""
@@ -29,9 +55,9 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        for c in (self.x, self.y, self.z):
-            if not math.isfinite(c):
-                raise ValueError(f"non-finite Vec3 component: {c!r}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
+            bad = next(c for c in (self.x, self.y, self.z) if not math.isfinite(c))
+            raise ValueError(f"non-finite Vec3 component: {bad!r}")
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -73,10 +99,10 @@ class UnitQuat:
     z: float
 
     def __post_init__(self):
-        n = math.sqrt(self.w**2 + self.x**2 + self.y**2 + self.z**2)
-        if not math.isfinite(n) or abs(n - 1.0) > _NORM_TOL:
+        w, x, y, z = self.w, self.x, self.y, self.z
+        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+        if not abs(n - 1.0) <= _NORM_TOL:  # also refuses NaN and inf
             raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
-        w, x, y, z = self.w / n, self.x / n, self.y / n, self.z / n
         # Canonical sign: w > 0, or first nonzero of (x, y, z) positive when w == 0.
         flip = w < 0.0
         if w == 0.0:
@@ -84,25 +110,16 @@ class UnitQuat:
                 if c != 0.0:
                     flip = c < 0.0
                     break
-        if flip:
-            w, x, y, z = -w, -x, -y, -z
-        object.__setattr__(self, "w", w)
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "y", y)
-        object.__setattr__(self, "z", z)
+        if n != 1.0 or flip:
+            n = -n if flip else n
+            object.__setattr__(self, "w", w / n)
+            object.__setattr__(self, "x", x / n)
+            object.__setattr__(self, "y", y / n)
+            object.__setattr__(self, "z", z / n)
 
     @staticmethod
     def identity() -> "UnitQuat":
         return UnitQuat(1.0, 0.0, 0.0, 0.0)
-
-    @staticmethod
-    def from_axis_angle(axis: Vec3, angle_rad: float) -> "UnitQuat":
-        n = axis.norm()
-        if n == 0.0:
-            raise ValueError("zero rotation axis")
-        h = 0.5 * angle_rad
-        s = math.sin(h) / n
-        return UnitQuat(math.cos(h), axis.x * s, axis.y * s, axis.z * s)
 
     @staticmethod
     def from_yaw(yaw_rad: float) -> "UnitQuat":
@@ -113,30 +130,11 @@ class UnitQuat:
 
     def multiply(self, other: "UnitQuat") -> "UnitQuat":
         """Hamilton product self * other."""
-        w1, x1, y1, z1 = self.w, self.x, self.y, self.z
-        w2, x2, y2, z2 = other.w, other.x, other.y, other.z
-        return UnitQuat(
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        )
+        return UnitQuat(*quat_mul(self.as_tuple(), other.as_tuple()))
 
     def rotate(self, v: Vec3) -> Vec3:
         """Apply the rotation to a vector (body -> parent frame)."""
-        w, x, y, z = self.w, self.x, self.y, self.z
-        # v' = v + 2*w*(u x v) + 2*(u x (u x v)) with u = (x, y, z)
-        ux = y * v.z - z * v.y
-        uy = z * v.x - x * v.z
-        uz = x * v.y - y * v.x
-        uux = y * uz - z * uy
-        uuy = z * ux - x * uz
-        uuz = x * uy - y * ux
-        return Vec3(
-            v.x + 2.0 * (w * ux + uux),
-            v.y + 2.0 * (w * uy + uuy),
-            v.z + 2.0 * (w * uz + uuz),
-        )
+        return Vec3(*quat_rotate(self.as_tuple(), v.as_tuple()))
 
     def rotate_inverse(self, v: Vec3) -> Vec3:
         return self.conjugate().rotate(v)
@@ -194,31 +192,33 @@ def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
     return Pose(inv.rotate(pose_j.position - pose_i.position), inv.multiply(pose_j.rotation))
 
 
-def _signed_norms(q: UnitQuat, q_hat: UnitQuat) -> tuple[float, float]:
-    """(||q - q_hat||, ||q + q_hat||), computed componentwise (no cancellation)."""
-    dm = math.sqrt(
-        (q.w - q_hat.w) ** 2 + (q.x - q_hat.x) ** 2 + (q.y - q_hat.y) ** 2 + (q.z - q_hat.z) ** 2
-    )
-    dp = math.sqrt(
-        (q.w + q_hat.w) ** 2 + (q.x + q_hat.x) ** 2 + (q.y + q_hat.y) ** 2 + (q.z + q_hat.z) ** 2
-    )
+def _signed_norms(a: tuple, b: tuple) -> tuple[float, float]:
+    """(||a - b||, ||a + b||) of 4-tuples, computed componentwise (no cancellation)."""
+    aw, ax, ay, az = a
+    bw, bx, by, bz = b
+    dm = math.sqrt((aw - bw) ** 2 + (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
+    dp = math.sqrt((aw + bw) ** 2 + (ax + bx) ** 2 + (ay + by) ** 2 + (az + bz) ** 2)
     return dm, dp
 
 
 def quat_dist(q: UnitQuat, q_hat: UnitQuat) -> float:
     """min(||q - q_hat||, ||q + q_hat||); sign-invariant, in [0, sqrt(2)]."""
-    dm, dp = _signed_norms(q, q_hat)
-    return min(dm, dp)
+    return min(_signed_norms(q.as_tuple(), q_hat.as_tuple()))
 
 
 def rot_geodesic_deg(q: UnitQuat, q_hat: UnitQuat) -> float:
-    """Geodesic angle between rotations in degrees: 4*arcsin(d_quat/2), in [0, 180].
+    """Geodesic angle between rotations in degrees: 4*arcsin(d_quat/2), in [0, 180]."""
+    return quat_angle_deg(q.as_tuple(), q_hat.as_tuple())
+
+
+def quat_angle_deg(a: tuple, b: tuple) -> float:
+    """rot_geodesic_deg of two scalar-first 4-tuples.
 
     Evaluated as 4*atan2(min_norm, max_norm): the two signed norms equal
     2*sin(angle/4) and 2*cos(angle/4), so this is the same quantity with full
     precision at both endpoints.
     """
-    dm, dp = _signed_norms(q, q_hat)
+    dm, dp = _signed_norms(a, b)
     return math.degrees(4.0 * math.atan2(min(dm, dp), max(dm, dp)))
 
 

@@ -496,8 +496,8 @@ def make_estimator(cfg: RunConfig) -> Callable[[Observation, Observation, int], 
     profile = profile_from_config(cfg)
 
     def run_synthetic(obs_i, obs_j, tick):
-        rng = edge_rng(cfg.seed, tick, obs_i.node_id, obs_j.node_id)
-        return estimate(obs_i, obs_j, profile, rng)
+        z = edge_rng(cfg.seed, tick, obs_i.node_id, obs_j.node_id)
+        return estimate(obs_i, obs_j, profile, z)
 
     return run_synthetic
 

@@ -155,6 +155,11 @@ class TestConfig:
             ("datagen", "world_extent_m", 1e5),
             ("datagen", "bev_extent_m", 257 * 6.0 / 64),
             ("netbench", "n_nodes", 70000),
+            # Every frame lands 0.55 s after its superframe, past the 0.5 s
+            # stale timeout: the run logged 0 estimates and exited 0.
+            pytest.param("simulate", "always_stale",
+                         {"propagation_s": 0.3, "bitrate_bps": 200000, "duration_s": 20},
+                         id="simulate-always_stale"),
         ],
     )
     def test_out_of_bounds_exits_config_error(self, tmp_path, command, key, value):

@@ -35,6 +35,23 @@ def trace_angle_deg(q, q_hat):
     return math.degrees(math.acos(c))
 
 
+def _reference_unit_quat(w, x, y, z):
+    """UnitQuat's normalization and canonical sign as first written, for bit comparison."""
+    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    if not math.isfinite(n) or abs(n - 1.0) > 1e-6:
+        raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
+    w, x, y, z = w / n, x / n, y / n, z / n
+    flip = w < 0.0
+    if w == 0.0:
+        for c in (x, y, z):
+            if c != 0.0:
+                flip = c < 0.0
+                break
+    if flip:
+        w, x, y, z = -w, -x, -y, -z
+    return w, x, y, z
+
+
 class TestVec3:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
@@ -59,6 +76,29 @@ class TestUnitQuat:
             UnitQuat(1.1, 0.0, 0.0, 0.0)
         with pytest.raises(ValueError):
             UnitQuat(0.0, 0.0, 0.0, 0.0)
+
+    def test_construction_matches_reference_bits(self):
+        rng = np.random.default_rng(8)
+        cases = [(1.0, 0.0, 0.0, 0.0), (-1.0, 0.0, 0.0, 0.0), (0.5, -0.5, 0.5, -0.5)]
+        for _ in range(2000):
+            v = rng.standard_normal(4)
+            unit = [float(c) for c in v / np.linalg.norm(v)]
+            cases.append(tuple(unit))
+            cases.append(tuple(-c for c in unit))
+            for d in rng.uniform(-1.5e-6, 1.5e-6, 2):  # near unit, some out of tolerance
+                cases.append(tuple(c * (1.0 + float(d)) for c in unit))
+            w0 = [0.0 if rng.random() < 0.3 else c for c in unit[1:]]
+            n = math.sqrt(sum(c * c for c in w0)) or 1.0
+            cases.append((float(rng.choice([0.0, -0.0])), *(c / n for c in w0)))
+        cases += [(math.nan, 0.0, 0.0, 0.0), (math.inf, 0.0, 0.0, 0.0), (0.0, 0.0, 0.0, 0.0)]
+        for case in cases:
+            try:
+                want = [c.hex() for c in _reference_unit_quat(*case)]
+            except ValueError:
+                with pytest.raises(ValueError):
+                    UnitQuat(*case)
+                continue
+            assert [c.hex() for c in UnitQuat(*case).as_tuple()] == want, case
 
     def test_rotate_matches_matrix(self):
         rng = np.random.default_rng(3)

@@ -6,7 +6,7 @@ import pytest
 from scipy import ndimage
 
 from covis.config import RunConfig
-from covis.estimator import PoseEstimate
+from covis.estimator import Observation, PoseEstimate, edge_rng, estimate
 from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, relative_pose, rot_geodesic_deg
 from covis.metrics import EdgeRecord, is_invisible
 from covis import scenario
@@ -265,6 +265,32 @@ class TestRunFormation:
             for est in rec["estimates"]:
                 assert est["peer_tick"] <= tick  # causality
                 assert est["peer_tick"] in delivered[(rec["node_id"], est["dst"])]
+
+    def test_estimates_depend_only_on_their_key(self):
+        # Each logged estimate is recomputed alone from (seed, tick, src, dst)
+        # and the two logged truth poses, so no draw depends on the order in
+        # which the run evaluated edges. Reading a pose back renormalizes its
+        # quaternion, which can move the last bit, hence the tight tolerance.
+        cfg = RunConfig(seed=17, n_nodes=8, duration_s=5.0)  # pairs sharing a slot collide for ~2 s
+        lines = runlog_jsonl(cfg, run_formation(cfg)[0]).splitlines()[1:]
+        records = [json.loads(line) for line in lines]
+        period = 1.0 / cfg.superframe_hz
+        truth = {(r["node_id"], round(r["t"] / period)): r["pose_truth"] for r in records}
+        profile = scenario.profile_from_config(cfg)
+        checked = 0
+        for rec in records:
+            tick = round(rec["t"] / period)
+            for logged in rec["estimates"]:
+                src, dst = logged.pop("src"), logged.pop("dst")
+                obs_i = Observation(src, scenario.pose_from_dict(truth[src, tick]), cfg.fov_deg, b"")
+                peer = scenario.pose_from_dict(truth[dst, logged.pop("peer_tick")])
+                obs_j = Observation(dst, peer, cfg.fov_deg, b"")
+                again = estimate(obs_i, obs_j, profile, edge_rng(cfg.seed, tick, src, dst)).to_dict()
+                assert (again.pop("src"), again.pop("dst")) == (src, dst)
+                for key, value in logged.items():
+                    assert again[key] == pytest.approx(value, rel=1e-12, abs=1e-12), key
+                checked += 1
+        assert checked > 500
 
     def test_blackout_keeps_followers_gated(self):
         cfg = RunConfig(

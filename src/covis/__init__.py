@@ -4,7 +4,7 @@ Modules:
     geometry   pose algebra, quaternion distances, geodesic rotation error
     losses     uncertainty loss kernels (values and gradients)
     metrics    error categories, Youden filtering, AUC, Dice/IoU
-    estimator  synthetic calibrated pose estimator plus a remote-model hook
+    estimator  synthetic calibrated pose estimator, oracle, embedding header codec
     netproto   wire-frame codec and TDMA scheduler with adaptive backoff
     netsim     deterministic discrete-event broadcast-medium simulation
     bev        ego-centered occupancy grids and log-odds fusion

@@ -1,4 +1,4 @@
-"""Pluggable relative-pose estimators: a calibrated synthetic oracle and a remote hook.
+"""Relative-pose estimators: a calibrated synthetic estimator and a noiseless oracle.
 
 The synthetic estimator corrupts the true relative pose with sampled noise whose
 median error is calibrated per visibility class (a pair is "invisible" when the
@@ -12,13 +12,16 @@ the report informative about the individual draw.
 
 Reported sigma_q lives on the chordal scale: the straight-line quaternion-pair
 distance sqrt(8)*sin(angle/2) that the chordal loss squares.
+
+An ``Observation`` travels between robots as its broadcast embedding: a fixed
+70-byte header (``Observation.HEADER``) written over the start of the node's
+filler, decoded again by each receiver.
 """
 
 from __future__ import annotations
 
 import hashlib
 import math
-import socket
 import struct
 from dataclasses import dataclass
 from functools import lru_cache
@@ -33,21 +36,6 @@ from .geometry import Pose, UnitQuat, Vec3, quat_angle_deg, quat_mul, quat_rotat
 # median/_HN_MEDIAN has the requested median.
 _HN_MEDIAN = math.sqrt(2.0) * float(erfinv(0.5))
 
-RESPONSE_FLOATS = 17  # p:3, sigma_p:3, q:4, sigma_q:1, reserved:6
-RESPONSE_BYTES = RESPONSE_FLOATS * 8
-
-
-class RemoteEstimateError(Exception):
-    """Base error for the remote estimator wire protocol."""
-
-
-class RemoteFramingError(RemoteEstimateError):
-    """Response truncated or otherwise malformed."""
-
-
-class RemoteValidationError(RemoteEstimateError):
-    """Response decoded but violates PoseEstimate invariants."""
-
 
 @dataclass(frozen=True)
 class Observation:
@@ -55,6 +43,10 @@ class Observation:
 
     ``pose_truth`` exists for the simulator and the synthetic noise generator
     only; estimator consumers must treat the embedding as the sole input.
+
+    A broadcast embedding starts with ``HEADER``: node id (uint16), tick
+    (uint32), position xyz, quaternion wxyz and fov in degrees (float64), all
+    little-endian, 70 bytes. The node's filler makes up the rest.
     """
 
     node_id: int
@@ -62,6 +54,23 @@ class Observation:
     fov_deg: float
     embedding: bytes
     tick: int = 0
+
+    HEADER = struct.Struct("<HI8d")
+
+    def to_payload(self, filler: bytes) -> bytes:
+        """The header written over the start of ``filler``, which must be at least as long."""
+        p, q = self.pose_truth.position, self.pose_truth.rotation
+        head = self.HEADER.pack(
+            self.node_id, self.tick, p.x, p.y, p.z, q.w, q.x, q.y, q.z, self.fov_deg
+        )
+        return head + filler[self.HEADER.size :]
+
+    @staticmethod
+    def from_payload(payload: bytes) -> "Observation":
+        """The sender's observation decoded from a received payload, which becomes its embedding."""
+        node_id, tick, px, py, pz, qw, qx, qy, qz, fov = Observation.HEADER.unpack_from(payload)
+        pose = Pose(Vec3(px, py, pz), UnitQuat(qw, qx, qy, qz))
+        return Observation(node_id, pose, fov, payload, tick)
 
 
 @dataclass(frozen=True)
@@ -261,57 +270,3 @@ def estimate_oracle(
         src=obs_i.node_id,
         dst=obs_j.node_id,
     )
-
-
-def encode_request(emb_i: bytes, emb_j: bytes) -> bytes:
-    """Two embeddings, each prefixed with a 4-byte little-endian length."""
-    return struct.pack("<I", len(emb_i)) + emb_i + struct.pack("<I", len(emb_j)) + emb_j
-
-
-def decode_response(data: bytes, src: int = 0, dst: int = 0) -> PoseEstimate:
-    """17 little-endian float64 values -> PoseEstimate (reserved tail ignored)."""
-    if len(data) != RESPONSE_BYTES:
-        raise RemoteFramingError(f"expected {RESPONSE_BYTES} response bytes, got {len(data)}")
-    vals = struct.unpack("<17d", data)
-    try:
-        q = UnitQuat(vals[6], vals[7], vals[8], vals[9])
-    except ValueError as exc:
-        raise RemoteValidationError(f"non-unit quaternion in response: {exc}") from exc
-    try:
-        return PoseEstimate(
-            p_hat=Vec3(vals[0], vals[1], vals[2]),
-            sigma_p=Vec3(vals[3], vals[4], vals[5]),
-            q_hat=q,
-            sigma_q=vals[10],
-            src=src,
-            dst=dst,
-        )
-    except ValueError as exc:
-        raise RemoteValidationError(str(exc)) from exc
-
-
-def remote_estimate(
-    endpoint: tuple[str, int],
-    obs_i_embedding: bytes,
-    obs_j_embedding: bytes,
-    timeout: float = 2.0,
-    src: int = 0,
-    dst: int = 0,
-) -> PoseEstimate:
-    """Query an external pose model over a stream socket.
-
-    Raises TimeoutError on timeout, RemoteFramingError on a short or malformed
-    response and RemoteValidationError when the decoded estimate violates its
-    invariants.
-    """
-    with socket.create_connection(endpoint, timeout=timeout) as sock:
-        sock.sendall(encode_request(obs_i_embedding, obs_j_embedding))
-        chunks = []
-        remaining = RESPONSE_BYTES
-        while remaining > 0:
-            chunk = sock.recv(remaining)
-            if not chunk:
-                break
-            chunks.append(chunk)
-            remaining -= len(chunk)
-    return decode_response(b"".join(chunks), src=src, dst=dst)

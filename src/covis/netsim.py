@@ -201,7 +201,7 @@ class BroadcastNode:
     """TDMA broadcast participant: wakes every superframe in its own slot,
     adapts its rate from measured peer loss, and transmits when eligible.
 
-    Subclass hooks: ``payload_for(superframe)`` supplies the broadcast bytes,
+    Subclass hooks: ``payload_for(superframe_idx)`` supplies the broadcast bytes,
     ``handle_frame`` consumes deliveries, ``on_tick`` runs at superframe
     boundaries.
     """
@@ -227,7 +227,7 @@ class BroadcastNode:
 
     # -- hooks ---------------------------------------------------------------
 
-    def payload_for(self, superframe_idx: int, seq: int) -> bytes:
+    def payload_for(self, superframe_idx: int) -> bytes:
         return self._payload
 
     def handle_frame(self, sim: Simulator, frame: Frame, now: float) -> None:
@@ -256,12 +256,11 @@ class BroadcastNode:
             {"t": now, "divisor": state.tx_divisor, "loss": state.max_peer_loss(now)}
         )
         if state.eligible(k):
-            seq = state.next_seq()
             frame = Frame(
                 node_id=self.node_id,
-                seq=seq,
+                seq=state.next_seq(),
                 superframe_idx=k,
-                payload=self.payload_for(k, seq),
+                payload=self.payload_for(k),
             )
             sim.transmit(frame, self.node_id)
         sim.schedule((k + 1) * state.superframe_period + state.slot_index * state.slot_width,

@@ -1,7 +1,8 @@
 """Synthetic worlds, leader trajectories, dataset sampling and the experiment loop.
 
-The formation run wires everything together: robots broadcast opaque
-embeddings over the simulated TDMA network, estimate relative poses for every
+The formation run wires everything together: robots broadcast embeddings
+over the simulated TDMA network, and each robot reads a peer only from the
+payloads of the frames it received. It estimates relative poses for every
 peer whose embedding arrived recently enough, and followers close a PD loop
 on the leader estimate. The leader teleports along its reference trajectory.
 Everything is a pure function of (config, seed).
@@ -18,7 +19,7 @@ import numpy as np
 from scipy import ndimage
 
 from .bev import BevGrid
-from .config import RunConfig
+from .config import ConfigError, RunConfig
 from .control import Command, Gate, PdGains, PdState, formation_cmd, kf_follow_step, kf_record_step
 from .estimator import (
     NoiseProfile,
@@ -535,33 +536,14 @@ class RobotNode(BroadcastNode):
         self.pd_state: Optional[PdState] = None
         self.inbox: dict[int, Observation] = {}  # freshest observation per peer
 
-    # Embedding payloads carry no information in simulation; the observation
-    # registry stands in for decoding them on receipt.
-    def payload_for(self, superframe_idx: int, seq: int) -> bytes:
-        obs = Observation(
-            node_id=self.node_id,
-            pose_truth=self.pose,
-            fov_deg=self.cfg.fov_deg,
-            embedding=self._payload,
-            tick=superframe_idx,
-        )
-        registry = self.run.registry
-        registry[(self.node_id, seq)] = obs
-        # Observations arrive here in tick order. One older than the stale
-        # timeout plus a superframe is stale on delivery, so it is dropped.
-        oldest = next(iter(registry))
-        while registry[oldest].tick < superframe_idx - self.run.registry_ticks:
-            del registry[oldest]
-            oldest = next(iter(registry))
-        return self._payload
+    def payload_for(self, superframe_idx: int) -> bytes:
+        obs = Observation(self.node_id, self.pose, self.cfg.fov_deg, b"", superframe_idx)
+        return obs.to_payload(self._payload)
 
     def handle_frame(self, sim: Simulator, frame, now: float) -> None:
-        obs = self.run.registry.get((frame.node_id, frame.seq))
-        if obs is None:
-            return
         current = self.inbox.get(frame.node_id)
-        if current is None or obs.tick >= current.tick:
-            self.inbox[frame.node_id] = obs
+        if current is None or frame.superframe_idx >= current.tick:
+            self.inbox[frame.node_id] = Observation.from_payload(frame.payload)
 
     def fresh_estimates(self, tick: int, now: float) -> list[tuple[PoseEstimate, int]]:
         own = Observation(self.node_id, self.pose, self.cfg.fov_deg, self._payload, tick)
@@ -584,14 +566,17 @@ class FormationRun:
     LEADER = 0
 
     def __init__(self, cfg: RunConfig):
+        if cfg.payload_bytes < Observation.HEADER.size:
+            raise ConfigError(
+                f"payload_bytes {cfg.payload_bytes} cannot hold the "
+                f"{Observation.HEADER.size}-byte embedding header of a formation run"
+            )
         self.cfg = cfg
         self.spec = trajectory_from_config(cfg)
         self.gains = gains_from_config(cfg)
         self.gate = Gate(tau_p=cfg.tau_p_m, tau_q=cfg.tau_q)
         self.estimator = make_estimator(cfg)
         self.offsets = follower_offsets(cfg)
-        self.registry: dict[tuple[int, int], Observation] = {}
-        self.registry_ticks = math.ceil(cfg.stale_timeout_s * cfg.superframe_hz) + 1
         self.records: list[dict] = []
         self.dt = 1.0 / cfg.superframe_hz
 
@@ -733,7 +718,7 @@ def tracking_errors(
 @dataclass(frozen=True)
 class Keyframe:
     index: int
-    obs: Observation  # recorded embedding reference (with hidden truth pose)
+    obs: Observation  # the observation recorded at this keyframe (with hidden truth pose)
     est_to_previous: Optional[PoseEstimate]
 
 

@@ -122,6 +122,9 @@ class TestConfig:
             ("datagen", "world_extent_m", 8),
             ("netbench", "superframe_hz", 0),
             ("netbench", "payload_bytes", 9000),
+            # A formation frame's payload starts with the 70-byte embedding header.
+            ("simulate", "payload_bytes", 0),
+            ("simulate", "payload_bytes", 69),
             ("simulate", "world_extent_m", "large"),
             ("simulate", "seed", 1.5),
             ("netbench", "n_nodes", 2.5),
@@ -167,6 +170,16 @@ class TestConfig:
         overrides = value if isinstance(value, dict) else {key: value}
         cfg = write_config(tmp_path, **{"n_groups": 1, **overrides})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+
+    def test_payload_bytes_holds_embedding_header(self, tmp_path, caplog):
+        short = write_config(tmp_path, payload_bytes=69)
+        assert main(["simulate", "--config", short, "--out", str(tmp_path / "short")]) == EXIT_CONFIG
+        assert "payload_bytes" in caplog.text
+        exact = write_config(tmp_path, payload_bytes=70)
+        assert main(["simulate", "--config", exact, "--out", str(tmp_path / "exact")]) == EXIT_OK
+        # netbench sends only filler, so any payload size stays valid there.
+        empty = write_config(tmp_path, payload_bytes=0)
+        assert main(["netbench", "--config", empty, "--out", str(tmp_path / "net")]) == EXIT_OK
 
     def test_any_config_runs_or_exits_config_error(self):
         codes = []

@@ -1,7 +1,5 @@
 import math
-import socket
 import struct
-import threading
 
 import numpy as np
 import pytest
@@ -10,18 +8,22 @@ from covis.estimator import (
     NoiseProfile,
     Observation,
     PoseEstimate,
-    RemoteFramingError,
-    RemoteValidationError,
     chordal_sigma,
-    decode_response,
     edge_rng,
-    encode_request,
     estimate,
     estimate_oracle,
-    remote_estimate,
     scale_for_median,
 )
-from covis.geometry import Pose, UnitQuat, Vec3, compose, pos_dist, quat_dist, rot_geodesic_deg
+from covis.geometry import (
+    Pose,
+    UnitQuat,
+    Vec3,
+    compose,
+    inverse,
+    pos_dist,
+    quat_dist,
+    rot_geodesic_deg,
+)
 from covis.losses import LossWeights, pose_loss
 from covis.metrics import EdgeRecord, is_invisible
 
@@ -221,79 +223,36 @@ class TestOracle:
         assert quat_dist(chained.rotation, ac.q_hat) < 1e-9
 
 
-class FixedResponseServer:
-    """Single-shot TCP server returning a canned byte string."""
+class TestEmbeddingCodec:
+    @staticmethod
+    def pose_bits(o):
+        p, q = o.pose_truth.position, o.pose_truth.rotation
+        return struct.pack("<7d", *p.as_tuple(), *q.as_tuple())
 
-    def __init__(self, response: bytes):
-        self.response = response
-        self.sock = socket.socket()
-        self.sock.bind(("127.0.0.1", 0))
-        self.sock.listen(1)
-        self.port = self.sock.getsockname()[1]
-        self.received = b""
-        self.thread = threading.Thread(target=self._serve, daemon=True)
-        self.thread.start()
-
-    def _serve(self):
-        conn, _ = self.sock.accept()
-        with conn:
-            conn.settimeout(2.0)
-            try:
-                self.received = conn.recv(65536)
-            except OSError:
-                pass
-            conn.sendall(self.response)
-        self.sock.close()
-
-    def join(self):
-        self.thread.join(timeout=5.0)
-
-
-def canned_response(p=(1.0, 2.0, 3.0), sp=(0.1, 0.2, 0.3), q=(1.0, 0.0, 0.0, 0.0), sq=0.5):
-    vals = list(p) + list(sp) + list(q) + [sq] + [0.0] * 6
-    return struct.pack("<17d", *vals)
-
-
-class TestRemoteEstimate:
-    def test_roundtrip(self):
-        server = FixedResponseServer(canned_response())
-        est = remote_estimate(("127.0.0.1", server.port), b"emb-i", b"emb-j", src=3, dst=4)
-        server.join()
-        assert server.received == encode_request(b"emb-i", b"emb-j")
-        assert est.p_hat == Vec3(1.0, 2.0, 3.0)
-        assert est.sigma_p == Vec3(0.1, 0.2, 0.3)
-        assert est.sigma_q == 0.5
-        assert (est.src, est.dst) == (3, 4)
-
-    def test_nonpositive_sigma_rejected(self):
-        server = FixedResponseServer(canned_response(sp=(0.1, -0.2, 0.3)))
-        with pytest.raises(RemoteValidationError):
-            remote_estimate(("127.0.0.1", server.port), b"a", b"b")
-        server.join()
-
-    def test_non_unit_quaternion_rejected(self):
-        server = FixedResponseServer(canned_response(q=(2.0, 0.0, 0.0, 0.0)))
-        with pytest.raises(RemoteValidationError):
-            remote_estimate(("127.0.0.1", server.port), b"a", b"b")
-        server.join()
-
-    def test_truncated_response(self):
-        server = FixedResponseServer(canned_response()[:40])
-        with pytest.raises(RemoteFramingError):
-            remote_estimate(("127.0.0.1", server.port), b"a", b"b")
-        server.join()
-
-    def test_decode_response_direct(self):
-        with pytest.raises(RemoteFramingError):
-            decode_response(b"\x00" * 10)
-        est = decode_response(canned_response())
-        assert est.q_hat == UnitQuat.identity()
-
-
-class TestRequestEncoding:
-    def test_layout(self):
-        req = encode_request(b"AB", b"CDE")
-        assert req == b"\x02\x00\x00\x00AB\x03\x00\x00\x00CDE"
+    def test_roundtrip_is_exact_on_formation_poses(self):
+        # Formation poses are yaw-only: the leader's from_yaw, and followers
+        # composed from it with their lateral offsets, as FormationRun does.
+        rng = np.random.default_rng(6)
+        filler = rng.bytes(6144)
+        offsets = [
+            Pose(Vec3(0.0, side * 0.75 * lane, 0.0), UnitQuat.identity())
+            for side in (-1.0, 1.0)
+            for lane in (1, 2)
+        ]
+        poses = [Pose(Vec3(-0.0, 0.0, -0.0), UnitQuat(1.0, -0.0, 0.0, -0.0))]
+        for yaw, x, y in rng.uniform(-10.0, 10.0, (500, 3)):
+            leader = Pose(Vec3(x, y, 0.0), UnitQuat.from_yaw(yaw))
+            poses += [leader] + [compose(leader, inverse(o)) for o in offsets]
+        for k, pose in enumerate(poses):
+            sent = Observation(65535 - k, pose, float(rng.uniform(1.0, 180.0)), b"", 2**32 - 1 - k)
+            payload = sent.to_payload(filler)
+            assert len(payload) == len(filler)
+            assert payload[Observation.HEADER.size :] == filler[Observation.HEADER.size :]
+            got = Observation.from_payload(payload)
+            assert (got.node_id, got.tick, got.fov_deg) == (sent.node_id, sent.tick, sent.fov_deg)
+            assert got.embedding == payload
+            assert self.pose_bits(got) == self.pose_bits(sent)
+        assert Observation.HEADER.size == 70
 
 
 class TestPoseEstimateValidation:

@@ -1,11 +1,12 @@
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 from scipy import ndimage
 
-from covis.config import RunConfig
+from covis.config import ConfigError, RunConfig
 from covis.estimator import Observation, PoseEstimate, edge_rng, estimate
 from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, relative_pose, rot_geodesic_deg
 from covis.metrics import EdgeRecord, is_invisible
@@ -13,6 +14,7 @@ from covis import scenario
 from covis.netsim import KIND_DELIVER
 from covis.scenario import (
     FormationRun,
+    RobotNode,
     TrajectorySpec,
     _lookup,
     bev_crop,
@@ -324,16 +326,44 @@ class TestRunFormation:
         [{}, {"n_nodes": 8}, {"propagation_s": 0.1, "bitrate_bps": 1e6}],
         ids=["default", "8_nodes", "delayed"],
     )
-    def test_registry_stays_bounded(self, extra):
+    def test_inbox_holds_only_delivered_peer_state(self, monkeypatch, extra):
+        # A node learns a peer only from the payloads of frames delivered to it.
         cfg = RunConfig(seed=2, duration_s=20.0, **extra)
+        delivered = {node_id: set() for node_id in range(cfg.n_nodes)}
+        receive = RobotNode.on_receive
+
+        def on_receive(node, sim, frame, now):
+            delivered[node.node_id].add(frame.payload)
+            receive(node, sim, frame, now)
+
+        monkeypatch.setattr(RobotNode, "on_receive", on_receive)
         run = FormationRun(cfg)
-        sizes = []
+        held = []
         tick = run.robot_tick
-        run.robot_tick = lambda node, k, now: sizes.append(len(run.registry)) or tick(node, k, now)
-        run.run()
-        bound = cfg.n_nodes * (math.ceil(cfg.stale_timeout_s * cfg.superframe_hz) + 2)
-        assert len(sizes) == cfg.n_nodes * 301
-        assert max(sizes) <= bound
+
+        def robot_tick(node, k, now):
+            assert node.node_id not in node.inbox
+            assert len(node.inbox) <= cfg.n_nodes - 1
+            for obs in node.inbox.values():
+                assert obs.embedding in delivered[node.node_id]
+                held.append(obs)
+            tick(node, k, now)
+
+        run.robot_tick = robot_tick
+        records, _ = run.run()
+        assert len(records) == cfg.n_nodes * 301
+        period = 1.0 / cfg.superframe_hz
+        truth = {(r["node_id"], round(r["t"] / period)): r["pose_truth"] for r in records}
+        for obs in held:
+            logged = truth[obs.node_id, obs.tick]
+            p, q = obs.pose_truth.position, obs.pose_truth.rotation
+            sent = struct.pack("<7d", *p.as_tuple(), *q.as_tuple())
+            assert sent == struct.pack("<7d", *logged["p"], *logged["q"])
+        assert len(held) > cfg.n_nodes * 100
+
+    def test_payload_too_short_for_embedding_header_raises(self):
+        with pytest.raises(ConfigError, match="payload_bytes"):
+            run_formation(RunConfig(payload_bytes=Observation.HEADER.size - 1))
 
     def test_followers_start_in_formation(self):
         cfg = RunConfig(seed=1, estimator="oracle", **ACCEPT)

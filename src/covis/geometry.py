@@ -15,9 +15,13 @@ Conventions
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 _NORM_TOL = 1e-6
+# A squared norm this close to 1 is kept as is, so normalizing an already
+# normalized quaternion returns the same bits (one division leaves at most 3 eps).
+_UNIT_SQ_TOL = 4.0 * sys.float_info.epsilon
 
 
 def quat_mul(a: tuple, b: tuple) -> tuple[float, float, float, float]:
@@ -89,8 +93,10 @@ class UnitQuat:
     """Unit quaternion, scalar-first.
 
     Construction normalizes inputs whose norm deviates from 1 by at most
-    1e-6 and rejects anything further off. The stored representative has
-    ``w >= 0``.
+    1e-6 and rejects anything further off. Inputs whose squared norm is
+    within 4 eps of 1 are kept unchanged, which makes normalization a
+    projection: rebuilding a quaternion from its components gives the same
+    bits. The stored representative has ``w >= 0``.
     """
 
     w: float
@@ -100,7 +106,8 @@ class UnitQuat:
 
     def __post_init__(self):
         w, x, y, z = self.w, self.x, self.y, self.z
-        n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+        sq = w * w + x * x + y * y + z * z
+        n = 1.0 if abs(sq - 1.0) <= _UNIT_SQ_TOL else math.sqrt(sq)
         if not abs(n - 1.0) <= _NORM_TOL:  # also refuses NaN and inf
             raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
         # Canonical sign: w > 0, or first nonzero of (x, y, z) positive when w == 0.
@@ -196,8 +203,10 @@ def _signed_norms(a: tuple, b: tuple) -> tuple[float, float]:
     """(||a - b||, ||a + b||) of 4-tuples, computed componentwise (no cancellation)."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
-    dm = math.sqrt((aw - bw) ** 2 + (ax - bx) ** 2 + (ay - by) ** 2 + (az - bz) ** 2)
-    dp = math.sqrt((aw + bw) ** 2 + (ax + bx) ** 2 + (ay + by) ** 2 + (az + bz) ** 2)
+    dw, dx, dy, dz = aw - bw, ax - bx, ay - by, az - bz
+    sw, sx, sy, sz = aw + bw, ax + bx, ay + by, az + bz
+    dm = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
+    dp = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
     return dm, dp
 
 

@@ -1,7 +1,10 @@
 import math
+import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from covis.geometry import (
     Pose,
@@ -36,8 +39,12 @@ def trace_angle_deg(q, q_hat):
 
 
 def _reference_unit_quat(w, x, y, z):
-    """UnitQuat's normalization and canonical sign as first written, for bit comparison."""
-    n = math.sqrt(w**2 + x**2 + y**2 + z**2)
+    """UnitQuat's normalization and canonical sign written out, for bit comparison.
+
+    A squared norm within 4 eps of 1 is kept; anything else is divided by the norm.
+    """
+    sq = w * w + x * x + y * y + z * z
+    n = 1.0 if abs(sq - 1.0) <= 4.0 * sys.float_info.epsilon else math.sqrt(sq)
     if not math.isfinite(n) or abs(n - 1.0) > 1e-6:
         raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
     w, x, y, z = w / n, x / n, y / n, z / n
@@ -99,6 +106,31 @@ class TestUnitQuat:
                     UnitQuat(*case)
                 continue
             assert [c.hex() for c in UnitQuat(*case).as_tuple()] == want, case
+
+    @settings(max_examples=2000, derandomize=True, database=None, deadline=None)
+    @given(
+        st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4),
+        st.sampled_from(["random", "near_unit", "w_zero", "flipped"]),
+        st.floats(-1e-6, 1e-6),
+    )
+    def test_normalization_is_a_projection(self, raw, kind, deviation):
+        # Normalizing the stored components again gives the same bits.
+        v = np.array(raw)
+        if kind == "w_zero":
+            v[0] = 0.0
+        n = float(np.linalg.norm(v))
+        if n < 1e-3:
+            return
+        unit = [float(c) / n for c in v]  # "random": a random direction, divided once
+        if kind == "near_unit":
+            unit = [c * (1.0 + deviation) for c in unit]
+        elif kind == "flipped":
+            unit = [-c for c in unit]
+        try:
+            once = UnitQuat(*unit).as_tuple()
+        except ValueError:
+            return
+        assert [c.hex() for c in UnitQuat(*once).as_tuple()] == [c.hex() for c in once]
 
     def test_rotate_matches_matrix(self):
         rng = np.random.default_rng(3)

@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import base64
+import time
+from array import array
 import csv
 import json
 import logging
@@ -31,8 +33,8 @@ import numpy as np
 from .bev import BevGrid, fuse
 from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
-from .geometry import Pose, relative_pose
-from .metrics import EdgeRecord, evaluate_records, mask_dice_iou
+from .geometry import Pose, relative_pose_rows, unit_quat_rows
+from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
 from .netproto import CRC_LEN, HEADER_LEN
 from .netsim import BroadcastNode, events_to_jsonl, summarize
 from .scenario import (
@@ -157,31 +159,134 @@ def cmd_simulate(args) -> int:
 # metrics
 
 
-def _records_from_dataset(lines: list[str], cfg: RunConfig):
-    records: list[EdgeRecord] = []
-    grid_scores: list[tuple[float, float]] = []
-    errors: list[tuple[int, str]] = []
+class _EdgeReader:
+    """Pose and estimate rows of a JSONL input, each tagged with its line.
+
+    A line's rows are added only once the whole line has parsed. The checks
+    of the Vec3, UnitQuat, PoseEstimate and EdgeRecord constructors then run
+    on all rows at once, and a line with any failing row keeps no edge.
+    """
+
+    def __init__(self):
+        self.errors: dict[int, str] = {}  # line number -> first failure
+        self.pose_values, self.pose_line = array("d"), []
+        # Per estimate: p_hat, sigma_p, q_hat, sigma_q, fov, and its two pose rows.
+        self.est_values, self.est_line, self.pairs = array("d"), [], array("q")
+
+    def add(self, no: int, poses: array, estimates: array, pairs: array) -> None:
+        """Rows of one line that parsed whole: 7 numbers per pose, 12 per estimate, 2 per pair."""
+        self.pose_values += poses
+        self.pose_line += [no] * (len(poses) // 7)
+        self.est_values += estimates
+        self.est_line += [no] * (len(pairs) // 2)
+        self.pairs += pairs
+
+    def _charge(self, line_of: list[int], checks) -> np.ndarray:
+        failed = np.zeros(len(line_of), dtype=bool)
+        for mask, message in checks:
+            for row in np.flatnonzero(mask):
+                self.errors.setdefault(line_of[row], message)
+            failed |= mask
+        return failed
+
+    def check_poses(self) -> np.ndarray:
+        """Check every pose row; returns the rows that pass."""
+        rows = np.frombuffer(self.pose_values, dtype=float).reshape(-1, 7)
+        self.q, q_ok = unit_quat_rows(rows[:, 3:])
+        self.p = rows[:, :3]
+        return ~self._charge(self.pose_line, [
+            (~np.isfinite(self.p).all(axis=1), "non-finite position component"),
+            (~q_ok, "quaternion norm outside unit tolerance"),
+        ])
+
+    def check_estimates(self) -> None:
+        self.est = np.frombuffer(self.est_values, dtype=float).reshape(-1, 12)
+        self.q_hat, q_ok = unit_quat_rows(self.est[:, 6:10])
+        fov = self.est[:, 11]
+        self._charge(self.est_line, [
+            (~np.isfinite(self.est[:, :6]).all(axis=1), "non-finite p_hat or sigma_p component"),
+            ((self.est[:, 3:6] <= 0.0).any(axis=1), "sigma_p components must be positive"),
+            (~q_ok, "q_hat norm outside unit tolerance"),
+            (self.est[:, 10] <= 0.0, "sigma_q must be positive"),
+            (~((0.0 < fov) & (fov <= 180.0)), "fov_deg must be in (0, 180]"),
+        ])
+
+    def columns(self) -> tuple[EdgeColumns, list[tuple[int, str]]]:
+        """Edges of the lines that passed, and (line, message) of those that did not."""
+        keep = np.array([no not in self.errors for no in self.est_line], dtype=bool)
+        i, j = np.frombuffer(self.pairs, dtype=np.int64).reshape(-1, 2)[keep].T
+        t_pos, t_quat = relative_pose_rows(self.p[i], self.q[i], self.p[j], self.q[j])
+        est = self.est[keep]
+        columns = EdgeColumns(t_pos, t_quat, est[:, :3], self.q_hat[keep], est[:, 3:6], est[:, 11])
+        return columns, sorted(self.errors.items())
+
+
+def _numbers(values, n: int, name: str) -> array:
+    """``values`` as n floats; anything but a number raises, as in Vec3 and UnitQuat."""
+    row = array("d", values)
+    if len(row) != n:
+        raise ValueError(f"{name} has {len(row)} components, expected {n}")
+    return row
+
+
+def _pose_numbers(d: dict) -> array:
+    return _numbers(d["p"], 3, "position") + _numbers(d["q"], 4, "quaternion")
+
+
+def _estimate_numbers(d: dict) -> tuple[int, int, array]:
+    """src, dst and the p_hat, sigma_p, q_hat and sigma_q numbers of a logged estimate."""
+    row = _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
+    row += _numbers(d["q_hat"], 4, "q_hat")
+    row.append(float(d["sigma_q"]))
+    return int(d["src"]), int(d["dst"]), row
+
+
+def _edges_from_dataset(lines: list[str], cfg: RunConfig):
+    reader = _EdgeReader()
+    fusing = []  # (line, nodes, estimates) of groups that carry grids
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
             nodes = {n["id"]: n for n in rec["nodes"]}
-            poses = {i: pose_from_dict(n["pose"]) for i, n in nodes.items()}
-            ests = [PoseEstimate.from_dict(d) for d in rec.get("estimates", [])]
-            for est in ests:
-                truth = relative_pose(poses[est.src], poses[est.dst])
-                records.append(EdgeRecord(truth, est, float(nodes[est.src]["fov_deg"])))
-            if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
-                grid_scores.extend(_fusion_scores(nodes, ests, cfg))
+            first = len(reader.pose_line)
+            row_of = {node_id: first + k for k, node_id in enumerate(nodes)}
+            poses = array("d")
+            for node in nodes.values():
+                poses += _pose_numbers(node["pose"])
+            ests = rec.get("estimates", [])
+            values, pairs = array("d"), array("q")
+            for d in ests:
+                src, dst, numbers = _estimate_numbers(d)
+                if src not in row_of or dst not in row_of:
+                    raise LookupError(f"estimate {src}->{dst} names a node the group lacks")
+                values += numbers
+                values.append(float(nodes[src]["fov_deg"]))
+                pairs += array("q", (row_of[src], row_of[dst]))
         except Exception as exc:  # malformed line: report, keep going
-            errors.append((no, str(exc)))
-    return records, grid_scores, errors
+            reader.errors[no] = str(exc)
+            continue
+        reader.add(no, poses, values, pairs)
+        if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
+            fusing.append((no, nodes, ests))
+    reader.check_poses()
+    reader.check_estimates()
+    grid_scores: list[tuple[float, float]] = []
+    for no, nodes, ests in fusing:
+        if no in reader.errors:
+            continue
+        try:
+            grid_scores.extend(_fusion_scores(nodes, ests, cfg))
+        except Exception as exc:
+            reader.errors[no] = str(exc)
+    return *reader.columns(), grid_scores
 
 
 def _fusion_scores(nodes, ests, cfg) -> list[tuple[float, float]]:
     """Free-space Dice/IoU of fused observed grids against each node's truth."""
     out = []
     by_src: dict[int, list[PoseEstimate]] = {}
-    for est in ests:
+    for d in ests:
+        est = PoseEstimate.from_dict(d)
         by_src.setdefault(est.src, []).append(est)
     # Each node's grids are decoded once, then shared by all its in-edges.
     grids = {
@@ -196,40 +301,55 @@ def _fusion_scores(nodes, ests, cfg) -> list[tuple[float, float]]:
     return out
 
 
-def _records_from_runlog(lines: list[str], cfg: RunConfig):
-    records: list[EdgeRecord] = []
-    errors: list[tuple[int, str]] = []
+def _edges_from_runlog(lines: list[str], cfg: RunConfig):
+    reader = _EdgeReader()
     period = 1.0 / cfg.superframe_hz
-    pose_at: dict[tuple[int, int], Pose] = {}
-    parsed = []
+    keys, parsed = [], []  # pose row -> (tick, node id) and (line, record)
     for no, line in enumerate(lines, start=2):
         try:
             rec = json.loads(line)
-            tick = round(rec["t"] / period)
-            pose = pose_from_dict(rec["pose_truth"])
-            pose_at[(tick, rec["node_id"])] = pose
-            parsed.append((no, tick, rec, pose))
+            key = (round(rec["t"] / period), rec["node_id"])
+            hash(key)  # an unhashable node id fails here, on its own line
+            pose = _pose_numbers(rec["pose_truth"])
         except Exception as exc:
-            errors.append((no, str(exc)))
-    for no, tick, rec, pose in parsed:
+            reader.errors[no] = str(exc)
+            continue
+        reader.add(no, pose, array("d"), array("q"))
+        keys.append(key)
+        parsed.append((no, rec))
+    ok = reader.check_poses()
+    # A later record of the same tick and node replaces an earlier one.
+    pose_at = {key: row for row, key in enumerate(keys) if ok[row]}
+    fov = cfg.fov_deg
+    for row, (no, rec) in enumerate(parsed):
+        if not ok[row]:
+            continue
         try:
+            values, pairs = array("d"), array("q")
             for d in rec["estimates"]:
-                est = PoseEstimate.from_dict(d)
-                peer_pose = pose_at[(d["peer_tick"], est.dst)]
-                truth = relative_pose(pose, peer_pose)
-                records.append(EdgeRecord(truth, est, cfg.fov_deg))
+                _, dst, numbers = _estimate_numbers(d)
+                peer = pose_at.get((d["peer_tick"], dst))
+                if peer is None:
+                    raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
+                values += numbers
+                values.append(fov)
+                pairs += array("q", (row, peer))
         except Exception as exc:
-            errors.append((no, str(exc)))
-    return records, [], errors
+            reader.errors[no] = str(exc)
+            continue
+        reader.add(no, array("d"), values, pairs)
+    reader.check_estimates()
+    return *reader.columns(), []
 
 
 def cmd_metrics(args) -> int:
+    started = time.perf_counter()
     cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
     if schema == DATASET_SCHEMA:
-        records, grid_scores, errors = _records_from_dataset(lines, cfg)
+        edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
     elif schema == RUNLOG_SCHEMA:
-        records, grid_scores, errors = _records_from_runlog(lines, cfg)
+        edges, errors, grid_scores = _edges_from_runlog(lines, cfg)
     else:
         log.error("unknown schema %r", schema)
         return EXIT_VALIDATION
@@ -238,15 +358,17 @@ def cmd_metrics(args) -> int:
     if len(errors) > 0.01 * max(1, len(lines)):
         log.error("%d malformed lines out of %d", len(errors), len(lines))
         return EXIT_VALIDATION
-    if not records:
+    if not len(edges):
         log.error("no usable edge records")
         return EXIT_VALIDATION
 
+    read = time.perf_counter()
     report = evaluate_records(
-        records,
+        edges,
         labeling=cfg.youden_labeling,
         error_threshold=cfg.youden_error_threshold_m,
     )
+    scored = time.perf_counter()
     _write_rows(
         out / "categories",
         [
@@ -272,7 +394,7 @@ def cmd_metrics(args) -> int:
     summary = [
         {
             "schema": "covis.metrics_summary@1",
-            "edges": len(records),
+            "edges": len(edges),
             "youden_threshold": report.reject_threshold,
             "auc_excluded_edges": report.auc.excluded,
             "malformed_lines": len(errors),
@@ -282,6 +404,10 @@ def cmd_metrics(args) -> int:
         summary[0]["dice"] = float(np.mean([d for d, _ in grid_scores]))
         summary[0]["iou"] = float(np.mean([i for _, i in grid_scores]))
     _write_rows(out / "summary", summary, args.format)
+    log.info(
+        "metrics: %d edges scored, %d malformed lines; read %.3f s, score %.3f s, write %.3f s",
+        len(edges), len(errors), read - started, scored - read, time.perf_counter() - scored,
+    )
     return EXIT_OK
 
 

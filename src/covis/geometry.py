@@ -10,6 +10,10 @@ Conventions
   body-frame vectors into the parent frame.
 - Ego frame of a robot: x forward, y left, z up.
 - Angles returned in degrees are in ``[0, 180]``.
+
+The ``*_rows`` functions apply the same arithmetic, in the same operation
+order, to (n, 3) and (n, 4) float arrays, so a row gives the bits of the
+scalar function.
 """
 
 from __future__ import annotations
@@ -18,10 +22,14 @@ import math
 import sys
 from dataclasses import dataclass
 
+import numpy as np
+
 _NORM_TOL = 1e-6
 # A squared norm this close to 1 is kept as is, so normalizing an already
 # normalized quaternion returns the same bits (one division leaves at most 3 eps).
 _UNIT_SQ_TOL = 4.0 * sys.float_info.epsilon
+# math.degrees multiplies by this constant.
+_RAD_TO_DEG = 180.0 / math.pi
 
 
 def quat_mul(a: tuple, b: tuple) -> tuple[float, float, float, float]:
@@ -234,3 +242,77 @@ def quat_angle_deg(a: tuple, b: tuple) -> float:
 def pos_dist(p: Vec3, p_hat: Vec3) -> float:
     """Euclidean distance in meters."""
     return (p - p_hat).norm()
+
+
+# ---------------------------------------------------------------------------
+# Row kernels: the functions above on (n, 3) positions and (n, 4) quaternions
+
+
+def unit_quat_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """UnitQuat construction per row: (normalized canonical rows, rows it would accept)."""
+    w, x, y, z = q.T
+    first = np.where(x != 0.0, x < 0.0, np.where(y != 0.0, y < 0.0, z < 0.0))
+    flip = np.where(w == 0.0, first, w < 0.0)
+    with np.errstate(all="ignore"):  # rejected rows may hold nan, inf or huge components
+        sq = w * w + x * x + y * y + z * z
+        n = np.where(np.abs(sq - 1.0) <= _UNIT_SQ_TOL, 1.0, np.sqrt(sq))
+        return q / np.where(flip, -n, n)[:, None], np.abs(n - 1.0) <= _NORM_TOL
+
+
+def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    w1, x1, y1, z1 = a.T
+    w2, x2, y2, z2 = b.T
+    return np.stack(
+        [
+            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
+            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
+            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
+            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
+        ],
+        axis=1,
+    )
+
+
+def _quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
+    w, x, y, z = q.T
+    vx, vy, vz = v.T
+    ux = y * vz - z * vy
+    uy = z * vx - x * vz
+    uz = x * vy - y * vx
+    uux = y * uz - z * uy
+    uuy = z * ux - x * uz
+    uuz = x * uy - y * ux
+    return np.stack(
+        [vx + 2.0 * (w * ux + uux), vy + 2.0 * (w * uy + uuy), vz + 2.0 * (w * uz + uuz)], axis=1
+    )
+
+
+def relative_pose_rows(p_i, q_i, p_j, q_j) -> tuple[np.ndarray, np.ndarray]:
+    """relative_pose per row of unit quaternions: (positions, quaternions) of j in i's frame."""
+    inv, _ = unit_quat_rows(q_i * np.array([1.0, -1.0, -1.0, -1.0]))
+    rel, _ = unit_quat_rows(_quat_mul_rows(inv, q_j))
+    return _quat_rotate_rows(inv, p_j - p_i), rel
+
+
+def atan2_deg_rows(y: np.ndarray, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """math.degrees(scale * math.atan2(y, x)) per element.
+
+    The arctangent runs through ``math.atan2``: numpy's vectorized arctan2 can
+    differ from it in the last bit.
+    """
+    angle = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), dtype=float, count=len(y))
+    return scale * angle * _RAD_TO_DEG
+
+
+def quat_angle_deg_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """quat_angle_deg per row; ``b`` may be a single (4,) quaternion."""
+    d, s = a - b, a + b
+    dm = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] + d[:, 3] * d[:, 3])
+    dp = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2] + s[:, 3] * s[:, 3])
+    return atan2_deg_rows(np.minimum(dm, dp), np.maximum(dm, dp), 4.0)
+
+
+def norm_rows(v: np.ndarray) -> np.ndarray:
+    """Vec3.norm per row."""
+    x, y, z = v.T
+    return np.sqrt(x * x + y * y + z * z)

@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import logging
 import math
 import tempfile
 import typing
@@ -10,9 +12,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from covis.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, main
+from covis.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, _fusion_scores, _read_input, _write_rows, main
 from covis.config import ConfigError, RunConfig
-from covis.scenario import runlog_jsonl
+from covis.estimator import PoseEstimate
+from covis.geometry import relative_pose
+from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, pos_error, rot_error_deg
+from covis.scenario import DATASET_SCHEMA, pose_from_dict, runlog_jsonl
 
 FAST = {
     "duration_s": 10.0,
@@ -492,3 +497,298 @@ class TestJsonlFormat:
         assert main(["simulate", "--config", cfg, "--out", str(out), "--format", "jsonl"]) == EXIT_OK
         lines = (out / "summary.jsonl").read_text().strip().split("\n")
         assert all(json.loads(line)["schema"] == "covis.summary@1" for line in lines)
+
+
+# ---------------------------------------------------------------------------
+# Reference metrics: the object reader and scalar scoring that the column
+# evaluator replaced, kept here to pin its outputs. Every edge is a Pose, a
+# PoseEstimate and an EdgeRecord, scored with geometry's scalar functions.
+
+
+def _reference_dataset_records(lines, cfg):
+    records, grid_scores, errors = [], [], []
+    for no, line in enumerate(lines, start=2):
+        try:
+            rec = json.loads(line)
+            nodes = {n["id"]: n for n in rec["nodes"]}
+            poses = {i: pose_from_dict(n["pose"]) for i, n in nodes.items()}
+            ests = [PoseEstimate.from_dict(d) for d in rec.get("estimates", [])]
+            edges = [
+                EdgeRecord(relative_pose(poses[e.src], poses[e.dst]), e, float(nodes[e.src]["fov_deg"]))
+                for e in ests
+            ]
+            if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
+                grid_scores.extend(_fusion_scores(nodes, rec["estimates"], cfg))
+            records.extend(edges)
+        except Exception as exc:
+            errors.append((no, str(exc)))
+    return records, grid_scores, errors
+
+
+def _reference_runlog_records(lines, cfg):
+    records, errors, parsed, pose_at = [], [], [], {}
+    period = 1.0 / cfg.superframe_hz
+    for no, line in enumerate(lines, start=2):
+        try:
+            rec = json.loads(line)
+            tick = round(rec["t"] / period)
+            pose = pose_from_dict(rec["pose_truth"])
+            pose_at[(tick, rec["node_id"])] = pose
+            parsed.append((no, rec, pose))
+        except Exception as exc:
+            errors.append((no, str(exc)))
+    for no, rec, pose in parsed:
+        try:
+            edges = []
+            for d in rec["estimates"]:
+                est = PoseEstimate.from_dict(d)
+                edges.append(EdgeRecord(relative_pose(pose, pose_at[(d["peer_tick"], est.dst)]), est, cfg.fov_deg))
+            records.extend(edges)
+        except Exception as exc:
+            errors.append((no, str(exc)))
+    return records, [], errors
+
+
+def _reference_youden(values, labels):
+    values, labels = np.array(values, dtype=float), np.array(labels, dtype=bool)
+    n_pos = int(labels.sum())
+    n_neg = len(labels) - n_pos
+    if n_pos == 0 or n_neg == 0:
+        return math.inf
+    candidates = np.unique(values)
+    tp = n_pos - np.searchsorted(np.sort(values[labels]), candidates, side="left")
+    fp = n_neg - np.searchsorted(np.sort(values[~labels]), candidates, side="left")
+    return float(candidates[int(np.argmax(tp * n_neg - fp * n_pos))])
+
+
+def _reference_max_error_deg(rec):
+    t, e = rec.truth.position, rec.est.p_hat
+    if t.norm() < MIN_TRANSLATION:
+        return None
+    if e.norm() < MIN_TRANSLATION:
+        return max(rot_error_deg(rec), 180.0)
+    cx = t.y * e.z - t.z * e.y
+    cy = t.z * e.x - t.x * e.z
+    cz = t.x * e.y - t.y * e.x
+    angle = math.degrees(math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), t.dot(e)))
+    return max(rot_error_deg(rec), angle)
+
+
+def _metrics_reference(input_path, out, config=None):
+    """Write categories.csv, auc.csv and summary.csv as the object pipeline did."""
+    args = argparse.Namespace(config=config, seed=None, input=str(input_path))
+    cfg, schema, lines = _read_input(args)
+    read = _reference_dataset_records if schema == DATASET_SCHEMA else _reference_runlog_records
+    records, grid_scores, errors = read(lines, cfg)
+    if cfg.youden_labeling == "invisible":
+        labels = [is_invisible(r) for r in records]
+    else:
+        labels = [pos_error(r) > cfg.youden_error_threshold_m for r in records]
+    threshold = _reference_youden([r.est.sigma_p_norm() for r in records], labels)
+
+    def median(values):
+        ordered = sorted(values)
+        return ordered[(len(ordered) - 1) // 2] if ordered else 0.0
+
+    groups = {
+        "All": records,
+        "Visible": [r for r in records if not is_invisible(r)],
+        "Invisible": [r for r in records if is_invisible(r)],
+        "InvisibleFiltered": [r for r in records if is_invisible(r) and r.est.sigma_p_norm() < threshold],
+    }
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rows(out / "categories", [
+        {"schema": "covis.categories@1", "category": name, "count": len(group),
+         "median_pos_m": median(map(pos_error, group)), "median_rot_deg": median(map(rot_error_deg, group))}
+        for name, group in groups.items()
+    ], "csv")
+    errors_deg = np.array([e for e in map(_reference_max_error_deg, records) if e is not None])
+    _write_rows(out / "auc", [
+        {"schema": "covis.auc@1", "threshold_deg": t, "auc": float(np.mean(np.maximum(0.0, t - errors_deg)) / t)}
+        for t in (20.0, 45.0, 90.0)
+    ], "csv")
+    summary = {"schema": "covis.metrics_summary@1", "edges": len(records), "youden_threshold": threshold,
+               "auc_excluded_edges": len(records) - len(errors_deg), "malformed_lines": len(errors)}
+    if grid_scores:
+        summary["dice"] = float(np.mean([d for d, _ in grid_scores]))
+        summary["iou"] = float(np.mean([i for _, i in grid_scores]))
+    _write_rows(out / "summary", [summary], "csv")
+    return errors
+
+
+# (name, command, config) of each input the reference pins.
+METRICS_INPUTS = {
+    "runlog-default": ("simulate", {}),
+    "runlog-formation": ("simulate", {"n_nodes": 8, "duration_s": 10.0}),
+    "runlog-oracle8": ("simulate", {"n_nodes": 8, "duration_s": 10.0, "estimator": "oracle"}),
+    "dataset-default": ("datagen", {}),
+    "dataset-4groups": ("datagen", {"n_groups": 4}),
+}
+
+
+@pytest.fixture(scope="module")
+def metrics_inputs(tmp_path_factory):
+    """Input file of each METRICS_INPUTS entry at seeds 101 and 202, made on first use."""
+    root, made = tmp_path_factory.mktemp("metrics_inputs"), {}
+
+    def get(name, seed):
+        if (name, seed) not in made:
+            command, cfg = METRICS_INPUTS[name]
+            out = root / f"{name}-{seed}"
+            config = root / f"{name}.json"
+            config.write_text(json.dumps(cfg))
+            assert main([command, "--config", str(config), "--seed", str(seed), "--out", str(out)]) == EXIT_OK
+            made[name, seed] = out / ("runlog.jsonl" if command == "simulate" else "dataset.jsonl")
+        return made[name, seed]
+
+    return get
+
+
+def _metrics_files(out):
+    return {name: (out / name).read_bytes() for name in ("categories.csv", "auc.csv", "summary.csv")}
+
+
+class TestMetricsMatchReference:
+    @pytest.mark.parametrize("seed", [101, 202])
+    @pytest.mark.parametrize("name", sorted(METRICS_INPUTS))
+    def test_byte_identical(self, tmp_path, metrics_inputs, name, seed):
+        source = metrics_inputs(name, seed)
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _metrics_reference(source, tmp_path / "want")
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+
+    @staticmethod
+    def corrupt(source, target, changes):
+        """Copy ``source`` with ``change(record)`` applied to the record on each given line."""
+        lines = source.read_text().splitlines()
+        for no, change in changes.items():
+            rec = json.loads(lines[no - 1])
+            change(rec)
+            lines[no - 1] = json.dumps(rec)
+        target.write_text("\n".join(lines) + "\n")
+
+    def test_runlog_checks_match_constructors(self, tmp_path, metrics_inputs):
+        def estimate(k, key, value):
+            def change(rec):
+                rec["estimates"][k][key] = value
+            return change
+
+        def pose(key, value):
+            def change(rec):
+                rec["pose_truth"][key] = value
+            return change
+
+        defects = [
+            estimate(1, "peer_tick", 10**6),
+            estimate(0, "p_hat", [0.1, "0.2", 0.3]),
+            estimate(2, "sigma_p", [0.1, 0.0, 0.3]),
+            estimate(1, "q_hat", [1.1, 0.0, 0.0, 0.0]),
+            estimate(3, "sigma_q", 0.0),
+            estimate(1, "p_hat", [0.1, 0.2, 0.3, 0.4]),
+            estimate(2, "p_hat", [math.nan, 0.2, 0.3]),
+            lambda rec: rec.update(t="x"),
+        ]
+        accepted = [
+            estimate(0, "sigma_q", "0.5"),  # float() takes a numeric string
+            estimate(0, "q_hat", [0.0, 0.0, 0.0, -1.0 + 5e-7]),  # near unit, w == 0, flipped
+            estimate(1, "dst", "3"),  # int() too
+        ]
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        busy = [no for no, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 4]
+        changes = dict(zip(busy[::40], defects + accepted))
+        bad_pose = {len(lines) - 1: pose("q", [1.0, 0.0, 0.0]), len(lines): pose("p", [0.0, 10**400, 0.0])}
+        self.corrupt(source, tmp_path / "runlog.jsonl", changes | bad_pose)
+        source = tmp_path / "runlog.jsonl"
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "got")]) == EXIT_OK
+        errors = {no for no, _ in _metrics_reference(source, tmp_path / "want")}
+        assert set(busy[::40][: len(defects)]) | set(bad_pose) <= errors
+        assert not errors & set(busy[::40][len(defects) : len(defects) + len(accepted)])
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+
+    def test_dataset_checks_match_constructors(self, tmp_path, metrics_inputs):
+        def node(k, key, value):
+            def change(rec):
+                rec["nodes"][k][key] = value
+            return change
+
+        def estimate(k, key, value):
+            def change(rec):
+                rec["estimates"][k][key] = value
+            return change
+
+        changes = {
+            10: node(1, "fov_deg", 190.0),
+            20: estimate(3, "dst", 99),
+            30: node(0, "bev_obs_b64", "not base64!"),
+            40: node(2, "pose", {"p": [0.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]}),
+            50: estimate(1, "sigma_p", [-0.1, 0.2, 0.3]),
+        }
+        source = tmp_path / "dataset.jsonl"
+        self.corrupt(metrics_inputs("dataset-default", 101), source, changes)
+        # Five malformed lines of 101 exceed the 1% budget, so compare the readers directly.
+        from covis.cli import _edges_from_dataset
+
+        cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(source)))
+        edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
+        records, want_scores, want_errors = _reference_dataset_records(lines, cfg)
+        assert [no for no, _ in errors] == [no for no, _ in want_errors] == sorted(changes)
+        assert len(edges) == len(records) and grid_scores == want_scores
+        assert (edges.t_pos.tolist(), edges.p_hat.tolist()) == (
+            [list(r.truth.position.as_tuple()) for r in records], [list(r.est.p_hat.as_tuple()) for r in records]
+        )
+
+
+class TestMalformedLineKeepsNoEdge:
+    def test_runlog(self, tmp_path, metrics_inputs, caplog):
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        no = next(k for k, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 3)
+        rec = json.loads(lines[no - 1])
+        rec["estimates"][1]["peer_tick"] = 10**6
+        dst = rec["estimates"][1]["dst"]
+        lines[no - 1] = json.dumps(rec)
+        broken = tmp_path / "runlog.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "whole")]) == EXIT_OK
+        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "cut")]) == EXIT_OK
+        whole = read_csv(tmp_path / "whole" / "summary.csv")[0]
+        cut = read_csv(tmp_path / "cut" / "summary.csv")[0]
+        assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
+        assert cut["malformed_lines"] == "1"
+        assert f"line {no}: no pose of peer node {dst} at tick 1000000" in caplog.text
+
+    @pytest.mark.parametrize("defect", ["pose_lookup", "fov", "fusion"])
+    def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
+        source = metrics_inputs("dataset-default", 101)
+        lines = source.read_text().splitlines()
+        rec = json.loads(lines[1])
+        if defect == "pose_lookup":
+            rec["estimates"][1]["dst"] = 99
+        elif defect == "fov":
+            rec["nodes"][-1]["fov_deg"] = 0.0  # only the estimates that node makes fail
+        else:
+            rec["nodes"][-1]["bev_b64"] = "AAAA"
+        lines[1] = json.dumps(rec)
+        broken = tmp_path / "dataset.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "whole")]) == EXIT_OK
+        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "cut")]) == EXIT_OK
+        whole = read_csv(tmp_path / "whole" / "summary.csv")[0]
+        cut = read_csv(tmp_path / "cut" / "summary.csv")[0]
+        assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
+        assert cut["malformed_lines"] == "1"
+        assert "line 2:" in caplog.text
+
+
+def test_metrics_logs_counts_and_stage_times(tmp_path, metrics_inputs, caplog):
+    source = metrics_inputs("runlog-formation", 101)
+    with caplog.at_level(logging.INFO, logger="covis.cli"):
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "a")]) == EXIT_OK
+    edges = read_csv(tmp_path / "a" / "summary.csv")[0]["edges"]
+    [message] = [r.getMessage() for r in caplog.records if r.name == "covis.cli" and "edges scored" in r.getMessage()]
+    assert message.startswith(f"metrics: {edges} edges scored, 0 malformed lines; read ")
+    assert all(stage in message for stage in ("read ", "score ", "write "))
+    # The stage times stay in the log: a second run writes the same bytes.
+    assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "b")]) == EXIT_OK
+    assert _metrics_files(tmp_path / "a") == _metrics_files(tmp_path / "b")

@@ -4,19 +4,22 @@ import numpy as np
 import pytest
 
 from covis.estimator import PoseEstimate
-from covis.geometry import Pose, UnitQuat, Vec3
+from covis.geometry import Pose, UnitQuat, Vec3, rot_geodesic_deg
 from covis.metrics import (
     CATEGORY_ALL,
     CATEGORY_INVISIBLE,
     CATEGORY_INVISIBLE_FILTERED,
     CATEGORY_VISIBLE,
+    MIN_TRANSLATION,
+    EdgeColumns,
     EdgeRecord,
     auc_at,
     category_report,
     evaluate_records,
     is_invisible,
     mask_dice_iou,
-    max_edge_error_deg,
+    pos_error,
+    rot_error_deg,
     uncertainty_scores,
     youden_threshold,
 )
@@ -33,6 +36,24 @@ def record(rel_yaw_deg=0.0, fov=120.0, p_truth=(1.0, 0.0, 0.0), p_hat=None, q_ha
         dst=1,
     )
     return EdgeRecord(truth=truth, est=est, fov_deg=fov)
+
+
+def reference_max_error_deg(rec):
+    """max(rotation error, translation angle) per record with scalar arithmetic, or None.
+
+    None when the truth translation is too short to define a direction; a
+    degenerate estimated translation counts as the worst case (180 deg).
+    """
+    t, e = rec.truth.position, rec.est.p_hat
+    if t.norm() < MIN_TRANSLATION:
+        return None
+    if e.norm() < MIN_TRANSLATION:
+        return max(rot_error_deg(rec), 180.0)
+    cx = t.y * e.z - t.z * e.y
+    cy = t.z * e.x - t.x * e.z
+    cz = t.x * e.y - t.y * e.x
+    angle = math.degrees(math.atan2(math.sqrt(cx * cx + cy * cy + cz * cz), t.dot(e)))
+    return max(rot_error_deg(rec), angle)
 
 
 def brute_force_youden(scores):
@@ -172,13 +193,13 @@ class TestAuc:
     def test_single_edge_half(self):
         # One edge with max error 10 deg at threshold 20 -> 0.5.
         rec = record(q_hat=UnitQuat.from_yaw(math.radians(10.0)))
-        assert max_edge_error_deg(rec) == pytest.approx(10.0, abs=1e-9)
         rep = auc_at([rec], [20.0])
         assert rep.values[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_translation_angle_dominates(self):
+        # An error of 90 deg scores 1/2 at 180 deg.
         rec = record(p_truth=(1.0, 0.0, 0.0), p_hat=(0.0, 1.0, 0.0))
-        assert max_edge_error_deg(rec) == pytest.approx(90.0, abs=1e-9)
+        assert auc_at([rec], [180.0]).values[0] == pytest.approx(0.5, abs=1e-12)
 
     def test_zero_truth_translation_excluded(self):
         recs = [record(p_truth=(0.0, 0.0, 0.0)), record()]
@@ -187,7 +208,19 @@ class TestAuc:
 
     def test_degenerate_estimate_worst_case(self):
         rec = record(p_hat=(0.0, 0.0, 0.0))
-        assert max_edge_error_deg(rec) == pytest.approx(180.0)
+        assert auc_at([rec], [360.0]).values[0] == 0.5
+
+    def test_no_defined_direction_rejected(self):
+        with pytest.raises(ValueError):
+            auc_at([record(p_truth=(0.0, 0.0, 0.0))], [20.0])
+        # Category medians need no direction.
+        assert category_report([record(p_truth=(0.0, 0.0, 0.0))], 1.0)[0].count == 1
+
+    @staticmethod
+    def acos_error_deg(rec):
+        t, e = np.array(rec.truth.position.as_tuple()), np.array(rec.est.p_hat.as_tuple())
+        c = np.clip(t @ e / (np.linalg.norm(t) * np.linalg.norm(e)), -1.0, 1.0)
+        return max(rot_geodesic_deg(rec.truth.rotation, rec.est.q_hat), math.degrees(math.acos(c)))
 
     def test_matches_riemann_oracle(self):
         rng = np.random.default_rng(10)
@@ -205,7 +238,7 @@ class TestAuc:
                     )
                 )
             rep = auc_at(recs, [20.0, 45.0, 90.0])
-            errors = np.array([max_edge_error_deg(r) for r in recs])
+            errors = np.array([self.acos_error_deg(r) for r in recs])
             for t, got in zip(rep.thresholds_deg, rep.values):
                 xs = np.arange(0.005, t, 0.01)
                 recall = (errors[None, :] <= xs[:, None]).mean(axis=1)
@@ -283,3 +316,76 @@ class TestEvaluateRecords:
         assert [lab for _, lab in err] == [False, False]
         with pytest.raises(ValueError):
             uncertainty_scores(recs, "nonsense")
+
+
+def random_unit(rng, kind):
+    v = rng.standard_normal(4)
+    if kind == "w_zero":
+        v[0] = 0.0
+    elif kind == "near_180":  # w within 1e-9 of 0: a rotation within about 1e-7 deg of 180
+        v[0] = rng.uniform(-1e-9, 1e-9)
+    v = [float(c) for c in v / np.linalg.norm(v)]
+    return UnitQuat(*([-c for c in v] if rng.random() < 0.5 else v))
+
+
+def random_vec(rng):
+    scale = float(rng.choice([2.0, MIN_TRANSLATION, 0.5 * MIN_TRANSLATION, 0.0]))
+    return Vec3(*(scale * rng.standard_normal(3)))
+
+
+class TestColumnsMatchRecords:
+    """The column evaluator reproduces the per-record scalar functions bit for bit."""
+
+    def test_random_records(self):
+        rng = np.random.default_rng(21)
+        kinds = ["random", "w_zero", "near_180"]
+        for trial in range(40):
+            recs = []
+            for _ in range(int(rng.integers(1, 120))):
+                truth = Pose(random_vec(rng), random_unit(rng, kinds[int(rng.integers(3))]))
+                est = PoseEstimate(
+                    random_vec(rng) if rng.random() < 0.3 else truth.position + Vec3(*rng.normal(0, 0.3, 3)),
+                    Vec3(*rng.uniform(0.05, 2.0, 3)),
+                    random_unit(rng, kinds[int(rng.integers(3))]),
+                    0.1,
+                    0,
+                    1,
+                )
+                recs.append(EdgeRecord(truth, est, float(rng.choice([30.0, 120.0, 180.0]))))
+            threshold = float(rng.uniform(0.5, 3.0))
+            reports = {r.category: r for r in category_report(recs, threshold)}
+            members = {
+                CATEGORY_ALL: recs,
+                CATEGORY_VISIBLE: [r for r in recs if not is_invisible(r)],
+                CATEGORY_INVISIBLE: [r for r in recs if is_invisible(r)],
+                CATEGORY_INVISIBLE_FILTERED: [
+                    r for r in recs if is_invisible(r) and r.est.sigma_p_norm() < threshold
+                ],
+            }
+            for name, group in members.items():
+                pos = sorted(pos_error(r) for r in group)
+                rot = sorted(rot_error_deg(r) for r in group)
+                mid = (len(group) - 1) // 2
+                want = (len(group), pos[mid] if group else 0.0, rot[mid] if group else 0.0)
+                got = reports[name]
+                assert (got.count, got.median_pos, got.median_rot) == want, (trial, name)
+            scores = uncertainty_scores(recs)
+            assert scores == [(r.est.sigma_p_norm(), is_invisible(r)) for r in recs]
+            errors = [e for e in map(reference_max_error_deg, recs) if e is not None]
+            if errors:
+                rep = auc_at(recs, [20.0, 45.0, 90.0])
+                errors = np.array(errors)
+                assert rep.values == tuple(
+                    float(np.mean(np.maximum(0.0, t - errors)) / t) for t in (20.0, 45.0, 90.0)
+                )
+                assert rep.excluded == len(recs) - len(errors)
+
+    def test_records_and_columns_give_one_report(self):
+        rng = np.random.default_rng(22)
+        recs = [
+            record(rel_yaw_deg=float(rng.uniform(0, 180)), sigma=float(rng.uniform(0.1, 2.0)))
+            for _ in range(30)
+        ]
+        a = evaluate_records(recs)
+        b = evaluate_records(EdgeColumns.from_records(recs))
+        assert (a.categories, a.reject_threshold, a.auc) == (b.categories, b.reject_threshold, b.auc)

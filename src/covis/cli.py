@@ -18,14 +18,14 @@ from __future__ import annotations
 
 import argparse
 import base64
-import time
-from array import array
 import csv
 import json
 import logging
 import math
 import os
 import sys
+import time
+from array import array
 from pathlib import Path
 
 import numpy as np

@@ -255,7 +255,8 @@ def auc_at(recs: Sequence[EdgeRecord], thresholds_deg: Sequence[float]) -> AucRe
     AUC@t = (1/t) * integral_0^t recall(e <= x) dx
           = mean_i max(0, t - e_i) / t over the included edges.
     """
-    return _defined_auc(evaluate_columns(EdgeColumns.from_records(recs), thresholds_deg, reject_threshold=math.inf)).auc
+    cols = EdgeColumns.from_records(recs)
+    return _defined_auc(evaluate_columns(cols, thresholds_deg, reject_threshold=math.inf)).auc
 
 
 def uncertainty_scores(
@@ -266,7 +267,8 @@ def uncertainty_scores(
     """(score, positive) pairs feeding the Youden sweep; see evaluate_columns."""
     if not recs:
         return []
-    report = evaluate_columns(EdgeColumns.from_records(recs), (), labeling, error_threshold, reject_threshold=math.inf)
+    cols = EdgeColumns.from_records(recs)
+    report = evaluate_columns(cols, (), labeling, error_threshold, reject_threshold=math.inf)
     return list(zip(report.scores.tolist(), report.labels.tolist()))
 
 

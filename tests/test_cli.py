@@ -12,7 +12,17 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from covis.cli import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_VALIDATION, _fusion_scores, _read_input, _write_rows, main
+from covis.cli import (
+    EXIT_CONFIG,
+    EXIT_IO,
+    EXIT_OK,
+    EXIT_VALIDATION,
+    _edges_from_dataset,
+    _fusion_scores,
+    _read_input,
+    _write_rows,
+    main,
+)
 from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import relative_pose
@@ -657,6 +667,15 @@ class TestMetricsMatchReference:
         _metrics_reference(source, tmp_path / "want")
         assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
 
+    def test_high_error_labeling(self, tmp_path, metrics_inputs):
+        # Every formation edge is visible, so only this labeling runs a two-class sweep on a runlog.
+        source = metrics_inputs("runlog-formation", 202)
+        config = write_config(tmp_path, youden_labeling="high_error", youden_error_threshold_m=0.4)
+        assert main(["metrics", "--config", config, "--input", str(source), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _metrics_reference(source, tmp_path / "want", config)
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+        assert read_csv(tmp_path / "got" / "summary.csv")[0]["youden_threshold"] != "inf"
+
     @staticmethod
     def corrupt(source, target, changes):
         """Copy ``source`` with ``change(record)`` applied to the record on each given line."""
@@ -727,8 +746,6 @@ class TestMetricsMatchReference:
         source = tmp_path / "dataset.jsonl"
         self.corrupt(metrics_inputs("dataset-default", 101), source, changes)
         # Five malformed lines of 101 exceed the 1% budget, so compare the readers directly.
-        from covis.cli import _edges_from_dataset
-
         cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(source)))
         edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
         records, want_scores, want_errors = _reference_dataset_records(lines, cfg)

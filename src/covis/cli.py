@@ -9,6 +9,9 @@ Subcommands::
     homing     record-then-replay run -> keyframes.csv, summary.csv
     traces     plot-ready per-tick columns from a runlog -> traces.csv
 
+On a runlog, ``metrics`` and ``traces`` share one checked pose pass
+(``_runlog_poses``); ``metrics`` skips a bad line, ``traces`` exits on the first.
+
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 validation error.
 Log level comes from the COVIS_LOG_LEVEL environment variable
 (error|warn|info|debug).
@@ -33,20 +36,17 @@ import numpy as np
 from .bev import BevGrid, fuse
 from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
-from .geometry import Pose, relative_pose_rows, unit_quat_rows
+from .geometry import relative_pose_rows, unit_quat_rows, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
-from .netproto import CRC_LEN, HEADER_LEN
 from .netsim import BroadcastNode, events_to_jsonl, summarize
 from .scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
     FormationRun,
     dataset_jsonl,
-    follower_error,
+    follower_error_rows,
     follower_offsets,
     gen_world,
-    pose_from_dict,
-    run_formation,
     run_homing,
     runlog_jsonl,
     sample_groups,
@@ -133,17 +133,9 @@ def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
 
 def cmd_simulate(args) -> int:
     cfg = _load_config(args)
-    # A frame is read at the first tick after it lands. If that tick is always
-    # past the stale timeout, every follower stays gated (rounded toward running).
-    airtime = (cfg.payload_bytes + HEADER_LEN + CRC_LEN) * 8.0 / cfg.bitrate_bps
-    lag = math.ceil((airtime + cfg.propagation_s) * cfg.superframe_hz - 1e-9)
-    if lag > cfg.stale_timeout_s * cfg.superframe_hz + 1e-9:
-        raise ConfigError(
-            f"no leader frame can arrive fresh: payload_bytes at bitrate_bps plus propagation_s "
-            f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
-        )
+    run = FormationRun(cfg)  # refuses a config that cannot run before any output exists
     out = _out_dir(args)
-    records, events = run_formation(cfg)
+    records, events = run.run()
     (out / "runlog.jsonl").write_text(runlog_jsonl(cfg, records))
     stats = tracking_errors(records, follower_offsets(cfg), skip_s=10.0)
     rows = [
@@ -301,11 +293,12 @@ def _fusion_scores(nodes, ests, cfg) -> list[tuple[float, float]]:
     return out
 
 
-def _edges_from_runlog(lines: list[str], cfg: RunConfig):
+def _runlog_poses(lines: list[str], cfg: RunConfig) -> tuple[_EdgeReader, list, dict]:
+    """Pose pass of a runlog: (reader, [(line, record)], (tick, node id) -> pose row)."""
     reader = _EdgeReader()
     period = 1.0 / cfg.superframe_hz
-    keys, parsed = [], []  # pose row -> (tick, node id) and (line, record)
-    for no, line in enumerate(lines, start=2):
+    keys, parsed = [], []
+    for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
             key = (round(rec["t"] / period), rec["node_id"])
@@ -318,11 +311,14 @@ def _edges_from_runlog(lines: list[str], cfg: RunConfig):
         keys.append(key)
         parsed.append((no, rec))
     ok = reader.check_poses()
-    # A later record of the same tick and node replaces an earlier one.
-    pose_at = {key: row for row, key in enumerate(keys) if ok[row]}
-    fov = cfg.fov_deg
+    # Pose row k is parsed record k's; a later record of the same tick and node wins.
+    return reader, parsed, {key: row for row, key in enumerate(keys) if ok[row]}
+
+
+def _edges_from_runlog(lines: list[str], cfg: RunConfig):
+    reader, parsed, pose_at = _runlog_poses(lines, cfg)
     for row, (no, rec) in enumerate(parsed):
-        if not ok[row]:
+        if no in reader.errors:
             continue
         try:
             values, pairs = array("d"), array("q")
@@ -332,7 +328,7 @@ def _edges_from_runlog(lines: list[str], cfg: RunConfig):
                 if peer is None:
                     raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
                 values += numbers
-                values.append(fov)
+                values.append(cfg.fov_deg)
                 pairs += array("q", (row, peer))
         except Exception as exc:
             reader.errors[no] = str(exc)
@@ -508,39 +504,33 @@ def cmd_traces(args) -> int:
     if schema != RUNLOG_SCHEMA:
         log.error("traces needs a runlog input")
         return EXIT_VALIDATION
+    reader, parsed, pose_at = _runlog_poses(lines, cfg)
+    for no, rec in parsed:
+        if not isinstance(rec["node_id"], int):
+            reader.errors.setdefault(no, f"node_id {rec['node_id']!r} is not an integer")
+        elif "gated" not in rec:
+            reader.errors.setdefault(no, "record has no 'gated'")
+    if reader.errors:  # the first bad line ends the command
+        log.error("line %d: %s", *min(reader.errors.items()))
+        return EXIT_VALIDATION
+    keys = sorted(pose_at)
+    rows = [pose_at[key] for key in keys]
     offsets = follower_offsets(cfg)
-    by_tick: dict[float, dict[int, tuple[Pose, object]]] = {}
-    for no, line in enumerate(lines, start=2):  # header was line 1
-        try:
-            rec = json.loads(line)
-            pose = pose_from_dict(rec["pose_truth"])
-            by_tick.setdefault(float(rec["t"]), {})[int(rec["node_id"])] = (pose, rec["gated"])
-        except (ArithmeticError, LookupError, TypeError, ValueError) as exc:
-            log.error("line %d: %s", no, exc)
-            return EXIT_VALIDATION
-    rows = []
-    for t in sorted(by_tick):
-        recs = by_tick[t]
-        leader = recs.get(FormationRun.LEADER)
-        for node_id in sorted(recs):
-            pose, gated = recs[node_id]
-            pos_err = rot_err = math.nan
-            if leader is not None and node_id in offsets:
-                pos_err, rot_err = follower_error(pose, leader[0], offsets[node_id])
-            rows.append(
-                {
-                    "schema": "covis.traces@1",
-                    "t": t,
-                    "node_id": node_id,
-                    "x_m": pose.position.x,
-                    "y_m": pose.position.y,
-                    "yaw_rad": pose.rotation.yaw(),
-                    "gated": gated,
-                    "pos_err_m": pos_err,
-                    "rot_err_deg": rot_err,
-                }
-            )
-    _write_rows(out / "traces", rows, args.format)
+    leader_at = {tick: row for (tick, node), row in pose_at.items() if node == FormationRun.LEADER}
+    scored = [k for k, (tick, node) in enumerate(keys) if node in offsets and tick in leader_at]
+    f, lead = [rows[k] for k in scored], [leader_at[keys[k][0]] for k in scored]
+    pos_err, rot_err = np.full(len(keys), math.nan), np.full(len(keys), math.nan)
+    pos_err[scored], rot_err[scored] = follower_error_rows(
+        reader.p[f], reader.q[f], reader.p[lead], reader.q[lead], [offsets[keys[k][1]] for k in scored]
+    )
+    xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
+    errors = zip(pos_err.tolist(), rot_err.tolist())
+    traces = [
+        {"schema": "covis.traces@1", "t": float(parsed[row][1]["t"]), "node_id": node, "x_m": x, "y_m": y,
+         "yaw_rad": a, "gated": parsed[row][1]["gated"], "pos_err_m": pos, "rot_err_deg": rot}
+        for (_, node), row, (x, y, _), a, (pos, rot) in zip(keys, rows, xyz, yaw, errors)
+    ]
+    _write_rows(out / "traces", traces, args.format)
     return EXIT_OK
 
 

@@ -294,14 +294,20 @@ def relative_pose_rows(p_i, q_i, p_j, q_j) -> tuple[np.ndarray, np.ndarray]:
     return _quat_rotate_rows(inv, p_j - p_i), rel
 
 
-def atan2_deg_rows(y: np.ndarray, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
-    """math.degrees(scale * math.atan2(y, x)) per element.
+def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    # math.atan2 per element: numpy's vectorized arctan2 can differ from it in the last bit.
+    return np.fromiter(map(math.atan2, y.tolist(), x.tolist()), dtype=float, count=len(y))
 
-    The arctangent runs through ``math.atan2``: numpy's vectorized arctan2 can
-    differ from it in the last bit.
-    """
-    angle = np.fromiter(map(math.atan2, y.tolist(), x.tolist()), dtype=float, count=len(y))
-    return scale * angle * _RAD_TO_DEG
+
+def atan2_deg_rows(y: np.ndarray, x: np.ndarray, scale: float = 1.0) -> np.ndarray:
+    """math.degrees(scale * math.atan2(y, x)) per element."""
+    return scale * _atan2_rows(y, x) * _RAD_TO_DEG
+
+
+def yaw_rows(q: np.ndarray) -> np.ndarray:
+    """UnitQuat.yaw per row, radians."""
+    w, x, y, z = q.T
+    return _atan2_rows(2 * (x * y + w * z), 1 - 2 * (y * y + z * z))
 
 
 def quat_angle_deg_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:

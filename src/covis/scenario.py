@@ -5,7 +5,9 @@ over the simulated TDMA network, and each robot reads a peer only from the
 payloads of the frames it received. It estimates relative poses for every
 peer whose embedding arrived recently enough, and followers close a PD loop
 on the leader estimate. The leader teleports along its reference trajectory.
-Everything is a pure function of (config, seed).
+``FormationRun`` refuses a config whose frames cannot carry the embedding
+header or never arrive fresh. ``follower_error_rows`` is the one follower
+tracking error. Everything is a pure function of (config, seed).
 """
 
 from __future__ import annotations
@@ -29,8 +31,10 @@ from .estimator import (
     estimate,
     estimate_oracle,
 )
-from .geometry import Pose, UnitQuat, Vec3, compose, inverse, relative_pose, rot_geodesic_deg
-from .netproto import SchedulerState
+from .geometry import (
+    Pose, UnitQuat, Vec3, compose, inverse, norm_rows, quat_angle_deg_rows, relative_pose_rows
+)
+from .netproto import CRC_LEN, HEADER_LEN, SchedulerState
 from .netsim import BroadcastNode, Medium, SimEvent, Simulator
 
 RUNLOG_SCHEMA = "covis.runlog@1"
@@ -332,10 +336,6 @@ def _pose_dict(pose: Pose) -> dict:
     return {"p": list(pose.position.as_tuple()), "q": list(pose.rotation.as_tuple())}
 
 
-def pose_from_dict(d: dict) -> Pose:
-    return Pose(Vec3(*d["p"]), UnitQuat(*d["q"]))
-
-
 # ---------------------------------------------------------------------------
 # Leader trajectories
 
@@ -571,6 +571,15 @@ class FormationRun:
                 f"payload_bytes {cfg.payload_bytes} cannot hold the "
                 f"{Observation.HEADER.size}-byte embedding header of a formation run"
             )
+        # A frame is read at the first tick after it lands. If that tick is always
+        # past the stale timeout, every follower stays gated (rounded toward running).
+        airtime = (cfg.payload_bytes + HEADER_LEN + CRC_LEN) * 8.0 / cfg.bitrate_bps
+        lag = math.ceil((airtime + cfg.propagation_s) * cfg.superframe_hz - 1e-9)
+        if lag > cfg.stale_timeout_s * cfg.superframe_hz + 1e-9:
+            raise ConfigError(
+                f"no leader frame can arrive fresh: payload_bytes at bitrate_bps plus propagation_s "
+                f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
+            )
         self.cfg = cfg
         self.spec = trajectory_from_config(cfg)
         self.gains = gains_from_config(cfg)
@@ -661,13 +670,16 @@ def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def follower_error(f_pose: Pose, l_pose: Pose, offset: Pose) -> tuple[float, float]:
-    """Position (m) and rotation (deg) tracking error of one follower.
+def follower_error_rows(p_f, q_f, p_l, q_l, offsets: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """Position (m) and rotation (deg) tracking error per follower row.
 
-    Compares the true leader pose in the follower's frame with ``offset``.
+    Compares the true leader pose (``p_l``, ``q_l``) in the follower's frame
+    (``p_f``, ``q_f``, unit quaternion rows) with the row's reference offset.
     """
-    rel = relative_pose(f_pose, l_pose)
-    return (rel.position - offset.position).norm(), rot_geodesic_deg(rel.rotation, offset.rotation)
+    p_o = np.array([o.position.as_tuple() for o in offsets]).reshape(-1, 3)
+    q_o = np.array([o.rotation.as_tuple() for o in offsets]).reshape(-1, 4)
+    rel_pos, rel_quat = relative_pose_rows(p_f, q_f, p_l, q_l)
+    return norm_rows(rel_pos - p_o), quat_angle_deg_rows(rel_quat, q_o)
 
 
 def tracking_errors(
@@ -677,36 +689,27 @@ def tracking_errors(
 
     Position error is the distance between the true relative leader pose and
     the reference offset; rotation error is their geodesic yaw gap. ``Vel``
-    is the mean realized speed.
+    is the mean realized speed. Records hold unit quaternions, as a run
+    writes them; a later record of the same time and node replaces an earlier one.
     """
-    by_tick: dict[float, dict[int, dict]] = {}
-    for rec in records:
-        by_tick.setdefault(rec["t"], {})[rec["node_id"]] = rec
+    row_at = {(rec["t"], rec["node_id"]): k for k, rec in enumerate(records)}
+    times = sorted({t for t, _ in row_at})
+    dt = times[1] - times[0] if len(times) > 1 else 1.0
+    p = np.array([rec["pose_truth"]["p"] for rec in records], dtype=float).reshape(-1, 3)
+    q = np.array([rec["pose_truth"]["q"] for rec in records], dtype=float).reshape(-1, 4)
     out: dict[int, dict[str, float]] = {}
     for follower, offset in offsets.items():
-        pos_errs, rot_errs, speeds = [], [], []
-        prev_pos = None
-        for t in sorted(by_tick):
-            tick_recs = by_tick[t]
-            if follower not in tick_recs or FormationRun.LEADER not in tick_recs:
-                continue
-            f_pose = pose_from_dict(tick_recs[follower]["pose_truth"])
-            l_pose = pose_from_dict(tick_recs[FormationRun.LEADER]["pose_truth"])
-            if prev_pos is not None:
-                speeds.append((f_pose.position - prev_pos).norm())
-            prev_pos = f_pose.position
-            if t < skip_s:
-                continue
-            pos_err, rot_err = follower_error(f_pose, l_pose, offset)
-            pos_errs.append(pos_err)
-            rot_errs.append(rot_err)
-        dt = sorted(by_tick)[1] - sorted(by_tick)[0] if len(by_tick) > 1 else 1.0
+        both = [t for t in times if (t, follower) in row_at and (t, FormationRun.LEADER) in row_at]
+        speeds = norm_rows(np.diff(p[[row_at[t, follower] for t in both]], axis=0))
+        f = [row_at[t, follower] for t in both if t >= skip_s]
+        lead = [row_at[t, FormationRun.LEADER] for t in both if t >= skip_s]
+        pos_errs, rot_errs = follower_error_rows(p[f], q[f], p[lead], q[lead], [offset] * len(f))
         out[follower] = {
-            "mean_abs_pos_m": float(np.mean(pos_errs)) if pos_errs else math.nan,
-            "median_pos_m": float(np.median(pos_errs)) if pos_errs else math.nan,
-            "mean_abs_rot_deg": float(np.mean(rot_errs)) if rot_errs else math.nan,
-            "median_rot_deg": float(np.median(rot_errs)) if rot_errs else math.nan,
-            "mean_vel_mps": float(np.mean(speeds) / dt) if speeds else math.nan,
+            "mean_abs_pos_m": float(np.mean(pos_errs)) if f else math.nan,
+            "median_pos_m": float(np.median(pos_errs)) if f else math.nan,
+            "mean_abs_rot_deg": float(np.mean(rot_errs)) if f else math.nan,
+            "median_rot_deg": float(np.median(rot_errs)) if f else math.nan,
+            "mean_vel_mps": float(np.mean(speeds) / dt) if len(speeds) else math.nan,
         }
     return out
 

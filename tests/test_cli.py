@@ -25,9 +25,9 @@ from covis.cli import (
 )
 from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
-from covis.geometry import relative_pose
+from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, pos_error, rot_error_deg
-from covis.scenario import DATASET_SCHEMA, pose_from_dict, runlog_jsonl
+from covis.scenario import DATASET_SCHEMA, RUNLOG_SCHEMA, FormationRun, follower_offsets, runlog_jsonl
 
 FAST = {
     "duration_s": 10.0,
@@ -185,6 +185,8 @@ class TestConfig:
         overrides = value if isinstance(value, dict) else {key: value}
         cfg = write_config(tmp_path, **{"n_groups": 1, **overrides})
         assert main([command, "--config", cfg, "--out", str(tmp_path / "o")]) == EXIT_CONFIG
+        # A refused config leaves no output directory behind.
+        assert not (tmp_path / "o").exists()
 
     def test_payload_bytes_holds_embedding_header(self, tmp_path, caplog):
         short = write_config(tmp_path, payload_bytes=69)
@@ -489,8 +491,27 @@ class TestTraces:
                 {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
                 {"t": "x", "node_id": 0, "pose_truth": POSE, "gated": False},
             ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": 1, "pose_truth": {"p": [0.0, math.inf, 0.0], "q": [1.0, 0.0, 0.0, 0.0]},
+                 "gated": False},
+            ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": 1, "pose_truth": {"p": [0.0, 0.0, 0.0], "q": [1.0 + 2e-6, 0.0, 0.0, 0.0]},
+                 "gated": False},
+            ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": 1, "pose_truth": POSE},
+            ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": [1], "pose_truth": POSE, "gated": False},
+            ],
         ],
-        ids=["empty", "t_not_a_number"],
+        ids=["empty", "t_not_a_number", "non_finite_position", "quaternion_off_unit", "no_gated",
+             "unhashable_node_id"],
     )
     def test_malformed_record_exits_validation(self, tmp_path, caplog, records):
         runlog = tmp_path / "runlog.jsonl"
@@ -521,7 +542,7 @@ def _reference_dataset_records(lines, cfg):
         try:
             rec = json.loads(line)
             nodes = {n["id"]: n for n in rec["nodes"]}
-            poses = {i: pose_from_dict(n["pose"]) for i, n in nodes.items()}
+            poses = {i: Pose(Vec3(*n["pose"]["p"]), UnitQuat(*n["pose"]["q"])) for i, n in nodes.items()}
             ests = [PoseEstimate.from_dict(d) for d in rec.get("estimates", [])]
             edges = [
                 EdgeRecord(relative_pose(poses[e.src], poses[e.dst]), e, float(nodes[e.src]["fov_deg"]))
@@ -542,7 +563,7 @@ def _reference_runlog_records(lines, cfg):
         try:
             rec = json.loads(line)
             tick = round(rec["t"] / period)
-            pose = pose_from_dict(rec["pose_truth"])
+            pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
             pose_at[(tick, rec["node_id"])] = pose
             parsed.append((no, rec, pose))
         except Exception as exc:
@@ -624,6 +645,34 @@ def _metrics_reference(input_path, out, config=None):
         summary["iou"] = float(np.mean([i for _, i in grid_scores]))
     _write_rows(out / "summary", [summary], "csv")
     return errors
+
+
+def _traces_reference(input_path, out):
+    """Write traces.csv as the per-record reader did: a Pose per record, scalar errors and yaw."""
+    cfg, schema, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(input_path)))
+    assert schema == RUNLOG_SCHEMA
+    offsets = follower_offsets(cfg)
+    by_tick = {}
+    for line in lines:
+        rec = json.loads(line)
+        pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
+        by_tick.setdefault(float(rec["t"]), {})[int(rec["node_id"])] = (pose, rec["gated"])
+    rows = []
+    for t in sorted(by_tick):
+        recs = by_tick[t]
+        leader = recs.get(FormationRun.LEADER)
+        for node_id in sorted(recs):
+            pose, gated = recs[node_id]
+            pos_err = rot_err = math.nan
+            if leader is not None and node_id in offsets:
+                rel, offset = relative_pose(pose, leader[0]), offsets[node_id]
+                pos_err = (rel.position - offset.position).norm()
+                rot_err = rot_geodesic_deg(rel.rotation, offset.rotation)
+            rows.append({"schema": "covis.traces@1", "t": t, "node_id": node_id, "x_m": pose.position.x,
+                         "y_m": pose.position.y, "yaw_rad": pose.rotation.yaw(), "gated": gated,
+                         "pos_err_m": pos_err, "rot_err_deg": rot_err})
+    out.mkdir(parents=True, exist_ok=True)
+    _write_rows(out / "traces", rows, "csv")
 
 
 # (name, command, config) of each input the reference pins.
@@ -754,6 +803,17 @@ class TestMetricsMatchReference:
         assert (edges.t_pos.tolist(), edges.p_hat.tolist()) == (
             [list(r.truth.position.as_tuple()) for r in records], [list(r.est.p_hat.as_tuple()) for r in records]
         )
+
+
+class TestTracesMatchReference:
+    @pytest.mark.parametrize("seed", [101, 202])
+    @pytest.mark.parametrize("name", ["runlog-default", "runlog-formation", "runlog-oracle8"])
+    def test_byte_identical(self, tmp_path, metrics_inputs, name, seed):
+        source = metrics_inputs(name, seed)
+        assert main(["traces", "--input", str(source), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _traces_reference(source, tmp_path / "want")
+        got = (tmp_path / "got" / "traces.csv").read_bytes()
+        assert got == (tmp_path / "want" / "traces.csv").read_bytes()
 
 
 class TestMalformedLineKeepsNoEdge:

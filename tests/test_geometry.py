@@ -20,6 +20,7 @@ from covis.geometry import (
     relative_pose_rows,
     rot_geodesic_deg,
     unit_quat_rows,
+    yaw_rows,
 )
 
 
@@ -314,3 +315,9 @@ class TestRowKernels:
             assert bits(t_quat[k]) == bits(rel.rotation.as_tuple())
             assert bits(angles[k]) == bits(quat_angle_deg(q[k].as_tuple(), q[half + k].as_tuple()))
         assert bits(norm_rows(p_rows)) == bits([v.norm() for v in p])
+
+    def test_yaw_rows(self):
+        raw = awkward_quats(np.random.default_rng(33), 3000)
+        unit, ok = unit_quat_rows(raw)
+        unit = np.vstack([unit[ok], [UnitQuat.from_yaw(a).as_tuple() for a in (0.0, math.pi, -math.pi / 2)]])
+        assert bits(yaw_rows(unit)) == bits([UnitQuat(*row).yaw() for row in unit.tolist()])

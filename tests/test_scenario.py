@@ -284,8 +284,9 @@ class TestRunFormation:
             tick = round(rec["t"] / period)
             for logged in rec["estimates"]:
                 src, dst = logged.pop("src"), logged.pop("dst")
-                obs_i = Observation(src, scenario.pose_from_dict(truth[src, tick]), cfg.fov_deg, b"")
-                peer = scenario.pose_from_dict(truth[dst, logged.pop("peer_tick")])
+                own, peer = truth[src, tick], truth[dst, logged.pop("peer_tick")]
+                obs_i = Observation(src, Pose(Vec3(*own["p"]), UnitQuat(*own["q"])), cfg.fov_deg, b"")
+                peer = Pose(Vec3(*peer["p"]), UnitQuat(*peer["q"]))
                 obs_j = Observation(dst, peer, cfg.fov_deg, b"")
                 again = estimate(obs_i, obs_j, profile, edge_rng(cfg.seed, tick, src, dst)).to_dict()
                 assert (again.pop("src"), again.pop("dst")) == (src, dst)
@@ -295,8 +296,10 @@ class TestRunFormation:
         assert checked > 500
 
     def test_blackout_keeps_followers_gated(self):
+        # A frame takes about 493 s on air, so none lands within the run. The
+        # stale timeout is longer than that, or FormationRun refuses the config.
         cfg = RunConfig(
-            seed=5, estimator="oracle", bitrate_bps=100.0, duration_s=10.0, **{
+            seed=5, estimator="oracle", bitrate_bps=100.0, duration_s=10.0, stale_timeout_s=600.0, **{
                 k: v for k, v in ACCEPT.items() if k != "duration_s"
             }
         )
@@ -365,6 +368,12 @@ class TestRunFormation:
         with pytest.raises(ConfigError, match="payload_bytes"):
             run_formation(RunConfig(payload_bytes=Observation.HEADER.size - 1))
 
+    def test_no_frame_arriving_fresh_raises(self):
+        # Each 6,164-byte frame is 0.25 s on air plus 0.3 s in flight, past the 0.5 s stale timeout.
+        cfg = RunConfig(propagation_s=0.3, bitrate_bps=200000, duration_s=20.0)
+        with pytest.raises(ConfigError, match="stale_timeout_s"):
+            run_formation(cfg)
+
     def test_followers_start_in_formation(self):
         cfg = RunConfig(seed=1, estimator="oracle", **ACCEPT)
         records, _ = run_formation(cfg)
@@ -375,6 +384,73 @@ class TestRunFormation:
             rel = relative_pose(fp, leader)
             assert pos_dist(rel.position, offset.position) < 1e-9
             assert rot_geodesic_deg(rel.rotation, offset.rotation) < 1e-9
+
+
+def _reference_tracking_errors(records, offsets, skip_s):
+    """The scalar tracking_errors: a Pose per record and follower, errors one tick at a time."""
+    by_tick = {}
+    for rec in records:
+        by_tick.setdefault(rec["t"], {})[rec["node_id"]] = rec
+    out = {}
+    for follower, offset in offsets.items():
+        pos_errs, rot_errs, speeds = [], [], []
+        prev_pos = None
+        for t in sorted(by_tick):
+            tick_recs = by_tick[t]
+            if follower not in tick_recs or FormationRun.LEADER not in tick_recs:
+                continue
+            f, lead = tick_recs[follower]["pose_truth"], tick_recs[FormationRun.LEADER]["pose_truth"]
+            f_pose = Pose(Vec3(*f["p"]), UnitQuat(*f["q"]))
+            l_pose = Pose(Vec3(*lead["p"]), UnitQuat(*lead["q"]))
+            if prev_pos is not None:
+                speeds.append((f_pose.position - prev_pos).norm())
+            prev_pos = f_pose.position
+            if t < skip_s:
+                continue
+            rel = relative_pose(f_pose, l_pose)
+            pos_errs.append((rel.position - offset.position).norm())
+            rot_errs.append(rot_geodesic_deg(rel.rotation, offset.rotation))
+        dt = sorted(by_tick)[1] - sorted(by_tick)[0] if len(by_tick) > 1 else 1.0
+        out[follower] = {
+            "mean_abs_pos_m": float(np.mean(pos_errs)) if pos_errs else math.nan,
+            "median_pos_m": float(np.median(pos_errs)) if pos_errs else math.nan,
+            "mean_abs_rot_deg": float(np.mean(rot_errs)) if rot_errs else math.nan,
+            "median_rot_deg": float(np.median(rot_errs)) if rot_errs else math.nan,
+            "mean_vel_mps": float(np.mean(speeds) / dt) if speeds else math.nan,
+        }
+    return out
+
+
+class TestTrackingErrors:
+    @pytest.mark.parametrize("seed", [101, 202])
+    @pytest.mark.parametrize(
+        "extra",
+        [{}, {"n_nodes": 8, "duration_s": 10.0}, {"n_nodes": 8, "duration_s": 10.0, "estimator": "oracle"}],
+        ids=["default", "formation", "oracle8"],
+    )
+    def test_matches_scalar_reference(self, extra, seed):
+        cfg = RunConfig(seed=seed, **extra)
+        records = run_formation(cfg)[0]
+        for skip_s in (0.0, 10.0):
+            got = tracking_errors(records, follower_offsets(cfg), skip_s=skip_s)
+            want = _reference_tracking_errors(records, follower_offsets(cfg), skip_s)
+            assert {f: {k: v.hex() for k, v in s.items()} for f, s in got.items()} == {
+                f: {k: v.hex() for k, v in s.items()} for f, s in want.items()
+            }
+
+    def test_missing_leader_ticks_and_duplicates(self):
+        # A tick without the leader scores no error and moves no speed; a later
+        # record of the same time and node replaces the earlier one.
+        cfg = RunConfig(seed=3, duration_s=5.0)
+        records = run_formation(cfg)[0]
+        records = [r for r in records if not (r["node_id"] == 0 and 20 <= r["t"] * cfg.superframe_hz < 30)]
+        records.append(json.loads(json.dumps(records[-1])) | {"pose_truth": records[0]["pose_truth"]})
+        for skip_s in (0.0, 1.0, 100.0):
+            got = tracking_errors(records, follower_offsets(cfg), skip_s=skip_s)
+            want = _reference_tracking_errors(records, follower_offsets(cfg), skip_s)
+            assert {f: {k: v.hex() for k, v in s.items()} for f, s in got.items()} == {
+                f: {k: v.hex() for k, v in s.items()} for f, s in want.items()
+            }
 
 
 class TestHoming:

@@ -19,13 +19,15 @@ transmits in superframes ``k % tx_divisor == tx_phase``. The divisor doubles
 (up to a cap) while measured peer loss sits above the high watermark and
 decays by one below the low watermark; the band between holds. Each increase
 re-draws the phase so same-slot contenders with equal divisors eventually
-land on disjoint superframes instead of colliding forever.
+land on disjoint superframes instead of colliding forever. The ``loss`` a node
+traces per wake-up is the one measurement its backoff acted on.
 """
 
 from __future__ import annotations
 
 import math
 import zlib
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -132,10 +134,12 @@ def decode(data: bytes) -> Frame:
 
 @dataclass
 class PeerTracker:
-    """Received (time, seq) pairs for one peer over a sliding window."""
+    """Received (time, seq) pairs for one peer over a sliding window. Calls
+    must come in non-decreasing ``now`` (the simulator clock): eviction pops
+    expired entries from the front only."""
 
     window: float
-    entries: list[tuple[float, int]] = field(default_factory=list)
+    entries: deque[tuple[float, int]] = field(default_factory=deque)
     registered_at: float = 0.0
     last_seen: Optional[float] = None
 
@@ -145,8 +149,8 @@ class PeerTracker:
         self._evict(now)
 
     def _evict(self, now: float) -> None:
-        cutoff = now - self.window
-        self.entries = [(t, s) for t, s in self.entries if t >= cutoff]
+        while self.entries and self.entries[0][0] < now - self.window:
+            self.entries.popleft()
 
     def loss_estimate(self, now: float) -> float:
         """Gap fraction over the window; silence from a known peer counts as 1."""
@@ -209,9 +213,6 @@ class SchedulerState:
         self.seq_counter += 1
         return seq
 
-    def max_peer_loss(self, now: float) -> float:
-        return max((tr.loss_estimate(now) for tr in self.peers.values()), default=0.0)
-
 
 def next_tx_time(state: SchedulerState, now: float) -> float:
     """Earliest t >= now in the node's slot on an eligible superframe."""
@@ -223,18 +224,15 @@ def next_tx_time(state: SchedulerState, now: float) -> float:
     return k * state.superframe_period + offset
 
 
-def on_frame_received(state: SchedulerState, frame: Frame, now: float) -> SchedulerState:
+def on_frame_received(state: SchedulerState, frame: Frame, now: float) -> None:
     """Feed the per-peer loss estimator from sequence gaps."""
-    tracker = state.peers.get(frame.node_id)
-    if tracker is None:
-        tracker = PeerTracker(window=state.loss_window, registered_at=now)
-        state.peers[frame.node_id] = tracker
-    tracker.record(now, frame.seq)
-    return state
+    state.register_peer(frame.node_id, now)
+    state.peers[frame.node_id].record(now, frame.seq)
 
 
-def adapt_rate(state: SchedulerState, now: float) -> SchedulerState:
-    """Backoff step, intended to run once per superframe.
+def adapt_rate(state: SchedulerState, now: float) -> float:
+    """Backoff step, intended to run once per superframe; returns the maximum
+    peer loss it acted on.
 
     Above the high watermark the divisor doubles (capped) and the transmit
     phase is re-drawn; below the low watermark it decays by one (phase kept,
@@ -242,7 +240,7 @@ def adapt_rate(state: SchedulerState, now: float) -> SchedulerState:
     rate-limited to one per loss window, decreases to one per two windows so
     the estimator can catch up with the new schedule.
     """
-    loss = state.max_peer_loss(now)
+    loss = max((tr.loss_estimate(now) for tr in state.peers.values()), default=0.0)
     since = now - state.last_adapt_action
     if loss > state.high_watermark:
         if since >= state.loss_window:
@@ -256,4 +254,4 @@ def adapt_rate(state: SchedulerState, now: float) -> SchedulerState:
             state.tx_divisor -= 1
             state.tx_phase %= state.tx_divisor
             state.last_adapt_action = now
-    return state
+    return loss

@@ -1,7 +1,9 @@
 """Deterministic discrete-event simulation of a lossy shared broadcast medium.
 
-Single-threaded event loop over a heap ordered by (time, kind rank, insertion
-counter); identical (world, duration, seed) inputs replay byte-identically.
+Single-threaded event loop over one heap of ``(t, rank, counter, fn, args)``
+entries, each running ``fn(*args)`` at ``t``. At one instant transmission ends
+run first, then deliveries, superframe ticks and slot wake-ups, each kind in
+push order. Identical (world, duration, seed) inputs replay byte-identically.
 Two transmissions whose airtime intervals overlap destroy each other at every
 receiver; otherwise each receiver independently drops the frame with the
 medium's loss probability. Transmission intervals are half-open, so a frame
@@ -26,8 +28,9 @@ KIND_DELIVER = "deliver"
 KIND_TICK = "tick"
 
 # Heap rank: transmissions must leave the active set before anything that
-# starts at the same instant is checked against them.
-_RANK = {KIND_TX_END: 0, KIND_DELIVER: 1, KIND_TICK: 2, "callback": 3}
+# starts at the same instant is checked against them, and a tick moves the
+# robots before a slot wake-up at the same instant encodes their poses.
+_RANK_TX_END, _RANK_DELIVER, _RANK_TICK, _RANK_WAKE = range(4)
 
 
 @dataclass(frozen=True)
@@ -110,12 +113,9 @@ class Simulator:
 
     # -- scheduling --------------------------------------------------------
 
-    def schedule(self, t: float, fn: Callable[[float], None]) -> None:
-        heapq.heappush(self._heap, (t, _RANK["callback"], self._counter, fn, None))
-        self._counter += 1
-
-    def _push_event(self, t: float, kind: str, payload) -> None:
-        heapq.heappush(self._heap, (t, _RANK[kind], self._counter, None, (kind, payload)))
+    def schedule(self, t: float, rank: int, fn: Callable[..., None], *args) -> None:
+        """Run ``fn(*args)`` at time ``t``, after entries of lower rank due then."""
+        heapq.heappush(self._heap, (t, rank, self._counter, fn, args))
         self._counter += 1
 
     # -- medium ------------------------------------------------------------
@@ -134,7 +134,7 @@ class Simulator:
         self.events.append(
             SimEvent(self.now, KIND_TX_START, tx_node, -1, frame.seq, frame.superframe_idx)
         )
-        self._push_event(tx.t_end, KIND_TX_END, tx)
+        self.schedule(tx.t_end, _RANK_TX_END, self._finish_transmission, tx)
 
     def _finish_transmission(self, tx: _Transmission) -> None:
         self._active.remove(tx)
@@ -157,8 +157,8 @@ class Simulator:
                 continue
             if self._rng.random() < p:
                 continue
-            self._push_event(
-                tx.t_end + self.medium.propagation, KIND_DELIVER, (peer_id, tx.frame)
+            self.schedule(
+                tx.t_end + self.medium.propagation, _RANK_DELIVER, self._deliver, peer_id, tx.frame
             )
 
     def _deliver(self, peer_id: int, frame: Frame) -> None:
@@ -167,6 +167,11 @@ class Simulator:
         )
         self.behaviors[peer_id].on_receive(self, frame, self.now)
 
+    def _tick(self, superframe_idx: int) -> None:
+        self.events.append(SimEvent(self.now, KIND_TICK, superframe=superframe_idx))
+        for node_id in sorted(self.behaviors):
+            self.behaviors[node_id].on_tick(self, superframe_idx, self.now)
+
     # -- run loop ----------------------------------------------------------
 
     def run(self, duration: float) -> list[SimEvent]:
@@ -174,26 +179,15 @@ class Simulator:
             raise ValueError("duration must be positive")
         n_ticks = int(math.floor(duration / self.superframe_period + 1e-9))
         for k in range(n_ticks + 1):
-            self._push_event(k * self.superframe_period, KIND_TICK, k)
+            self.schedule(k * self.superframe_period, _RANK_TICK, self._tick, k)
         for behavior in [self.behaviors[i] for i in sorted(self.behaviors)]:
             behavior.on_start(self, 0.0)
         while self._heap:
-            t, _rank, _c, fn, ev = heapq.heappop(self._heap)
+            t, _rank, _c, fn, args = heapq.heappop(self._heap)
             if t > duration + 1e-12:
                 break
             self.now = t
-            if fn is not None:
-                fn(t)
-            else:
-                kind, payload = ev
-                if kind == KIND_TX_END:
-                    self._finish_transmission(payload)
-                elif kind == KIND_DELIVER:
-                    self._deliver(*payload)
-                elif kind == KIND_TICK:
-                    self.events.append(SimEvent(t, KIND_TICK, superframe=payload))
-                    for node_id in sorted(self.behaviors):
-                        self.behaviors[node_id].on_tick(self, payload, t)
+            fn(*args)
         return self.events
 
 
@@ -223,7 +217,6 @@ class BroadcastNode:
         self.roster = tuple(roster)
         self.trace: list[dict] = []  # per-superframe (t, divisor, loss) samples
         self._payload = b""
-        self._sim: Optional[Simulator] = None
 
     # -- hooks ---------------------------------------------------------------
 
@@ -239,22 +232,19 @@ class BroadcastNode:
     # -- wiring --------------------------------------------------------------
 
     def on_start(self, sim: Simulator, now: float) -> None:
-        self._sim = sim
         self.scheduler.rng = sim.node_rng_seed(self.node_id)
         self._payload = bytes(sim.node_rng_seed(self.node_id ^ 0xE0B).bytes(self.payload_bytes))
         for peer in self.roster:
             if peer != self.node_id:
                 self.scheduler.register_peer(peer, now)
-        sim.schedule(next_tx_time(self.scheduler, now), self._slot_callback)
+        sim.schedule(next_tx_time(self.scheduler, now), _RANK_WAKE, self._slot_callback, sim)
 
-    def _slot_callback(self, now: float) -> None:
-        sim = self._sim
+    def _slot_callback(self, sim: Simulator) -> None:
+        now = sim.now
         state = self.scheduler
         k = state.superframe_of(now)
-        adapt_rate(state, now)
-        self.trace.append(
-            {"t": now, "divisor": state.tx_divisor, "loss": state.max_peer_loss(now)}
-        )
+        loss = adapt_rate(state, now)
+        self.trace.append({"t": now, "divisor": state.tx_divisor, "loss": loss})
         if state.eligible(k):
             frame = Frame(
                 node_id=self.node_id,
@@ -264,7 +254,7 @@ class BroadcastNode:
             )
             sim.transmit(frame, self.node_id)
         sim.schedule((k + 1) * state.superframe_period + state.slot_index * state.slot_width,
-                     self._slot_callback)
+                     _RANK_WAKE, self._slot_callback, sim)
 
     def on_receive(self, sim: Simulator, frame: Frame, now: float) -> None:
         on_frame_received(self.scheduler, frame, now)
@@ -290,7 +280,8 @@ def events_to_jsonl(events: Iterable[SimEvent]) -> str:
 
 
 def summarize(events: Iterable[SimEvent], divisor_by_node: Optional[dict[int, float]] = None) -> list[dict]:
-    """Per-node counters: frames_tx, frames_rx, collisions, loss_rate."""
+    """Per-node frames_tx, frames_rx, collisions and loss_rate: one row for each
+    node seen in the events or keyed in ``divisor_by_node``, silent ones too."""
     tx: dict[int, int] = {}
     rx: dict[int, int] = {}
     collided: dict[int, int] = {}
@@ -303,7 +294,7 @@ def summarize(events: Iterable[SimEvent], divisor_by_node: Optional[dict[int, fl
         elif e.kind == KIND_DELIVER:
             rx[e.node_id] = rx.get(e.node_id, 0) + 1
             received_of[e.peer_id] = received_of.get(e.peer_id, 0) + 1
-    nodes = sorted(set(tx) | set(rx) | set(collided))
+    nodes = sorted(set(tx) | set(rx) | set(collided) | set(divisor_by_node or {}))
     n = len(nodes)
     rows = []
     for node in nodes:

@@ -424,6 +424,17 @@ class TestNetbench:
         assert sum(int(r["collisions"]) for r in rows) > 0
         assert any(float(r["mean_divisor"]) > 1.0 for r in rows)
 
+    def test_silent_nodes_keep_their_rows(self, tmp_path):
+        # Only node 0 gets to send, and none of its 3 peers receives the frame:
+        # every node still has a row, and node 0's loss counts all 3 peers.
+        cfg = write_config(tmp_path, n_nodes=4, duration_s=0.01, base_loss=0.9, seed=2)
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        rows = read_csv(out / "summary.csv")
+        assert [r["node_id"] for r in rows] == ["0", "1", "2", "3"]
+        assert [int(r["frames_tx"]) for r in rows] == [1, 0, 0, 0]
+        assert float(rows[0]["loss_rate"]) == 1.0
+
 
 class TestHomingCmd:
     def test_oracle_homing(self, tmp_path):

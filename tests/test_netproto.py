@@ -9,6 +9,7 @@ from covis.netproto import (
     Frame,
     FrameError,
     OverlongPayload,
+    PeerTracker,
     SchedulerState,
     Truncated,
     adapt_rate,
@@ -173,6 +174,16 @@ class TestLossEstimator:
         # After the window slides past the gap, only recent history counts.
         assert s.peers[7].loss_estimate(1.2) == 0.0
 
+    def test_record_alone_bounds_memory(self):
+        # Nobody asks for the loss, yet 1,000 s at 15 Hz keeps at most one
+        # 2 s window of entries (31 frames, both ends inclusive).
+        tracker = PeerTracker(window=2.0)
+        longest = 0
+        for seq in range(15 * 1000):
+            tracker.record(seq / 15.0, seq)
+            longest = max(longest, len(tracker.entries))
+        assert longest <= 31
+
 
 class TestAdaptRate:
     def make(self, **kw):
@@ -214,8 +225,9 @@ class TestAdaptRate:
         s = self.make(tx_divisor=4)
         t = 0.0
         for i in range(100):
-            self.feed_loss(s, 0.06 + 0.03 * (i % 2), t)  # oscillates inside [0.05, 0.10]
-            adapt_rate(s, t)
+            loss = 0.06 + 0.03 * (i % 2)  # oscillates inside [0.05, 0.10]
+            self.feed_loss(s, loss, t)
+            assert adapt_rate(s, t) == loss  # the value the step acted on
             t += PERIOD
         assert s.tx_divisor == 4
 

@@ -1,5 +1,6 @@
 import pytest
 
+from covis.netproto import PeerTracker
 from covis.netsim import (
     KIND_DELIVER,
     KIND_TICK,
@@ -39,7 +40,37 @@ class TestLossProbability:
             loss_probability(Medium(), 0)
 
 
+def exact_fit_pair():
+    """Two nodes in two 50 ms slots whose frames take exactly one slot of airtime,
+    so each frame ends at the instant the other node's slot begins."""
+    medium = Medium(bitrate=16_000.0, base_loss=0.0, loss_slope=0.0)
+    sim = Simulator(medium, seed=0, superframe_hz=10.0)
+    for i in range(2):
+        # 80 payload bytes + 20 framing bytes = 800 bits = 0.05 s at 16 kb/s.
+        sim.add_node(pinned(BroadcastNode(i, n_slots=2, payload_bytes=80, superframe_hz=10.0)))
+    return sim
+
+
 class TestMediumMechanics:
+    def test_frame_ending_as_another_starts_does_not_collide(self):
+        sim = exact_fit_pair()
+        events = sim.run(0.45)
+        ends = [e for e in events if e.kind == KIND_TX_END]
+        starts = {e.time for e in events if e.kind == KIND_TX_START}
+        assert len({e.time for e in ends} & starts) >= 8  # the intervals really do touch
+        assert not any(e.collided for e in ends)
+        assert sum(1 for e in events if e.kind == KIND_DELIVER) == len(ends)
+
+    def test_same_instant_order(self):
+        # At t = 0.1 node 1's frame ends and lands at node 0, superframe 1
+        # begins and node 0 wakes in slot 0: tx end, delivery, tick, then the
+        # wake-up's transmission, whatever order they were pushed in. Formation
+        # needs the tick before the wake-up so a robot encodes its moved pose.
+        sim = exact_fit_pair()
+        events = sim.run(0.15)
+        at = [e.kind for e in events if e.time == 0.1]
+        assert at == [KIND_TX_END, KIND_DELIVER, KIND_TICK, KIND_TX_START]
+
     def test_two_disjoint_frames_delivered(self):
         sim = Simulator(LOSSLESS, seed=0)
         for i in range(2):
@@ -162,6 +193,23 @@ class TestTdmaIntegration:
             events = run([node], duration=80.0, seed=1, medium=LOSSLESS)
             sent = sum(1 for e in events if e.kind == KIND_TX_START)
             assert sent == 1200 // divisor + 1
+
+
+class TestLossMeasurement:
+    def test_one_loss_measurement_per_wakeup(self, monkeypatch):
+        calls = []
+        measure = PeerTracker.loss_estimate
+
+        def counted(tracker, now):
+            calls.append(now)
+            return measure(tracker, now)
+
+        monkeypatch.setattr(PeerTracker, "loss_estimate", counted)
+        behaviors = [BroadcastNode(i, payload_bytes=256, roster=range(3)) for i in range(3)]
+        run(behaviors, duration=3.0, seed=1)
+        wakeups = sum(len(b.trace) for b in behaviors)
+        assert wakeups > 0
+        assert len(calls) == wakeups * 2  # each node measures its 2 peers once
 
 
 class TestContention:

@@ -6,6 +6,10 @@ the ego y direction (left); the ego sits at the grid center. Cell (i, j)
 covers ego coordinates x in [i*res - extent/2, (i+1)*res - extent/2), same
 for y. "Occupied" is the complement of navigable space.
 
+``sample_cells`` is the one nearest-cell lookup for such grids, the world
+floor of ``scenario`` (same convention, world coordinates) included;
+``cell_centres`` gives the centre of every cell.
+
 The wire form is a 16-byte header (H, W as uint32, resolution as float32,
 4 reserved bytes) followed by row-major little-endian float32 cells.
 """
@@ -54,16 +58,6 @@ class BevGrid:
     def shape(self) -> tuple[int, int]:
         return self.cells.shape
 
-    @staticmethod
-    def unknown(extent: float = DEFAULT_EXTENT, resolution: float = DEFAULT_RESOLUTION) -> "BevGrid":
-        n = int(round(extent / resolution))
-        return BevGrid(np.full((n, n), UNKNOWN), extent, resolution)
-
-    def axis_coords(self) -> np.ndarray:
-        """Cell-center coordinates along either axis (ego meters)."""
-        n = self.cells.shape[0]
-        return (np.arange(n) + 0.5) * self.resolution - self.extent / 2.0
-
     def to_bytes(self) -> bytes:
         h, w = self.cells.shape
         return _HEADER.pack(h, w, self.resolution) + self.cells.astype("<f4").tobytes(order="C")
@@ -87,6 +81,30 @@ class BevGrid:
         return BevGrid.from_bytes(base64.b64decode(text))
 
 
+def cell_centres(extent: float, resolution: float) -> tuple[np.ndarray, np.ndarray]:
+    """x and y of every cell centre of a square grid, indexed like its cells."""
+    n = int(round(extent / resolution))
+    coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
+    return np.meshgrid(coords, coords, indexing="ij")
+
+
+def sample_cells(cells: np.ndarray, extent: float, resolution: float, x, y, outside):
+    """Value of the cell holding each finite point (x, y); ``outside`` off the grid.
+
+    ``cells`` is a square grid centred on the origin with cell (i, j)
+    covering [i*res - extent/2, (i+1)*res - extent/2) in x, same in y. The
+    result has the shape of ``x`` and the dtype of ``cells``.
+    """
+    n = cells.shape[0]
+    half = extent / 2.0
+    # Indices clip onto a one-cell ring of ``outside`` around the grid.
+    i = np.clip(np.floor((x + half) / resolution), -1, n).astype(np.intp) + 1
+    j = np.clip(np.floor((y + half) / resolution), -1, n).astype(np.intp) + 1
+    ringed = np.full((n + 2, n + 2), outside, dtype=cells.dtype)
+    ringed[1:-1, 1:-1] = cells
+    return ringed.ravel()[i * (n + 2) + j]
+
+
 def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:
     """Resample a neighbor grid into the destination ego frame.
 
@@ -95,9 +113,7 @@ def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:
     the nearest source cell under the inverse transform; cells falling outside
     the source footprint become unknown (0.5).
     """
-    n = src.cells.shape[0]
-    coords = src.axis_coords()
-    xs, ys = np.meshgrid(coords, coords, indexing="ij")
+    xs, ys = cell_centres(src.extent, src.resolution)
     tx, ty = rel.position.x, rel.position.y
     yaw = rel.rotation.yaw()
     c, s = math.cos(yaw), math.sin(yaw)
@@ -105,12 +121,8 @@ def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:
     dx, dy = xs - tx, ys - ty
     px = c * dx + s * dy
     py = -s * dx + c * dy
-    ix = np.floor((px + src.extent / 2.0) / src.resolution).astype(int)
-    iy = np.floor((py + src.extent / 2.0) / src.resolution).astype(int)
-    valid = (ix >= 0) & (ix < n) & (iy >= 0) & (iy < n)
-    out = np.full_like(src.cells, UNKNOWN)
-    out[valid] = src.cells[ix[valid], iy[valid]]
-    return BevGrid(out, src.extent, src.resolution)
+    cells = sample_cells(src.cells, src.extent, src.resolution, px, py, UNKNOWN)
+    return BevGrid(cells, src.extent, src.resolution)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:

@@ -460,8 +460,9 @@ def cmd_netbench(args) -> int:
         for sample in b.trace
     ]
     (out / "trace.jsonl").write_text("\n".join(trace_lines) + "\n")
+    # A node that never woke ran no backoff step: NaN, but it keeps its row.
     mean_div = {
-        b.node_id: float(np.mean([s["divisor"] for s in b.trace])) if b.trace else 1.0
+        b.node_id: float(np.mean([s["divisor"] for s in b.trace])) if b.trace else float("nan")
         for b in behaviors
     }
     rows = [

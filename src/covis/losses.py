@@ -2,7 +2,7 @@
 
 Every kernel is a plain function of floats or grids so any external training
 loop can be checked against it. Variances are clamped to a floor of 1e-8
-before use (never NaN; ``GnllTerm.clamped`` reports when the floor engaged).
+before use, so a loss is never NaN.
 Gradients with respect to quaternions are taken in the four raw components
 and projected onto the tangent plane of the unit sphere, which is what a
 finite-difference check with renormalized perturbations measures.
@@ -32,10 +32,6 @@ class GnllTerm:
     mu: float
     mu_hat: float
     sigma2_hat: float
-
-    @property
-    def clamped(self) -> bool:
-        return self.sigma2_hat <= VARIANCE_FLOOR
 
     @property
     def variance(self) -> float:

@@ -136,7 +136,9 @@ def decode(data: bytes) -> Frame:
 class PeerTracker:
     """Received (time, seq) pairs for one peer over a sliding window. Calls
     must come in non-decreasing ``now`` (the simulator clock): eviction pops
-    expired entries from the front only."""
+    expired entries from the front only. One peer's seqs must arrive in
+    increasing order (the medium delivers a sender's frames in the order it
+    sent them), so the window's ends span its seqs."""
 
     window: float
     entries: deque[tuple[float, int]] = field(default_factory=deque)
@@ -158,9 +160,8 @@ class PeerTracker:
         if not self.entries:
             reference = self.last_seen if self.last_seen is not None else self.registered_at
             return 1.0 if now - reference >= self.window else 0.0
-        seqs = [s for _, s in self.entries]
-        expected = max(seqs) - min(seqs) + 1
-        return (expected - len(seqs)) / expected
+        expected = self.entries[-1][1] - self.entries[0][1] + 1
+        return (expected - len(self.entries)) / expected
 
 
 @dataclass

@@ -8,6 +8,9 @@ on the leader estimate. The leader teleports along its reference trajectory.
 ``FormationRun`` refuses a config whose frames cannot carry the embedding
 header or never arrive fresh. ``follower_error_rows`` is the one follower
 tracking error. Everything is a pure function of (config, seed).
+
+BEV crops, visibility rays and ``World.occupied_at`` read the world floor,
+a grid in the convention of ``bev``, through ``bev.sample_cells``.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import ndimage
 
-from .bev import BevGrid
+from .bev import UNKNOWN, BevGrid, cell_centres, sample_cells
 from .config import ConfigError, RunConfig
 from .control import Command, Gate, PdGains, PdState, formation_cmd, kf_follow_step, kf_record_step
 from .estimator import (
@@ -57,19 +60,9 @@ class World:
     def free_mask(self) -> np.ndarray:
         return self.occupancy < 0.5
 
-    def cell_of(self, x: float, y: float) -> tuple[int, int]:
-        n = self.occupancy.shape[0]
-        i = int(math.floor((x + self.extent / 2.0) / self.resolution))
-        j = int(math.floor((y + self.extent / 2.0) / self.resolution))
-        return min(max(i, 0), n - 1), min(max(j, 0), n - 1)
-
     def occupied_at(self, x: float, y: float) -> float:
         """Occupancy at a world point; outside the floor counts as unknown."""
-        half = self.extent / 2.0
-        if not (-half <= x < half and -half <= y < half):
-            return 0.5
-        i, j = self.cell_of(x, y)
-        return float(self.occupancy[i, j])
+        return float(sample_cells(self.occupancy, self.extent, self.resolution, x, y, UNKNOWN))
 
 
 _WALL = 2  # wall thickness in cells
@@ -151,35 +144,23 @@ def sample_free_position(world: World, rng: np.random.Generator) -> tuple[float,
 # BEV crops and visibility
 
 
-def _crop_points(pose: Pose, extent: float, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """World coordinates of crop cell centers for an ego-aligned grid."""
-    n = int(round(extent / resolution))
-    coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
-    ex, ey = np.meshgrid(coords, coords, indexing="ij")  # ego x (forward), ego y (left)
+_RAY_STEPS = 96  # samples per visibility ray
+
+
+def _to_world(pose: Pose, ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """World coordinates of ego-frame points (ego x forward, ego y left)."""
     yaw = pose.rotation.yaw()
     c, s = math.cos(yaw), math.sin(yaw)
-    wx = pose.position.x + c * ex - s * ey
-    wy = pose.position.y + s * ex + c * ey
-    return wx, wy
-
-
-def _lookup(world: World, wx: np.ndarray, wy: np.ndarray) -> np.ndarray:
-    half = world.extent / 2.0
-    n = world.occupancy.shape[0]
-    i = np.floor((wx + half) / world.resolution).astype(int)
-    j = np.floor((wy + half) / world.resolution).astype(int)
-    inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
-    out = np.full(wx.shape, 0.5)
-    out[inside] = world.occupancy[i[inside], j[inside]]
-    return out
+    return pose.position.x + c * ex - s * ey, pose.position.y + s * ex + c * ey
 
 
 def bev_crop(
     world: World, pose: Pose, extent: float = 6.0, resolution: float = 6.0 / 64
 ) -> BevGrid:
     """Ground-truth ego crop: rotated so the ego faces the +x grid axis."""
-    wx, wy = _crop_points(pose, extent, resolution)
-    return BevGrid(_lookup(world, wx, wy), extent, resolution)
+    wx, wy = _to_world(pose, *cell_centres(extent, resolution))
+    cells = sample_cells(world.occupancy, world.extent, world.resolution, wx, wy, UNKNOWN)
+    return BevGrid(cells, extent, resolution)
 
 
 def observed_grid(
@@ -188,7 +169,6 @@ def observed_grid(
     fov_deg: float,
     extent: float = 6.0,
     resolution: float = 6.0 / 64,
-    ray_steps: int = 96,
     truth: Optional[BevGrid] = None,
 ) -> BevGrid:
     """Ego crop masked to what the camera can actually see.
@@ -198,9 +178,7 @@ def observed_grid(
     as the first blocker). Invisible cells are unknown (0.5). ``truth`` is
     this pose's ``bev_crop``, built here when the caller does not pass it.
     """
-    n = int(round(extent / resolution))
-    coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
-    ex, ey = np.meshgrid(coords, coords, indexing="ij")
+    ex, ey = cell_centres(extent, resolution)
     if truth is None:
         truth = bev_crop(world, pose, extent, resolution)
 
@@ -211,28 +189,16 @@ def observed_grid(
 
     dist = np.hypot(ex, ey)
     # Sample each ray from the ego to just short of the cell itself.
-    alphas = (np.arange(ray_steps) + 0.5) / ray_steps
+    alphas = (np.arange(_RAY_STEPS) + 0.5) / _RAY_STEPS
     cutoff = 1.0 - resolution / np.maximum(dist, resolution)
-    yaw = pose.rotation.yaw()
-    c, s = math.cos(yaw), math.sin(yaw)
-    px = ex[:, None] * alphas
-    py = ey[:, None] * alphas
-    wx = pose.position.x + c * px - s * py
-    wy = pose.position.y + s * px + c * py
-    # Wall cells padded by one never-blocking cell: samples off the floor
-    # clip onto the pad, just as unknown (0.5) is never a wall.
-    n_world = world.occupancy.shape[0]
-    walls = np.zeros((n_world + 2, n_world + 2), dtype=bool)
-    walls[1:-1, 1:-1] = world.occupancy > 0.5
-    half = world.extent / 2.0
-    i = np.clip(np.floor((wx + half) / world.resolution), -1, n_world).astype(np.intp) + 1
-    j = np.clip(np.floor((wy + half) / world.resolution), -1, n_world).astype(np.intp) + 1
-    occ = walls.ravel()[i * (n_world + 2) + j]
+    wx, wy = _to_world(pose, ex[:, None] * alphas, ey[:, None] * alphas)
+    # Samples off the floor never block, just as unknown (0.5) is never a wall.
+    occ = sample_cells(world.occupancy > 0.5, world.extent, world.resolution, wx, wy, False)
     blocking = occ & (alphas[None, :] < cutoff[:, None])
 
-    visible = np.zeros((n, n), dtype=bool)
+    visible = np.zeros(in_fov.shape, dtype=bool)
     visible[in_fov] = ~blocking.any(axis=-1)
-    cells = np.full((n, n), 0.5)
+    cells = np.full(in_fov.shape, UNKNOWN)
     cells[visible] = truth.cells[visible]
     return BevGrid(cells, extent, resolution)
 

@@ -34,11 +34,6 @@ class TestBevGrid:
         with pytest.raises(ValueError):
             BevGrid(np.full((4, 4), 1.5), extent=4.0, resolution=1.0)
 
-    def test_default_unknown(self):
-        g = BevGrid.unknown()
-        assert g.shape == (64, 64)
-        assert np.all(g.cells == 0.5)
-
     def test_bytes_roundtrip(self):
         rng = np.random.default_rng(0)
         g = BevGrid(rng.uniform(size=(64, 64)).astype(np.float32).astype(float))
@@ -50,13 +45,13 @@ class TestBevGrid:
         assert np.array_equal(back.cells, g.cells)
 
     def test_base64_roundtrip(self):
-        g = BevGrid.unknown()
+        g = BevGrid(np.full((64, 64), 0.5))
         assert np.array_equal(BevGrid.from_base64(g.to_base64()).cells, g.cells)
 
     def test_bad_blob(self):
         with pytest.raises(ValueError):
             BevGrid.from_bytes(b"short")
-        g = BevGrid.unknown()
+        g = BevGrid(np.full((64, 64), 0.5))
         with pytest.raises(ValueError):
             BevGrid.from_bytes(g.to_bytes()[:-5])
 
@@ -167,5 +162,6 @@ class TestCoverageGain:
         assert d_fused > d_ego
 
     def test_shape_mismatch(self):
+        unknown = BevGrid(np.full((64, 64), 0.5))
         with pytest.raises(ValueError):
-            coverage_gain(BevGrid.unknown(), BevGrid.unknown(), small_grid(np.zeros((4, 4))))
+            coverage_gain(unknown, unknown, small_grid(np.zeros((4, 4))))

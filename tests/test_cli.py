@@ -434,6 +434,8 @@ class TestNetbench:
         assert [r["node_id"] for r in rows] == ["0", "1", "2", "3"]
         assert [int(r["frames_tx"]) for r in rows] == [1, 0, 0, 0]
         assert float(rows[0]["loss_rate"]) == 1.0
+        # Nodes 1 to 3 never woke up, so they ran no backoff step to average.
+        assert all(math.isnan(float(r["mean_divisor"])) for r in rows[1:])
 
 
 class TestHomingCmd:

@@ -7,6 +7,7 @@ from covis.bev import BevGrid
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3
 from covis.losses import (
+    VARIANCE_FLOOR,
     EdgeSample,
     GnllTerm,
     LossWeights,
@@ -52,7 +53,7 @@ class TestGnll:
 
     def test_clamping_never_nan(self):
         t = GnllTerm(0.0, 1.0, 0.0)
-        assert t.clamped
+        assert t.variance == VARIANCE_FLOOR
         assert math.isfinite(gnll(t))
 
     def test_mse_reduction_at_unit_variance(self):

@@ -211,6 +211,31 @@ class TestLossMeasurement:
         assert wakeups > 0
         assert len(calls) == wakeups * 2  # each node measures its 2 peers once
 
+    @pytest.mark.parametrize(
+        "n_nodes, n_slots, medium",
+        [
+            (4, 2, Medium()),  # two nodes per slot: collisions
+            (4, 4, Medium(propagation=0.05)),  # deliveries land in later slots and superframes
+            (2, 2, Medium(bitrate=80_000.0, base_loss=0.0, loss_slope=0.0)),  # 0.104 s airtime
+        ],
+        ids=["collisions", "propagation", "airtime_over_superframe"],
+    )
+    def test_delivered_seqs_increase_per_peer(self, n_nodes, n_slots, medium):
+        # PeerTracker.loss_estimate spans a peer's seqs from the window's two
+        # ends, so each receiver must get each sender's frames in seq order.
+        roster = range(n_nodes)
+        behaviors = [BroadcastNode(i, n_slots, payload_bytes=1024, roster=roster) for i in roster]
+        events = run(behaviors, duration=20.0, seed=6, medium=medium)
+        seqs = {}
+        for e in events:
+            if e.kind == KIND_DELIVER:
+                seqs.setdefault((e.node_id, e.peer_id), []).append(e.seq)
+        assert len(seqs) == n_nodes * (n_nodes - 1)
+        for got in seqs.values():
+            assert all(a < b for a, b in zip(got, got[1:]))
+        if n_slots < n_nodes:
+            assert any(e.collided for e in events if e.kind == KIND_TX_END)
+
 
 class TestContention:
     def test_same_slot_contenders_recover(self):

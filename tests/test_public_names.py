@@ -1,4 +1,4 @@
-"""Every public top-level name in the package has a caller outside its own tests."""
+"""Every public name in the package has a caller outside its own tests."""
 
 import ast
 from pathlib import Path
@@ -23,6 +23,15 @@ def _defined(tree):
                 yield name, node.lineno, node.end_lineno
 
 
+def _methods(tree):
+    """(class, name, first line, last line) of each public method or property."""
+    for node in tree.body:
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)) and not item.name.startswith("_"):
+                    yield node.name, item.name, item.lineno, item.end_lineno
+
+
 def _used(tree):
     """(name, line) of each identifier a module reads, attribute or import."""
     for node in ast.walk(tree):
@@ -35,21 +44,50 @@ def _used(tree):
                 yield alias.name, node.lineno
 
 
+def _attributes(tree):
+    """(name, line) of each attribute a module reaches."""
+    return [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+
+
+def _package():
+    return {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+
+
+def _acceptance():
+    return ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
+
+
+def _reached_elsewhere(name, path, first, last, uses):
+    """Whether a module reaches ``name`` outside lines first..last of ``path``."""
+    return any(
+        used == name and not (other == path and first <= line <= last)
+        for other, refs in uses.items()
+        for used, line in refs
+    )
+
+
 def test_every_public_name_has_a_caller():
-    trees = {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
+    trees = _package()
     uses = {path: list(_used(tree)) for path, tree in trees.items()}
-    acceptance = ast.parse((ROOT / "tests" / "test_acceptance.py").read_text())
-    imported = {alias.name for node in ast.walk(acceptance) if isinstance(node, ast.ImportFrom)
+    imported = {alias.name for node in ast.walk(_acceptance()) if isinstance(node, ast.ImportFrom)
                 for alias in node.names}
-    unused = []
-    for path, tree in trees.items():
-        for name, first, last in _defined(tree):
-            if name in imported:
-                continue
-            if not any(
-                used == name and not (other == path and first <= line <= last)
-                for other, refs in uses.items()
-                for used, line in refs
-            ):
-                unused.append(f"{path.name}:{first} {name}")
+    unused = [
+        f"{path.name}:{first} {name}"
+        for path, tree in trees.items()
+        for name, first, last in _defined(tree)
+        if name not in imported and not _reached_elsewhere(name, path, first, last, uses)
+    ]
+    assert unused == []
+
+
+def test_every_public_method_has_a_caller():
+    trees = _package()
+    uses = {path: _attributes(tree) for path, tree in trees.items()}
+    reached = {name for name, _ in _attributes(_acceptance())}
+    unused = [
+        f"{path.name}:{first} {cls}.{name}"
+        for path, tree in trees.items()
+        for cls, name, first, last in _methods(tree)
+        if name not in reached and not _reached_elsewhere(name, path, first, last, uses)
+    ]
     assert unused == []

@@ -11,12 +11,13 @@ from covis.estimator import Observation, PoseEstimate, edge_rng, estimate
 from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, relative_pose, rot_geodesic_deg
 from covis.metrics import EdgeRecord, is_invisible
 from covis import scenario
+from covis.bev import BevGrid, sample_cells, transform_grid
 from covis.netsim import KIND_DELIVER
 from covis.scenario import (
     FormationRun,
     RobotNode,
     TrajectorySpec,
-    _lookup,
+    World,
     bev_crop,
     dataset_jsonl,
     follower_offsets,
@@ -140,6 +141,88 @@ class TestBevCrops:
         assert np.all(obs.cells[m + 14 :, m] == 0.5)  # beyond the wall
         assert obs.cells[m + 10, m] == 1.0  # the wall is seen
         assert obs.cells[m + 5, m] == 0.0  # free space before it
+
+
+def _lookup(world, wx, wy):
+    """The original masked gather of world cells; off the floor reads 0.5."""
+    half = world.extent / 2.0
+    n = world.occupancy.shape[0]
+    i = np.floor((wx + half) / world.resolution).astype(int)
+    j = np.floor((wy + half) / world.resolution).astype(int)
+    inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
+    out = np.full(wx.shape, 0.5)
+    out[inside] = world.occupancy[i[inside], j[inside]]
+    return out
+
+
+def _occupied_at_reference(world, x, y):
+    """The original scalar point query: a bounds test, then a clamped cell."""
+    half = world.extent / 2.0
+    if not (-half <= x < half and -half <= y < half):
+        return 0.5
+    n = world.occupancy.shape[0]
+    i = int(math.floor((x + world.extent / 2.0) / world.resolution))
+    j = int(math.floor((y + world.extent / 2.0) / world.resolution))
+    return float(world.occupancy[min(max(i, 0), n - 1), min(max(j, 0), n - 1)])
+
+
+class TestSampleCells:
+    """sample_cells reads what the original masked gather and point query read."""
+
+    @staticmethod
+    def _edge_coords(world, rng):
+        """Both grid edges, the last float below +extent/2, far outside, cell
+        boundaries and random points around the grid."""
+        half = world.extent / 2.0
+        n = world.occupancy.shape[0]
+        edges = [-half, np.nextafter(-half, -np.inf), np.nextafter(half, 0.0), half, -1e6, 1e6]
+        bounds = np.arange(n + 1) * world.resolution - half
+        return np.concatenate([edges, bounds, rng.uniform(-half - 1.0, half + 1.0, size=40)])
+
+    @pytest.mark.parametrize(
+        "world",
+        [
+            gen_world(0),  # 256 x 256 cells, 24 m
+            gen_world(7, extent=14.0, n_rooms=2),
+            World(np.random.default_rng(1).uniform(size=(64, 64)), 6.0, 6.0 / 64, 0),  # a BEV grid
+            World(np.random.default_rng(2).uniform(size=(32, 32)), 4.0, 0.125, 0),
+        ],
+        ids=["world24", "world14", "bev64", "bev32"],
+    )
+    def test_matches_masked_gather(self, world):
+        rng = np.random.default_rng(world.occupancy.shape[0])
+        coords = self._edge_coords(world, rng)
+        x, y = np.meshgrid(coords, coords, indexing="ij")
+        want = _lookup(world, x, y)
+        got = sample_cells(world.occupancy, world.extent, world.resolution, x, y, 0.5)
+        assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+        walls = sample_cells(world.occupancy > 0.5, world.extent, world.resolution, x, y, False)
+        assert walls.dtype == bool and np.array_equal(walls, want > 0.5)
+        flat = sample_cells(world.occupancy, world.extent, world.resolution, x[:, 0], y[:, 0], 0.5)
+        assert flat.tobytes() == want[:, 0].tobytes()
+
+    @pytest.mark.parametrize("seed, extent", [(0, 24.0), (7, 14.0)])
+    def test_occupied_at_decides_like_the_scalar_query(self, seed, extent):
+        world = gen_world(seed, extent=extent, n_rooms=2)
+        coords = self._edge_coords(world, np.random.default_rng(seed))
+        for x in coords:
+            for y in coords[::3]:
+                assert (world.occupied_at(x, y) < 0.5) == (_occupied_at_reference(world, x, y) < 0.5)
+
+    def test_transform_grid_matches_masked_gather(self):
+        rng = np.random.default_rng(3)
+        grid = BevGrid(rng.uniform(size=(64, 64)))
+        for _ in range(20):
+            tx, ty = rng.uniform(-4.0, 4.0, size=2)
+            yaw = rng.uniform(-math.pi, math.pi)
+            got = transform_grid(grid, Pose(Vec3(tx, ty, 0.0), UnitQuat.from_yaw(yaw)))
+            coords = (np.arange(64) + 0.5) * grid.resolution - grid.extent / 2.0
+            xs, ys = np.meshgrid(coords, coords, indexing="ij")
+            c, s = math.cos(yaw), math.sin(yaw)
+            dx, dy = xs - tx, ys - ty
+            src = World(grid.cells, grid.extent, grid.resolution, 0)
+            want = _lookup(src, c * dx + s * dy, -s * dx + c * dy)
+            assert got.cells.tobytes() == want.tobytes()
 
 
 def _observed_grid_reference(world, pose, fov_deg, extent=6.0, resolution=6.0 / 64, ray_steps=96):

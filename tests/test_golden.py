@@ -1,0 +1,22 @@
+"""Every output file of the golden runs matches its digest in tests/golden.json."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
+golden = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(golden)
+
+
+def test_outputs_match_golden_digests(tmp_path):
+    want = json.loads(golden.GOLDEN.read_text())
+    got = golden.digests(tmp_path)
+    expected = want["digests"]
+    differ = sorted(k for k in expected.keys() | got.keys() if expected.get(k) != got.get(k))
+    assert not differ, (
+        f"{len(differ)} of {len(expected)} output digests differ: {differ}. "
+        f"golden.json was made with {want['versions']}, this run has {golden.versions()}; "
+        "rewrite it with `python3 tools/golden.py` only for a declared stream change"
+    )

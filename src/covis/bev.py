@@ -6,9 +6,9 @@ the ego y direction (left); the ego sits at the grid center. Cell (i, j)
 covers ego coordinates x in [i*res - extent/2, (i+1)*res - extent/2), same
 for y. "Occupied" is the complement of navigable space.
 
-``sample_cells`` is the one nearest-cell lookup for such grids, the world
-floor of ``scenario`` (same convention, world coordinates) included;
-``cell_centres`` gives the centre of every cell.
+``BevGrid.sample`` is the one nearest-cell lookup for such grids, the world
+floor of ``scenario`` (a ``BevGrid`` in world coordinates) included: a point
+off the grid reads unknown. ``cell_centres`` gives the centre of every cell.
 
 The wire form is a 16-byte header (H, W as uint32, resolution as float32,
 4 reserved bytes) followed by row-major little-endian float32 cells.
@@ -38,25 +38,45 @@ FUSE_CLAMP = 0.01  # fused probabilities live in [FUSE_CLAMP, 1 - FUSE_CLAMP]
 
 @dataclass(frozen=True)
 class BevGrid:
-    """Occupancy-probability grid around an ego robot."""
+    """Occupancy-probability grid, square and centred on the origin.
+
+    The grid holds its cells inside a one-cell ring of unknown, built once
+    here; ``cells`` is a read-only view of the interior, copied from the
+    array the grid was made from.
+    """
 
     cells: np.ndarray
     extent: float = DEFAULT_EXTENT
     resolution: float = field(default=DEFAULT_RESOLUTION)
+    _ringed: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        c = np.asarray(self.cells, dtype=float)
+        c = np.asarray(self.cells)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"grid must be square, got shape {c.shape}")
         if not math.isclose(c.shape[0] * self.resolution, self.extent, rel_tol=1e-9):
             raise ValueError("grid shape * resolution must equal extent")
-        if np.any(c < 0.0) or np.any(c > 1.0):
+        ringed = np.full((c.shape[0] + 2, c.shape[1] + 2), UNKNOWN)
+        ringed[1:-1, 1:-1] = c
+        ringed.flags.writeable = False
+        cells = ringed[1:-1, 1:-1]
+        if np.any(cells < 0.0) or np.any(cells > 1.0):
             raise ValueError("cells must lie in [0, 1]")
-        object.__setattr__(self, "cells", c)
+        object.__setattr__(self, "_ringed", ringed)
+        object.__setattr__(self, "cells", cells)
 
-    @property
-    def shape(self) -> tuple[int, int]:
-        return self.cells.shape
+    def sample(self, x, y):
+        """Value of the cell holding each finite point (x, y); unknown off the grid.
+
+        Cell (i, j) covers [i*res - extent/2, (i+1)*res - extent/2) in x,
+        same in y. The result has the shape of ``x``.
+        """
+        n = self.cells.shape[0]
+        half = self.extent / 2.0
+        # Indices clip onto the ring of unknown around the grid.
+        i = np.clip(np.floor((x + half) / self.resolution), -1, n).astype(np.intp) + 1
+        j = np.clip(np.floor((y + half) / self.resolution), -1, n).astype(np.intp) + 1
+        return self._ringed.ravel()[i * (n + 2) + j]
 
     def to_bytes(self) -> bytes:
         h, w = self.cells.shape
@@ -71,7 +91,7 @@ class BevGrid:
         if len(data) != expected:
             raise ValueError(f"grid blob length {len(data)} != expected {expected}")
         cells = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(h, w)
-        return BevGrid(cells.astype(float), extent=h * float(res), resolution=float(res))
+        return BevGrid(cells, extent=h * float(res), resolution=float(res))
 
     def to_base64(self) -> str:
         return base64.b64encode(self.to_bytes()).decode("ascii")
@@ -86,23 +106,6 @@ def cell_centres(extent: float, resolution: float) -> tuple[np.ndarray, np.ndarr
     n = int(round(extent / resolution))
     coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
     return np.meshgrid(coords, coords, indexing="ij")
-
-
-def sample_cells(cells: np.ndarray, extent: float, resolution: float, x, y, outside):
-    """Value of the cell holding each finite point (x, y); ``outside`` off the grid.
-
-    ``cells`` is a square grid centred on the origin with cell (i, j)
-    covering [i*res - extent/2, (i+1)*res - extent/2) in x, same in y. The
-    result has the shape of ``x`` and the dtype of ``cells``.
-    """
-    n = cells.shape[0]
-    half = extent / 2.0
-    # Indices clip onto a one-cell ring of ``outside`` around the grid.
-    i = np.clip(np.floor((x + half) / resolution), -1, n).astype(np.intp) + 1
-    j = np.clip(np.floor((y + half) / resolution), -1, n).astype(np.intp) + 1
-    ringed = np.full((n + 2, n + 2), outside, dtype=cells.dtype)
-    ringed[1:-1, 1:-1] = cells
-    return ringed.ravel()[i * (n + 2) + j]
 
 
 def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:
@@ -121,8 +124,7 @@ def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:
     dx, dy = xs - tx, ys - ty
     px = c * dx + s * dy
     py = -s * dx + c * dy
-    cells = sample_cells(src.cells, src.extent, src.resolution, px, py, UNKNOWN)
-    return BevGrid(cells, src.extent, src.resolution)
+    return BevGrid(src.sample(px, py), src.extent, src.resolution)
 
 
 def _logit(p: np.ndarray) -> np.ndarray:
@@ -146,7 +148,7 @@ def fuse(
         (grid, est) for grid, est in neighbors if est.sigma_p_norm() <= gate_sigma
     ]
     if not kept:
-        return BevGrid(ego.cells.copy(), ego.extent, ego.resolution)
+        return ego
     log_odds = _logit(ego.cells)
     for grid, est in kept:
         moved = transform_grid(grid, Pose(est.p_hat, est.q_hat))

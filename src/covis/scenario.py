@@ -9,8 +9,9 @@ on the leader estimate. The leader teleports along its reference trajectory.
 header or never arrive fresh. ``follower_error_rows`` is the one follower
 tracking error. Everything is a pure function of (config, seed).
 
-BEV crops, visibility rays and ``World.occupied_at`` read the world floor,
-a grid in the convention of ``bev``, through ``bev.sample_cells``.
+The world floor is a ``bev.BevGrid`` in world coordinates: BEV crops,
+visibility rays and the free-space test of ``sample_groups`` read it through
+``BevGrid.sample``.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import Callable, Optional
 import numpy as np
 from scipy import ndimage
 
-from .bev import UNKNOWN, BevGrid, cell_centres, sample_cells
+from .bev import UNKNOWN, BevGrid, cell_centres
 from .config import ConfigError, RunConfig
 from .control import Command, Gate, PdGains, PdState, formation_cmd, kf_follow_step, kf_record_step
 from .estimator import (
@@ -48,23 +49,6 @@ DATASET_SCHEMA = "covis.dataset@1"
 # Worlds
 
 
-@dataclass(frozen=True)
-class World:
-    """Planar floor: occupancy cells (1 = wall) with axis 0 = world x."""
-
-    occupancy: np.ndarray
-    extent: float
-    resolution: float
-    seed: int
-
-    def free_mask(self) -> np.ndarray:
-        return self.occupancy < 0.5
-
-    def occupied_at(self, x: float, y: float) -> float:
-        """Occupancy at a world point; outside the floor counts as unknown."""
-        return float(sample_cells(self.occupancy, self.extent, self.resolution, x, y, UNKNOWN))
-
-
 _WALL = 2  # wall thickness in cells
 _DOOR = 8  # door width in cells
 _MIN_ROOM = 24  # smallest room side in cells
@@ -75,10 +59,12 @@ def gen_world(
     extent: float = 24.0,
     n_rooms: int = 4,
     resolution: float = 6.0 / 64,
-) -> World:
+) -> BevGrid:
     """Axis-aligned rooms from recursive splits, one door per internal wall.
 
-    Free space is guaranteed 4-connected (checked by flood fill).
+    The floor is an occupancy grid (1 = wall, axis 0 = world x) of
+    ``round(extent / resolution)`` whole cells, centred on the origin. Free
+    space is guaranteed 4-connected (checked by flood fill).
     """
     if extent < 12.0:
         raise ValueError("extent must be >= 12 m so 6 m crops fit with margin")
@@ -122,18 +108,17 @@ def gen_world(
         else:
             break  # nothing splittable left
 
-    world = World(occupancy=occ, extent=extent, resolution=resolution, seed=seed)
-    free = world.free_mask()
-    _, n_components = ndimage.label(free, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
+    world = BevGrid(occ, n * resolution, resolution)
+    _, n_components = ndimage.label(occ < 0.5, structure=np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]]))
     if n_components != 1:
         raise RuntimeError("world generation produced disconnected free space")
     return world
 
 
-def sample_free_position(world: World, rng: np.random.Generator) -> tuple[float, float]:
-    free_idx = np.flatnonzero(world.free_mask().ravel())
+def sample_free_position(world: BevGrid, rng: np.random.Generator) -> tuple[float, float]:
+    free_idx = np.flatnonzero(world.cells < 0.5)
     flat = int(rng.choice(free_idx))
-    n = world.occupancy.shape[0]
+    n = world.cells.shape[0]
     i, j = divmod(flat, n)
     x = (i + rng.uniform()) * world.resolution - world.extent / 2.0
     y = (j + rng.uniform()) * world.resolution - world.extent / 2.0
@@ -155,32 +140,23 @@ def _to_world(pose: Pose, ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, n
 
 
 def bev_crop(
-    world: World, pose: Pose, extent: float = 6.0, resolution: float = 6.0 / 64
+    world: BevGrid, pose: Pose, extent: float = 6.0, resolution: float = 6.0 / 64
 ) -> BevGrid:
     """Ground-truth ego crop: rotated so the ego faces the +x grid axis."""
     wx, wy = _to_world(pose, *cell_centres(extent, resolution))
-    cells = sample_cells(world.occupancy, world.extent, world.resolution, wx, wy, UNKNOWN)
-    return BevGrid(cells, extent, resolution)
+    return BevGrid(world.sample(wx, wy), extent, resolution)
 
 
-def observed_grid(
-    world: World,
-    pose: Pose,
-    fov_deg: float,
-    extent: float = 6.0,
-    resolution: float = 6.0 / 64,
-    truth: Optional[BevGrid] = None,
-) -> BevGrid:
+def observed_grid(world: BevGrid, pose: Pose, fov_deg: float, truth: BevGrid) -> BevGrid:
     """Ego crop masked to what the camera can actually see.
 
     A cell is visible when its bearing lies inside the horizontal FOV and no
     wall blocks the straight line from the ego (walls themselves are visible
     as the first blocker). Invisible cells are unknown (0.5). ``truth`` is
-    this pose's ``bev_crop``, built here when the caller does not pass it.
+    this pose's ``bev_crop``, whose extent and resolution the result takes.
     """
+    extent, resolution = truth.extent, truth.resolution
     ex, ey = cell_centres(extent, resolution)
-    if truth is None:
-        truth = bev_crop(world, pose, extent, resolution)
 
     bearing = np.degrees(np.arctan2(ey, ex))
     in_fov = np.abs(bearing) <= fov_deg / 2.0
@@ -192,9 +168,8 @@ def observed_grid(
     alphas = (np.arange(_RAY_STEPS) + 0.5) / _RAY_STEPS
     cutoff = 1.0 - resolution / np.maximum(dist, resolution)
     wx, wy = _to_world(pose, ex[:, None] * alphas, ey[:, None] * alphas)
-    # Samples off the floor never block, just as unknown (0.5) is never a wall.
-    occ = sample_cells(world.occupancy > 0.5, world.extent, world.resolution, wx, wy, False)
-    blocking = occ & (alphas[None, :] < cutoff[:, None])
+    # Samples off the floor read unknown (0.5), which is never a wall.
+    blocking = (world.sample(wx, wy) > 0.5) & (alphas[None, :] < cutoff[:, None])
 
     visible = np.zeros(in_fov.shape, dtype=bool)
     visible[in_fov] = ~blocking.any(axis=-1)
@@ -225,7 +200,7 @@ class SampleGroup:
 
 
 def sample_groups(
-    world: World,
+    world: BevGrid,
     n_groups: int,
     n_max: int = 5,
     d_max: float = 2.0,
@@ -251,7 +226,7 @@ def sample_groups(
                 r = d_max * math.sqrt(rng.uniform())
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 x, y = ax + r * math.cos(theta), ay + r * math.sin(theta)
-                if world.occupied_at(x, y) < 0.5:
+                if world.sample(x, y) < 0.5:
                     positions.append((x, y))
                     break
             else:
@@ -262,7 +237,7 @@ def sample_groups(
             bev = bev_obs = None
             if with_bev:
                 bev = bev_crop(world, pose, bev_extent, bev_resolution)
-                bev_obs = observed_grid(world, pose, fov_deg, bev_extent, bev_resolution, truth=bev)
+                bev_obs = observed_grid(world, pose, fov_deg, bev)
             nodes.append(GroupNode(idx, pose, fov_deg, bev, bev_obs))
         groups.append(SampleGroup(tuple(nodes)))
     return groups

@@ -40,9 +40,21 @@ class TestBevGrid:
         blob = g.to_bytes()
         assert len(blob) == 16 + 4 * 64 * 64
         back = BevGrid.from_bytes(blob)
-        assert back.shape == g.shape
+        assert back.cells.shape == g.cells.shape
         assert back.resolution == pytest.approx(g.resolution)
         assert np.array_equal(back.cells, g.cells)
+
+    def test_cells_are_read_only(self):
+        g = BevGrid(np.full((64, 64), 0.5))
+        with pytest.raises(ValueError):
+            g.cells[3, 4] = 1.0
+        assert np.all(g.cells == 0.5)
+
+    def test_cells_are_copied(self):
+        source = np.zeros((8, 8))
+        g = BevGrid(source, extent=8.0, resolution=1.0)
+        source[:] = 1.0
+        assert np.all(g.cells == 0.0) and g.sample(0.5, 0.5) == 0.0
 
     def test_base64_roundtrip(self):
         g = BevGrid(np.full((64, 64), 0.5))
@@ -101,8 +113,7 @@ class TestFuse:
     def test_no_neighbors_returns_ego(self):
         rng = np.random.default_rng(5)
         ego = BevGrid(rng.uniform(size=(64, 64)))
-        out = fuse(ego, [], gate_sigma=1.0)
-        assert np.array_equal(out.cells, ego.cells)
+        assert fuse(ego, [], gate_sigma=1.0) is ego
 
     def test_reinforcement(self):
         cells = np.full((64, 64), 0.5)

@@ -11,13 +11,12 @@ from covis.estimator import Observation, PoseEstimate, edge_rng, estimate
 from covis.geometry import Pose, UnitQuat, Vec3, pos_dist, relative_pose, rot_geodesic_deg
 from covis.metrics import EdgeRecord, is_invisible
 from covis import scenario
-from covis.bev import BevGrid, sample_cells, transform_grid
+from covis.bev import BevGrid, transform_grid
 from covis.netsim import KIND_DELIVER
 from covis.scenario import (
     FormationRun,
     RobotNode,
     TrajectorySpec,
-    World,
     bev_crop,
     dataset_jsonl,
     follower_offsets,
@@ -37,23 +36,34 @@ class TestGenWorld:
     def test_deterministic(self):
         a = gen_world(5, extent=18.0, n_rooms=4)
         b = gen_world(5, extent=18.0, n_rooms=4)
-        assert np.array_equal(a.occupancy, b.occupancy)
+        assert np.array_equal(a.cells, b.cells)
 
     def test_single_room(self):
         w = gen_world(1, extent=12.0, n_rooms=1)
-        interior = w.occupancy[2:-2, 2:-2]
+        interior = w.cells[2:-2, 2:-2]
         assert np.all(interior == 0.0)
 
     def test_free_space_connected(self):
         for seed in range(5):
             w = gen_world(seed, extent=24.0, n_rooms=6)
             four = np.array([[0, 1, 0], [1, 1, 1], [0, 1, 0]])
-            _, n = ndimage.label(w.free_mask(), structure=four)
+            _, n = ndimage.label(w.cells < 0.5, structure=four)
             assert n == 1
 
     def test_infeasible_extent(self):
         with pytest.raises(ValueError):
             gen_world(0, extent=8.0, n_rooms=2)
+
+    @pytest.mark.parametrize("extent", [16.0, 14.0])
+    def test_floor_spans_whole_cells(self, extent):
+        # 16 m and 14 m are 170.67 and 149.33 cells of 6/64 m: the floor keeps
+        # the whole cells, centred on the origin, with its outer wall on each side.
+        w = gen_world(3, extent=extent, n_rooms=2)
+        n = w.cells.shape[0]
+        assert n == round(extent / w.resolution) and w.extent == n * w.resolution
+        half, res = w.extent / 2.0, w.resolution
+        for p, want in [(-half, 1.0), (half - res / 2.0, 1.0), (half, 0.5), (-half - res / 2.0, 0.5)]:
+            assert w.sample(p, 0.0) == want and w.sample(0.0, p) == want, p
 
 
 class TestSampleGroups:
@@ -115,8 +125,8 @@ class TestBevCrops:
         w = gen_world(3, extent=24.0, n_rooms=4)
         # Find a pose: center of the world looking along +x.
         pose = Pose(Vec3(0.0, 0.0, 0.0), UnitQuat.identity())
-        obs = observed_grid(w, pose, fov_deg=120.0)
         truth = bev_crop(w, pose)
+        obs = observed_grid(w, pose, 120.0, truth)
         n = obs.cells.shape[0]
         # Cells behind the ego (outside +-60 deg) are unknown.
         assert np.all(obs.cells[: n // 2 - 8, :] == 0.5)
@@ -129,14 +139,12 @@ class TestBevCrops:
         # Empty room with one wall band across the view: cells beyond it are
         # unknown, the wall itself visible.
         w = gen_world(0, extent=12.0, n_rooms=1)
-        occ = w.occupancy.copy()
+        occ = w.cells.copy()
         n = occ.shape[0]
         mid = n // 2
         occ[mid + 10 : mid + 12, :] = 1.0
-        from covis.scenario import World
-
-        w2 = World(occ, w.extent, w.resolution, w.seed)
-        obs = observed_grid(w2, Pose.identity(), fov_deg=120.0)
+        w2 = BevGrid(occ, w.extent, w.resolution)
+        obs = observed_grid(w2, Pose.identity(), 120.0, bev_crop(w2, Pose.identity()))
         m = obs.cells.shape[0] // 2
         assert np.all(obs.cells[m + 14 :, m] == 0.5)  # beyond the wall
         assert obs.cells[m + 10, m] == 1.0  # the wall is seen
@@ -144,14 +152,14 @@ class TestBevCrops:
 
 
 def _lookup(world, wx, wy):
-    """The original masked gather of world cells; off the floor reads 0.5."""
+    """The original masked gather of grid cells; off the grid reads 0.5."""
     half = world.extent / 2.0
-    n = world.occupancy.shape[0]
+    n = world.cells.shape[0]
     i = np.floor((wx + half) / world.resolution).astype(int)
     j = np.floor((wy + half) / world.resolution).astype(int)
     inside = (i >= 0) & (i < n) & (j >= 0) & (j < n)
     out = np.full(wx.shape, 0.5)
-    out[inside] = world.occupancy[i[inside], j[inside]]
+    out[inside] = world.cells[i[inside], j[inside]]
     return out
 
 
@@ -160,21 +168,21 @@ def _occupied_at_reference(world, x, y):
     half = world.extent / 2.0
     if not (-half <= x < half and -half <= y < half):
         return 0.5
-    n = world.occupancy.shape[0]
+    n = world.cells.shape[0]
     i = int(math.floor((x + world.extent / 2.0) / world.resolution))
     j = int(math.floor((y + world.extent / 2.0) / world.resolution))
-    return float(world.occupancy[min(max(i, 0), n - 1), min(max(j, 0), n - 1)])
+    return float(world.cells[min(max(i, 0), n - 1), min(max(j, 0), n - 1)])
 
 
 class TestSampleCells:
-    """sample_cells reads what the original masked gather and point query read."""
+    """BevGrid.sample reads what the original masked gather and point query read."""
 
     @staticmethod
     def _edge_coords(world, rng):
         """Both grid edges, the last float below +extent/2, far outside, cell
         boundaries and random points around the grid."""
         half = world.extent / 2.0
-        n = world.occupancy.shape[0]
+        n = world.cells.shape[0]
         edges = [-half, np.nextafter(-half, -np.inf), np.nextafter(half, 0.0), half, -1e6, 1e6]
         bounds = np.arange(n + 1) * world.resolution - half
         return np.concatenate([edges, bounds, rng.uniform(-half - 1.0, half + 1.0, size=40)])
@@ -184,21 +192,21 @@ class TestSampleCells:
         [
             gen_world(0),  # 256 x 256 cells, 24 m
             gen_world(7, extent=14.0, n_rooms=2),
-            World(np.random.default_rng(1).uniform(size=(64, 64)), 6.0, 6.0 / 64, 0),  # a BEV grid
-            World(np.random.default_rng(2).uniform(size=(32, 32)), 4.0, 0.125, 0),
+            BevGrid(np.random.default_rng(1).uniform(size=(64, 64)), 6.0, 6.0 / 64),  # a BEV grid
+            BevGrid(np.random.default_rng(2).uniform(size=(32, 32)), 4.0, 0.125),
         ],
         ids=["world24", "world14", "bev64", "bev32"],
     )
     def test_matches_masked_gather(self, world):
-        rng = np.random.default_rng(world.occupancy.shape[0])
+        rng = np.random.default_rng(world.cells.shape[0])
         coords = self._edge_coords(world, rng)
         x, y = np.meshgrid(coords, coords, indexing="ij")
         want = _lookup(world, x, y)
-        got = sample_cells(world.occupancy, world.extent, world.resolution, x, y, 0.5)
+        got = world.sample(x, y)
         assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
-        walls = sample_cells(world.occupancy > 0.5, world.extent, world.resolution, x, y, False)
-        assert walls.dtype == bool and np.array_equal(walls, want > 0.5)
-        flat = sample_cells(world.occupancy, world.extent, world.resolution, x[:, 0], y[:, 0], 0.5)
+        # The visibility rays' wall test: off the grid (0.5) is never a wall.
+        assert np.array_equal(got > 0.5, _lookup(world, x, y) > 0.5)
+        flat = world.sample(x[:, 0], y[:, 0])
         assert flat.tobytes() == want[:, 0].tobytes()
 
     @pytest.mark.parametrize("seed, extent", [(0, 24.0), (7, 14.0)])
@@ -207,7 +215,7 @@ class TestSampleCells:
         coords = self._edge_coords(world, np.random.default_rng(seed))
         for x in coords:
             for y in coords[::3]:
-                assert (world.occupied_at(x, y) < 0.5) == (_occupied_at_reference(world, x, y) < 0.5)
+                assert (world.sample(x, y) < 0.5) == (_occupied_at_reference(world, x, y) < 0.5)
 
     def test_transform_grid_matches_masked_gather(self):
         rng = np.random.default_rng(3)
@@ -220,8 +228,7 @@ class TestSampleCells:
             xs, ys = np.meshgrid(coords, coords, indexing="ij")
             c, s = math.cos(yaw), math.sin(yaw)
             dx, dy = xs - tx, ys - ty
-            src = World(grid.cells, grid.extent, grid.resolution, 0)
-            want = _lookup(src, c * dx + s * dy, -s * dx + c * dy)
+            want = _lookup(grid, c * dx + s * dy, -s * dx + c * dy)
             assert got.cells.tobytes() == want.tobytes()
 
 
@@ -277,7 +284,7 @@ class TestObservedGridReference:
                     x, y = sample_free_position(world, rng)
                 pose = Pose(Vec3(x, y, 0.0), UnitQuat.from_yaw(rng.uniform(-math.pi, math.pi)))
                 grid = (4.0, 0.125) if k % 4 == 0 else (6.0, 6.0 / 64)
-                got = observed_grid(world, pose, fov, *grid).cells
+                got = observed_grid(world, pose, fov, bev_crop(world, pose, *grid)).cells
                 want = _observed_grid_reference(world, pose, fov, *grid)
                 assert got.tobytes() == want.tobytes(), (fov, x, y, grid)
 

@@ -26,7 +26,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden.json"
 
 sys.path.insert(0, str(ROOT / "src"))
-from covis.cli import EXIT_OK, main  # noqa: E402
+from covis import cli  # noqa: E402
 
 # A step is (output directory, subcommand, input file written by an earlier step).
 _DATASET_STEPS = (("datagen", "datagen", None), ("metrics", "metrics", "datagen/dataset.jsonl"))
@@ -75,8 +75,8 @@ def digests(work: Path) -> dict[str, str]:
                 argv = [command, "--config", str(cfg_path), "--seed", str(seed), "--out", str(run / out_dir)]
                 if source is not None:
                     argv += ["--input", str(run / source)]
-                code = main(argv)
-                if code != EXIT_OK:
+                code = cli.main(argv)
+                if code != cli.EXIT_OK:
                     raise RuntimeError(f"{name} seed {seed}: covis {command} exited {code}")
             for path in sorted(p for p in run.rglob("*") if p.is_file()):
                 key = f"{name}/{seed}/{path.relative_to(run).as_posix()}"
@@ -84,7 +84,7 @@ def digests(work: Path) -> dict[str, str]:
     return out
 
 
-def main_golden() -> int:
+def main() -> int:
     with tempfile.TemporaryDirectory() as tmp:
         found = digests(Path(tmp))
     GOLDEN.write_text(json.dumps({"versions": versions(), "digests": found}, indent=1, sort_keys=True) + "\n")
@@ -93,4 +93,4 @@ def main_golden() -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main_golden())
+    sys.exit(main())

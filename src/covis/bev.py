@@ -69,7 +69,7 @@ class BevGrid:
         """Value of the cell holding each finite point (x, y); unknown off the grid.
 
         Cell (i, j) covers [i*res - extent/2, (i+1)*res - extent/2) in x,
-        same in y. The result has the shape of ``x``.
+        same in y. ``x``, ``y`` and the result have one shape.
         """
         n = self.cells.shape[0]
         cell = np.empty(np.shape(x))
@@ -142,7 +142,7 @@ def fuse(
     """Combine neighbor grids into the ego frame by log-odds addition.
 
     Neighbors whose position-uncertainty norm exceeds ``gate_sigma`` are
-    skipped. With no surviving neighbor the ego grid is returned unchanged
+    skipped. With no surviving neighbor the ego grid itself is returned
     (the self-loop contract). Otherwise cells are combined in log-odds space
     (0.5 neutral) and clamped to [0.01, 0.99].
     """

@@ -24,7 +24,6 @@ import base64
 import csv
 import json
 import logging
-import math
 import os
 import sys
 import time
@@ -38,7 +37,7 @@ from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
 from .geometry import relative_pose_rows, unit_quat_rows, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
-from .netsim import BroadcastNode, events_to_jsonl, summarize
+from .netsim import events_to_jsonl, summarize
 from .scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
@@ -47,11 +46,10 @@ from .scenario import (
     follower_error_rows,
     follower_offsets,
     gen_world,
+    network_from_config,
     run_homing,
     runlog_jsonl,
     sample_groups,
-    scheduler_from_config,
-    simulator_from_config,
     tracking_errors,
 )
 
@@ -137,7 +135,7 @@ def cmd_simulate(args) -> int:
     out = _out_dir(args)
     records, events = run.run()
     (out / "runlog.jsonl").write_text(runlog_jsonl(cfg, records))
-    stats = tracking_errors(records, follower_offsets(cfg), skip_s=10.0)
+    stats = tracking_errors(records, run.offsets, skip_s=10.0)
     rows = [
         {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
         for f, s in sorted(stats.items())
@@ -432,22 +430,12 @@ def cmd_datagen(args) -> int:
 def cmd_netbench(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
-    sim = simulator_from_config(cfg)
+    sim = network_from_config(cfg)
     capture: list[str] = []
     sim.capture_sink = lambda t, wire: capture.append(
         json.dumps({"t": t, "frame_b64": base64.b64encode(wire).decode("ascii")})
     )
-    roster = tuple(range(cfg.n_nodes))
-    behaviors = []
-    for i in range(cfg.n_nodes):
-        node = BroadcastNode(
-            i,
-            payload_bytes=cfg.payload_bytes,
-            roster=roster,
-            scheduler=scheduler_from_config(cfg, i),
-        )
-        behaviors.append(node)
-        sim.add_node(node)
+    behaviors = sim.behaviors.values()
     events = sim.run(cfg.duration_s)
     (out / "events.jsonl").write_text(
         json.dumps({"schema": "covis.events@1"}) + "\n" + events_to_jsonl(events)
@@ -516,14 +504,7 @@ def cmd_traces(args) -> int:
         return EXIT_VALIDATION
     keys = sorted(pose_at)
     rows = [pose_at[key] for key in keys]
-    offsets = follower_offsets(cfg)
-    leader_at = {tick: row for (tick, node), row in pose_at.items() if node == FormationRun.LEADER}
-    scored = [k for k, (tick, node) in enumerate(keys) if node in offsets and tick in leader_at]
-    f, lead = [rows[k] for k in scored], [leader_at[keys[k][0]] for k in scored]
-    pos_err, rot_err = np.full(len(keys), math.nan), np.full(len(keys), math.nan)
-    pos_err[scored], rot_err[scored] = follower_error_rows(
-        reader.p[f], reader.q[f], reader.p[lead], reader.q[lead], [offsets[keys[k][1]] for k in scored]
-    )
+    pos_err, rot_err = follower_error_rows(keys, reader.p[rows], reader.q[rows], follower_offsets(cfg))
     xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
     errors = zip(pos_err.tolist(), rot_err.tolist())
     traces = [

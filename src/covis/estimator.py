@@ -27,14 +27,30 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.special import erf, erfinv
 
 from .geometry import Pose, UnitQuat, Vec3, quat_angle_deg, quat_mul, quat_rotate, relative_pose
 
-# Median of |N(0,1)| = sqrt(2)*erfinv(1/2); a half-normal with scale
-# median/_HN_MEDIAN has the requested median.
-_HN_MEDIAN = math.sqrt(2.0) * float(erfinv(0.5))
+
+def _first_root(f) -> float:
+    """Smallest float t in (1e-9, 1e4] with f(t) >= 0, by float bisection.
+
+    ``f`` is increasing with f(1e-9) < 0 <= f(1e4). The result is defined by
+    ``f`` alone, not by a solver's tolerance.
+    """
+    lo, hi = 1e-9, 1e4
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return hi
+        if f(mid) >= 0.0:
+            hi = mid
+        else:
+            lo = mid
+
+
+# Median of |N(0,1)|, the root of erf(t/sqrt(2)) = 1/2; a half-normal with
+# scale median/_HN_MEDIAN has the requested median.
+_HN_MEDIAN = _first_root(lambda t: math.erf(t / math.sqrt(2.0)) - 0.5)
 
 
 @dataclass(frozen=True)
@@ -153,19 +169,16 @@ class NoiseProfile:
 def _mixture_median_factor(jitter: float) -> float:
     """Median of exp(jitter*g)*|z| for independent standard normals g, z.
 
-    Solved from E_g[erf(t*exp(-jitter*g)/sqrt(2))] = 1/2 with Gauss-Hermite
-    quadrature; reduces to the half-normal median at jitter = 0.
+    The first root of E_g[erf(t*exp(-jitter*g)/sqrt(2))] = 1/2 with
+    Gauss-Hermite quadrature; reduces to the half-normal median at jitter = 0.
     """
     if jitter == 0.0:
         return _HN_MEDIAN
     nodes, weights = np.polynomial.hermite.hermgauss(81)
-    g = math.sqrt(2.0) * nodes
     w = weights / math.sqrt(math.pi)
-
-    def cdf_minus_half(t: float) -> float:
-        return float(np.sum(w * erf(t * np.exp(-jitter * g) / math.sqrt(2.0)))) - 0.5
-
-    return float(brentq(cdf_minus_half, 1e-9, 1e4, xtol=1e-14, rtol=8.9e-16))
+    g = math.sqrt(2.0) * nodes
+    scale = np.exp(-jitter * g) / math.sqrt(2.0)
+    return _first_root(lambda t: float(np.sum(w * [math.erf(x) for x in (t * scale).tolist()])) - 0.5)
 
 
 def scale_for_median(median: float, jitter: float) -> float:

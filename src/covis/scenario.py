@@ -6,8 +6,11 @@ payloads of the frames it received. It estimates relative poses for every
 peer whose embedding arrived recently enough, and followers close a PD loop
 on the leader estimate. The leader teleports along its reference trajectory.
 ``FormationRun`` refuses a config whose frames cannot carry the embedding
-header or never arrive fresh. ``follower_error_rows`` is the one follower
-tracking error. Everything is a pure function of (config, seed).
+header or never arrive fresh. ``network_from_config`` is the one network a
+config builds, for formation runs and ``netbench`` alike, and
+``follower_error_rows`` is the one follower tracking error, pairing each
+follower pose with the leader pose of the same time. Everything is a pure
+function of (config, seed).
 
 The world floor is a ``bev.BevGrid`` in world coordinates: BEV crops,
 visibility rays and the free-space test of ``sample_groups`` read it through
@@ -199,6 +202,9 @@ class SampleGroup:
         return [(a, b) for a in self.nodes for b in self.nodes if a.node_id != b.node_id]
 
 
+_MAX_ATTEMPTS = 500  # rejection-sampling draws per neighbor
+
+
 def sample_groups(
     world: BevGrid,
     n_groups: int,
@@ -209,7 +215,6 @@ def sample_groups(
     with_bev: bool = True,
     bev_extent: float = 6.0,
     bev_resolution: float = 6.0 / 64,
-    max_attempts: int = 500,
 ) -> list[SampleGroup]:
     """Anchor uniform on free space, neighbors uniform in the d_max disc.
 
@@ -222,7 +227,7 @@ def sample_groups(
         ax, ay = sample_free_position(world, rng)
         positions = [(ax, ay)]
         for _ in range(n_max - 1):
-            for attempt in range(max_attempts):
+            for attempt in range(_MAX_ATTEMPTS):
                 r = d_max * math.sqrt(rng.uniform())
                 theta = rng.uniform(0.0, 2.0 * math.pi)
                 x, y = ax + r * math.cos(theta), ay + r * math.sin(theta)
@@ -405,26 +410,19 @@ def gains_from_config(cfg: RunConfig) -> PdGains:
     )
 
 
-def simulator_from_config(cfg: RunConfig) -> Simulator:
-    medium = Medium(
-        bitrate=cfg.bitrate_bps,
-        base_loss=cfg.base_loss,
-        loss_slope=cfg.loss_slope,
-        propagation=cfg.propagation_s,
-    )
-    return Simulator(medium, seed=cfg.seed, superframe_hz=cfg.superframe_hz)
-
-
-def scheduler_from_config(cfg: RunConfig, node_id: int) -> SchedulerState:
-    return SchedulerState(
-        node_id=node_id,
-        n_slots=cfg.n_slots,
-        superframe_period=1.0 / cfg.superframe_hz,
-        max_divisor=cfg.max_divisor,
-        high_watermark=cfg.high_watermark,
-        low_watermark=cfg.low_watermark,
-        loss_window=cfg.loss_window_s,
-    )
+def network_from_config(cfg: RunConfig, node: Callable[..., BroadcastNode] = BroadcastNode) -> Simulator:
+    """The config's TDMA network: medium, simulator and one
+    ``node(node_id, payload_bytes=..., roster=..., scheduler=...)`` per id."""
+    medium = Medium(cfg.bitrate_bps, cfg.base_loss, cfg.loss_slope, cfg.propagation_s)
+    sim = Simulator(medium, seed=cfg.seed, superframe_hz=cfg.superframe_hz)
+    roster = tuple(range(cfg.n_nodes))
+    for node_id in roster:
+        scheduler = SchedulerState(
+            node_id, cfg.n_slots, 1.0 / cfg.superframe_hz, max_divisor=cfg.max_divisor,
+            high_watermark=cfg.high_watermark, low_watermark=cfg.low_watermark, loss_window=cfg.loss_window_s,
+        )
+        sim.add_node(node(node_id, payload_bytes=cfg.payload_bytes, roster=roster, scheduler=scheduler))
+    return sim
 
 
 def make_estimator(cfg: RunConfig) -> Callable[[Observation, Observation, int], PoseEstimate]:
@@ -461,38 +459,32 @@ def follower_offsets(cfg: RunConfig) -> dict[int, Pose]:
 
 
 class RobotNode(BroadcastNode):
-    """Formation participant: broadcasts its embedding, estimates peers."""
+    """Formation participant: broadcasts its embedding, estimates peers. Its
+    config and start pose come from ``run``; the rest is ``BroadcastNode``'s."""
 
-    def __init__(self, node_id: int, cfg: RunConfig, run: "FormationRun"):
-        super().__init__(
-            node_id,
-            payload_bytes=cfg.payload_bytes,
-            roster=tuple(range(cfg.n_nodes)),
-            scheduler=scheduler_from_config(cfg, node_id),
-        )
-        self.cfg = cfg
+    def __init__(self, node_id: int, run: "FormationRun", **wiring):
+        super().__init__(node_id, **wiring)
         self.run = run
-        self.pose = Pose.identity()
+        self.pose = run.initial_pose(node_id)
         self.cmd = Command(Vec3.zero(), 0.0, gated=True)
         self.pd_state: Optional[PdState] = None
         self.inbox: dict[int, Observation] = {}  # freshest observation per peer
 
     def payload_for(self, superframe_idx: int) -> bytes:
-        obs = Observation(self.node_id, self.pose, self.cfg.fov_deg, b"", superframe_idx)
+        obs = Observation(self.node_id, self.pose, self.run.cfg.fov_deg, b"", superframe_idx)
         return obs.to_payload(self._payload)
 
     def handle_frame(self, sim: Simulator, frame, now: float) -> None:
-        current = self.inbox.get(frame.node_id)
-        if current is None or frame.superframe_idx >= current.tick:
-            self.inbox[frame.node_id] = Observation.from_payload(frame.payload)
+        # One sender's frames arrive in order, so the latest is the freshest.
+        self.inbox[frame.node_id] = Observation.from_payload(frame.payload)
 
     def fresh_estimates(self, tick: int, now: float) -> list[tuple[PoseEstimate, int]]:
-        own = Observation(self.node_id, self.pose, self.cfg.fov_deg, self._payload, tick)
+        own = Observation(self.node_id, self.pose, self.run.cfg.fov_deg, self._payload, tick)
         out = []
         for peer_id in sorted(self.inbox):
             obs = self.inbox[peer_id]
             age = now - obs.tick * self.scheduler.superframe_period
-            if age > self.cfg.stale_timeout_s:
+            if age > self.run.cfg.stale_timeout_s:
                 continue
             out.append((self.run.estimator(own, obs, tick), obs.tick))
         return out
@@ -582,11 +574,7 @@ class FormationRun:
         )
 
     def run(self) -> tuple[list[dict], list[SimEvent]]:
-        sim = simulator_from_config(self.cfg)
-        for node_id in range(self.cfg.n_nodes):
-            node = RobotNode(node_id, self.cfg, self)
-            node.pose = self.initial_pose(node_id)
-            sim.add_node(node)
+        sim = network_from_config(self.cfg, lambda node_id, **wiring: RobotNode(node_id, self, **wiring))
         events = sim.run(self.cfg.duration_s)
         return self.records, events
 
@@ -611,16 +599,25 @@ def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def follower_error_rows(p_f, q_f, p_l, q_l, offsets: list[Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """Position (m) and rotation (deg) tracking error per follower row.
+def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarray, np.ndarray]:
+    """Position (m) and rotation (deg) tracking error of each pose row.
 
-    Compares the true leader pose (``p_l``, ``q_l``) in the follower's frame
-    (``p_f``, ``q_f``, unit quaternion rows) with the row's reference offset.
+    ``keys[k]`` is the unique (time, node id) of row k of ``p`` and ``q``
+    (unit quaternion rows). A follower row compares the true leader pose of
+    the same time, in the follower's frame, with the follower's offset. Rows
+    of the leader or any node without an offset, and follower rows whose time
+    has no leader row, are NaN.
     """
-    p_o = np.array([o.position.as_tuple() for o in offsets]).reshape(-1, 3)
-    q_o = np.array([o.rotation.as_tuple() for o in offsets]).reshape(-1, 4)
-    rel_pos, rel_quat = relative_pose_rows(p_f, q_f, p_l, q_l)
-    return norm_rows(rel_pos - p_o), quat_angle_deg_rows(rel_quat, q_o)
+    leader_at = {t: k for k, (t, node) in enumerate(keys) if node == FormationRun.LEADER}
+    scored = [k for k, (t, node) in enumerate(keys) if node in offsets and t in leader_at]
+    lead = [leader_at[keys[k][0]] for k in scored]
+    by_node = {node: (o.position.as_tuple(), o.rotation.as_tuple()) for node, o in offsets.items()}
+    p_o = np.array([by_node[keys[k][1]][0] for k in scored]).reshape(-1, 3)
+    q_o = np.array([by_node[keys[k][1]][1] for k in scored]).reshape(-1, 4)
+    rel_pos, rel_quat = relative_pose_rows(p[scored], q[scored], p[lead], q[lead])
+    pos_err, rot_err = np.full(len(keys), math.nan), np.full(len(keys), math.nan)
+    pos_err[scored], rot_err[scored] = norm_rows(rel_pos - p_o), quat_angle_deg_rows(rel_quat, q_o)
+    return pos_err, rot_err
 
 
 def tracking_errors(
@@ -634,22 +631,25 @@ def tracking_errors(
     writes them; a later record of the same time and node replaces an earlier one.
     """
     row_at = {(rec["t"], rec["node_id"]): k for k, rec in enumerate(records)}
-    times = sorted({t for t, _ in row_at})
+    keys = sorted(row_at)
+    times = sorted({t for t, _ in keys})
     dt = times[1] - times[0] if len(times) > 1 else 1.0
-    p = np.array([rec["pose_truth"]["p"] for rec in records], dtype=float).reshape(-1, 3)
-    q = np.array([rec["pose_truth"]["q"] for rec in records], dtype=float).reshape(-1, 4)
+    p = np.array([records[row_at[key]]["pose_truth"]["p"] for key in keys], dtype=float).reshape(-1, 3)
+    q = np.array([records[row_at[key]]["pose_truth"]["q"] for key in keys], dtype=float).reshape(-1, 4)
+    pos_err, rot_err = follower_error_rows(keys, p, q, offsets)
+    paired: dict[int, list[int]] = {f: [] for f in offsets}  # rows with a leader row, in time order
+    for k, (t, node) in enumerate(keys):
+        if node in paired and (t, FormationRun.LEADER) in row_at:
+            paired[node].append(k)
     out: dict[int, dict[str, float]] = {}
-    for follower, offset in offsets.items():
-        both = [t for t in times if (t, follower) in row_at and (t, FormationRun.LEADER) in row_at]
-        speeds = norm_rows(np.diff(p[[row_at[t, follower] for t in both]], axis=0))
-        f = [row_at[t, follower] for t in both if t >= skip_s]
-        lead = [row_at[t, FormationRun.LEADER] for t in both if t >= skip_s]
-        pos_errs, rot_errs = follower_error_rows(p[f], q[f], p[lead], q[lead], [offset] * len(f))
+    for follower, rows in paired.items():
+        speeds = norm_rows(np.diff(p[rows], axis=0))
+        f = [k for k in rows if keys[k][0] >= skip_s]
         out[follower] = {
-            "mean_abs_pos_m": float(np.mean(pos_errs)) if f else math.nan,
-            "median_pos_m": float(np.median(pos_errs)) if f else math.nan,
-            "mean_abs_rot_deg": float(np.mean(rot_errs)) if f else math.nan,
-            "median_rot_deg": float(np.median(rot_errs)) if f else math.nan,
+            "mean_abs_pos_m": float(np.mean(pos_err[f])) if f else math.nan,
+            "median_pos_m": float(np.median(pos_err[f])) if f else math.nan,
+            "mean_abs_rot_deg": float(np.mean(rot_err[f])) if f else math.nan,
+            "median_rot_deg": float(np.median(rot_err[f])) if f else math.nan,
             "mean_vel_mps": float(np.mean(speeds) / dt) if len(speeds) else math.nan,
         }
     return out
@@ -674,7 +674,10 @@ class HomingResult:
     completed: bool
 
 
-def run_homing(cfg: RunConfig, replay_factor: float = 3.0) -> HomingResult:
+_REPLAY_FACTOR = 3.0  # replay ticks allowed per taught tick
+
+
+def run_homing(cfg: RunConfig) -> HomingResult:
     """Teach a trajectory as keyframes, then replay it by keyframe following."""
     spec = trajectory_from_config(cfg)
     estimator = make_estimator(cfg)
@@ -706,7 +709,7 @@ def run_homing(cfg: RunConfig, replay_factor: float = 3.0) -> HomingResult:
     arrivals: list[float] = []
     cross: list[float] = []
     path_xy = np.array([(p.x, p.y) for p in taught_path])
-    max_ticks = int(replay_factor * n_teach)
+    max_ticks = int(_REPLAY_FACTOR * n_teach)
     completed = False
     for k in range(max_ticks):
         tick = n_teach + k  # distinct substream domain from the teach phase

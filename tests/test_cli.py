@@ -27,7 +27,16 @@ from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, pos_error, rot_error_deg
-from covis.scenario import DATASET_SCHEMA, RUNLOG_SCHEMA, FormationRun, follower_offsets, runlog_jsonl
+from covis.netsim import BroadcastNode
+from covis.scenario import (
+    DATASET_SCHEMA,
+    RUNLOG_SCHEMA,
+    FormationRun,
+    RobotNode,
+    follower_offsets,
+    network_from_config,
+    runlog_jsonl,
+)
 
 FAST = {
     "duration_s": 10.0,
@@ -438,6 +447,57 @@ class TestNetbench:
         assert all(math.isnan(float(r["mean_divisor"])) for r in rows[1:])
 
 
+# A non-default value of each network key of RunConfig.
+NETWORK_VALUES = {
+    "n_slots": 6,
+    "superframe_hz": 12.0,
+    "max_divisor": 4,
+    "high_watermark": 0.2,
+    "low_watermark": 0.02,
+    "loss_window_s": 1.5,
+    "bitrate_bps": 3e6,
+    "base_loss": 0.05,
+    "loss_slope": 0.02,
+    "propagation_s": 0.01,
+    "payload_bytes": 2048,
+    "n_nodes": 5,
+}
+
+
+class TestNetworkWiring:
+    @pytest.mark.parametrize("command, node_type", [("simulate", RobotNode), ("netbench", BroadcastNode)])
+    @pytest.mark.parametrize("key", sorted(NETWORK_VALUES))
+    def test_value_reaches_medium_simulator_and_schedulers(self, tmp_path, monkeypatch, key, command, node_type):
+        built = []
+
+        def capture(*args, **kwargs):
+            built.append(network_from_config(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("covis.scenario.network_from_config", capture)
+        monkeypatch.setattr("covis.cli.network_from_config", capture)
+        assert NETWORK_VALUES[key] != getattr(RunConfig(), key)
+        config = write_config(tmp_path, duration_s=0.5, **{key: NETWORK_VALUES[key]})
+        assert main([command, "--config", config, "--out", str(tmp_path / "out")]) == EXIT_OK
+        cfg, (sim,) = RunConfig.from_file(config), built
+        m = sim.medium
+        assert (m.bitrate, m.base_loss, m.loss_slope, m.propagation) == (
+            cfg.bitrate_bps, cfg.base_loss, cfg.loss_slope, cfg.propagation_s
+        )
+        assert (sim.seed, sim.superframe_period) == (cfg.seed, 1.0 / cfg.superframe_hz)
+        assert list(sim.behaviors) == list(range(cfg.n_nodes))
+        for node_id, node in sim.behaviors.items():
+            assert type(node) is node_type
+            assert (node.payload_bytes, node.roster) == (cfg.payload_bytes, tuple(range(cfg.n_nodes)))
+            s = node.scheduler
+            assert (s.node_id, s.n_slots, s.superframe_period, s.max_divisor) == (
+                node_id, cfg.n_slots, 1.0 / cfg.superframe_hz, cfg.max_divisor
+            )
+            assert (s.high_watermark, s.low_watermark, s.loss_window) == (
+                cfg.high_watermark, cfg.low_watermark, cfg.loss_window_s
+            )
+
+
 class TestHomingCmd:
     def test_oracle_homing(self, tmp_path):
         cfg = write_config(
@@ -827,6 +887,30 @@ class TestTracesMatchReference:
         _traces_reference(source, tmp_path / "want")
         got = (tmp_path / "got" / "traces.csv").read_bytes()
         assert got == (tmp_path / "want" / "traces.csv").read_bytes()
+
+    def test_missing_leader_ticks(self, tmp_path, metrics_inputs):
+        # Followers keep their rows at ticks without a leader record, with NaN errors.
+        header, *lines = metrics_inputs("runlog-default", 101).read_text().strip().split("\n")
+        period = 1.0 / RunConfig().superframe_hz
+
+        def in_gap(t):
+            return 20 <= round(float(t) / period) < 30
+
+        records = [json.loads(line) for line in lines]
+        kept = [line for line, rec in zip(lines, records) if not (rec["node_id"] == 0 and in_gap(rec["t"]))]
+        assert len(kept) == len(lines) - 10
+        runlog = tmp_path / "runlog.jsonl"
+        runlog.write_text("\n".join([header] + kept) + "\n")
+        assert main(["traces", "--input", str(runlog), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _traces_reference(runlog, tmp_path / "want")
+        got = (tmp_path / "got" / "traces.csv").read_bytes()
+        assert got == (tmp_path / "want" / "traces.csv").read_bytes()
+        followers = [r for r in read_csv(tmp_path / "got" / "traces.csv") if r["node_id"] != "0"]
+        gap = [r for r in followers if in_gap(r["t"])]
+        assert len(gap) == 20
+        for r in followers:
+            errors = [float(r["pos_err_m"]), float(r["rot_err_deg"])]
+            assert [math.isnan(e) for e in errors] == [in_gap(r["t"])] * 2
 
 
 class TestMalformedLineKeepsNoEdge:

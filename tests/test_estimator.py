@@ -1,10 +1,15 @@
 import math
+import os
 import struct
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from covis.estimator import (
+    _HN_MEDIAN,
     NoiseProfile,
     Observation,
     PoseEstimate,
@@ -12,6 +17,7 @@ from covis.estimator import (
     edge_rng,
     estimate,
     estimate_oracle,
+    _mixture_median_factor,
     scale_for_median,
 )
 from covis.geometry import (
@@ -193,6 +199,24 @@ class TestEdgeRng:
         s_rot = scale_for_median(profile.median_rot_visible, profile.sigma_jitter)
         assert rot_geodesic_deg(rel, e.q_hat) == pytest.approx(s_rot, rel=1e-9)
         assert abs(err.y) < 1e-12 and abs(err.z) < 1e-12
+
+
+class TestMedianRoot:
+    def test_pinned_bits(self):
+        # The smallest float whose quadrature CDF reaches 1/2; these are the
+        # bits scipy's brentq found, so default-config outputs kept their bytes.
+        assert _HN_MEDIAN.hex() == "0x1.5956b87528a4ap-1"  # sqrt(2) * erfinv(1/2)
+        pinned = {0.2: "0x1.55c070a6a8683p-1", 0.4: "0x1.4ce94d91399d4p-1", 0.6: "0x1.42bd31197af0bp-1"}
+        assert {j: _mixture_median_factor(j).hex() for j in pinned} == pinned
+        assert _mixture_median_factor(0.0) == _HN_MEDIAN
+
+    def test_import_leaves_out_scipy_solvers(self):
+        code = "import sys, covis.cli; print(sorted(m for m in ('scipy.optimize', 'scipy.linalg') if m in sys.modules))"
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestOracle:

@@ -20,3 +20,10 @@ def test_outputs_match_golden_digests(tmp_path):
         f"golden.json was made with {want['versions']}, this run has {golden.versions()}; "
         "rewrite it with `python3 tools/golden.py` only for a declared stream change"
     )
+
+
+def test_changes_name_each_added_changed_and_removed_key():
+    old = {"a/1/x.csv": "0", "b/1/y.csv": "1", "c/1/z.csv": "2"}
+    new = {"a/1/x.csv": "0", "b/1/y.csv": "9", "d/1/w.csv": "3"}
+    assert golden.changes(old, new) == ["changed b/1/y.csv", "removed c/1/z.csv", "added d/1/w.csv"]
+    assert golden.changes(new, new) == []

@@ -6,7 +6,8 @@ file from the repository root with
 
     python3 tools/golden.py
 
-and names every changed digest. The digests depend on the Python and numpy
+which prints each key it adds, changes or removes, and names every changed
+digest. The digests depend on the Python and numpy
 builds (and the platform libm), so ``golden.json`` records the versions it was
 made with.
 """
@@ -30,9 +31,16 @@ from covis import cli  # noqa: E402
 
 # A step is (output directory, subcommand, input file written by an earlier step).
 _DATASET_STEPS = (("datagen", "datagen", None), ("metrics", "metrics", "datagen/dataset.jsonl"))
+# The closed-loop steps, run for each leader trajectory kind.
+_TRAJECTORY_STEPS = (
+    ("simulate", "simulate", None),
+    ("traces", "traces", "simulate/runlog.jsonl"),
+    ("homing", "homing", None),
+)
 # (name, config, seeds, steps). formation, dataset and netstorm are the
 # perfbench workload configs; world16 is a floor that is not a whole number of
-# cells at the default resolution.
+# cells at the default resolution; rect_dynamic and fig8_static cover the
+# trajectory kinds that the default (fig8_dynamic) does not.
 CASES = (
     (
         "default",
@@ -56,6 +64,8 @@ CASES = (
     ("dataset", {"n_groups": 4}, (101, 202), _DATASET_STEPS),
     ("netstorm", {"n_nodes": 8, "n_slots": 8, "duration_s": 60.0}, (101, 202), (("netbench", "netbench", None),)),
     ("world16", {"n_groups": 4, "world_extent_m": 16.0}, (101, 202), _DATASET_STEPS),
+    ("rect_dynamic", {"trajectory": "rect_dynamic", "duration_s": 30.0}, (101,), _TRAJECTORY_STEPS),
+    ("fig8_static", {"trajectory": "fig8_static", "duration_s": 30.0}, (101,), _TRAJECTORY_STEPS),
 )
 
 
@@ -84,10 +94,22 @@ def digests(work: Path) -> dict[str, str]:
     return out
 
 
+def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
+    """One line per key added, changed or removed from ``old`` to ``new``."""
+    return [
+        f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
+        for key in sorted(old.keys() | new.keys())
+        if old.get(key) != new.get(key)
+    ]
+
+
 def main() -> int:
+    old = json.loads(GOLDEN.read_text())["digests"] if GOLDEN.exists() else {}
     with tempfile.TemporaryDirectory() as tmp:
         found = digests(Path(tmp))
     GOLDEN.write_text(json.dumps({"versions": versions(), "digests": found}, indent=1, sort_keys=True) + "\n")
+    for line in changes(old, found):
+        print(line)
     print(f"wrote {len(found)} digests to {GOLDEN.relative_to(ROOT)}")
     return 0
 

@@ -153,15 +153,16 @@ def kf_follow_step(
 ) -> tuple[Command, int, PdState]:
     """Drive toward the current keyframe; advance the index on arrival.
 
-    The reference is the zero offset (sit on the keyframe). The terminal
-    keyframe holds position: inside its arrival radius the command is zero.
+    The reference is the zero offset (sit on the keyframe). Arrival means an
+    estimated distance below ``eps_reach``. Arrival at the last keyframe
+    returns index ``kf_count``, which marks the path complete, with a zero
+    command.
     """
     if kf_index >= kf_count:
         raise ValueError("kf_index out of range")
     arrived = est_to_current_kf.p_hat.norm() < eps_reach
-    terminal = kf_index == kf_count - 1
-    if arrived and terminal:
-        return Command(Vec3.zero(), 0.0), kf_index, state or PdState()
+    if arrived and kf_index == kf_count - 1:
+        return Command(Vec3.zero(), 0.0), kf_count, state or PdState()
     cmd, new_state = formation_cmd(
         est_to_current_kf, Pose.identity(), state, dt, gains, gate
     )

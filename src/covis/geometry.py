@@ -168,9 +168,6 @@ class UnitQuat:
         r = self.to_matrix()
         return math.atan2(r[1][0], r[0][0])
 
-    def dot(self, other: "UnitQuat") -> float:
-        return self.w * other.w + self.x * other.x + self.y * other.y + self.z * other.z
-
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
 

@@ -19,6 +19,7 @@ visibility rays and the free-space test of ``sample_groups`` read it through
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass
@@ -198,9 +199,6 @@ class GroupNode:
 class SampleGroup:
     nodes: tuple[GroupNode, ...]
 
-    def directed_pairs(self) -> list[tuple[GroupNode, GroupNode]]:
-        return [(a, b) for a in self.nodes for b in self.nodes if a.node_id != b.node_id]
-
 
 _MAX_ATTEMPTS = 500  # rejection-sampling draws per neighbor
 
@@ -268,11 +266,8 @@ def dataset_jsonl(cfg: RunConfig, groups: list[SampleGroup]) -> str:
             if node.bev_obs is not None:
                 entry["bev_obs_b64"] = node.bev_obs.to_base64()
             nodes.append(entry)
-        ests = []
-        for a, b in group.directed_pairs():
-            obs_a = Observation(a.node_id, a.pose, a.fov_deg, b"", tick=g_idx)
-            obs_b = Observation(b.node_id, b.pose, b.fov_deg, b"", tick=g_idx)
-            ests.append(estimator(obs_a, obs_b, g_idx).to_dict())
+        views = [Observation(n.node_id, n.pose, n.fov_deg, b"", tick=g_idx) for n in group.nodes]
+        ests = [estimator(a, b, g_idx).to_dict() for a, b in itertools.permutations(views, 2)]
         record = {"group": g_idx, "nodes": nodes, "estimates": ests}
         lines.append(json.dumps(record, sort_keys=True))
     return "\n".join(lines) + "\n"
@@ -283,41 +278,26 @@ def _pose_dict(pose: Pose) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Leader trajectories
+# Leader trajectories: ``RunConfig``'s ``trajectory`` and ``traj_*`` keys, whose
+# rules (a positive period, rectangle sides of at least the corner diameter)
+# ``RunConfig.validate`` enforces.
 
 
-@dataclass(frozen=True)
-class TrajectorySpec:
-    kind: str  # fig8_dynamic | fig8_static | rect_dynamic
-    size_x: float = 2.0
-    size_y: float = 1.0
-    period: float = 60.0
-    corner_radius: float = 0.5
-
-    def __post_init__(self):
-        if self.period <= 0.0:
-            raise ValueError("period must be positive")
-        if self.kind not in ("fig8_dynamic", "fig8_static", "rect_dynamic"):
-            raise ValueError(f"unknown trajectory kind {self.kind!r}")
-
-
-def _fig8_xy(spec: TrajectorySpec, t: float) -> tuple[float, float, float, float]:
-    w = 2.0 * math.pi / spec.period
+def _fig8_xy(cfg: RunConfig, t: float) -> tuple[float, float, float, float]:
+    w = 2.0 * math.pi / cfg.traj_period_s
     th = w * t
-    x = spec.size_x * math.sin(th)
-    y = spec.size_y * math.sin(th) * math.cos(th)
-    vx = spec.size_x * w * math.cos(th)
-    vy = spec.size_y * w * math.cos(2.0 * th)
+    x = cfg.traj_size_x_m * math.sin(th)
+    y = cfg.traj_size_y_m * math.sin(th) * math.cos(th)
+    vx = cfg.traj_size_x_m * w * math.cos(th)
+    vy = cfg.traj_size_y_m * w * math.cos(2.0 * th)
     return x, y, vx, vy
 
 
-def _rect_xy(spec: TrajectorySpec, t: float) -> tuple[float, float, float, float]:
-    lx, ly, r = spec.size_x, spec.size_y, spec.corner_radius
-    if lx < 2 * r or ly < 2 * r:
-        raise ValueError("rectangle sides must exceed the corner diameter")
+def _rect_xy(cfg: RunConfig, t: float) -> tuple[float, float, float, float]:
+    lx, ly, r = cfg.traj_size_x_m, cfg.traj_size_y_m, cfg.traj_corner_radius_m
     straight_x, straight_y = lx - 2 * r, ly - 2 * r
     perimeter = 2 * straight_x + 2 * straight_y + 2 * math.pi * r
-    speed = perimeter / spec.period
+    speed = perimeter / cfg.traj_period_s
     s = (speed * t) % perimeter
     # Centered rectangle, counter-clockwise from the bottom-left straight.
     segs = [
@@ -357,31 +337,21 @@ def _arc(cx: float, cy: float, r: float, phi0: float, dphi: float):
     return x, y, -math.sin(phi), math.cos(phi)
 
 
-def leader_pose(spec: TrajectorySpec, t: float) -> Pose:
-    """Reference pose at time t; heading follows the velocity unless static."""
+def leader_pose(cfg: RunConfig, t: float) -> Pose:
+    """Reference pose of ``cfg.trajectory`` at time t; heading follows the velocity unless static."""
     if t < 0.0:
         raise ValueError("t must be non-negative")
-    if spec.kind in ("fig8_dynamic", "fig8_static"):
-        x, y, vx, vy = _fig8_xy(spec, t)
-        if spec.kind == "fig8_static":
-            _, _, vx0, vy0 = _fig8_xy(spec, 0.0)
+    if cfg.trajectory == "rect_dynamic":
+        x, y, vx, vy = _rect_xy(cfg, t)
+        yaw = math.atan2(vy, vx)
+    else:
+        x, y, vx, vy = _fig8_xy(cfg, t)
+        if cfg.trajectory == "fig8_static":
+            _, _, vx0, vy0 = _fig8_xy(cfg, 0.0)
             yaw = math.atan2(vy0, vx0)
         else:
             yaw = math.atan2(vy, vx)
-    else:
-        x, y, vx, vy = _rect_xy(spec, t)
-        yaw = math.atan2(vy, vx)
     return Pose(Vec3(x, y, 0.0), UnitQuat.from_yaw(yaw))
-
-
-def trajectory_from_config(cfg: RunConfig) -> TrajectorySpec:
-    return TrajectorySpec(
-        kind=cfg.trajectory,
-        size_x=cfg.traj_size_x_m,
-        size_y=cfg.traj_size_y_m,
-        period=cfg.traj_period_s,
-        corner_radius=cfg.traj_corner_radius_m,
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -399,8 +369,9 @@ def profile_from_config(cfg: RunConfig) -> NoiseProfile:
     )
 
 
-def gains_from_config(cfg: RunConfig) -> PdGains:
-    return PdGains(
+def controller_from_config(cfg: RunConfig) -> tuple[PdGains, Gate]:
+    """The PD gains and uncertainty gate that formation and homing steer with."""
+    gains = PdGains(
         kp_pos=cfg.kp_pos,
         kd_pos=cfg.kd_pos,
         kp_yaw=cfg.kp_yaw,
@@ -408,6 +379,7 @@ def gains_from_config(cfg: RunConfig) -> PdGains:
         v_max=cfg.v_max_mps,
         w_max=cfg.w_max_rps,
     )
+    return gains, Gate(tau_p=cfg.tau_p_m, tau_q=cfg.tau_q)
 
 
 def network_from_config(cfg: RunConfig, node: Callable[..., BroadcastNode] = BroadcastNode) -> Simulator:
@@ -514,16 +486,13 @@ class FormationRun:
                 f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
             )
         self.cfg = cfg
-        self.spec = trajectory_from_config(cfg)
-        self.gains = gains_from_config(cfg)
-        self.gate = Gate(tau_p=cfg.tau_p_m, tau_q=cfg.tau_q)
+        self.gains, self.gate = controller_from_config(cfg)
         self.estimator = make_estimator(cfg)
         self.offsets = follower_offsets(cfg)
-        self.records: list[dict] = []
         self.dt = 1.0 / cfg.superframe_hz
 
     def initial_pose(self, node_id: int) -> Pose:
-        leader = leader_pose(self.spec, 0.0)
+        leader = leader_pose(self.cfg, 0.0)
         if node_id == self.LEADER:
             return leader
         # Start exactly in formation: follower = leader composed with the
@@ -533,7 +502,7 @@ class FormationRun:
     def robot_tick(self, node: RobotNode, tick: int, now: float) -> None:
         if node.node_id == self.LEADER:
             prev = node.pose
-            node.pose = leader_pose(self.spec, now)
+            node.pose = leader_pose(self.cfg, now)
             vel_world = (node.pose.position - prev.position) * (1.0 / self.dt)
             v_body = node.pose.rotation.rotate_inverse(vel_world) if tick else Vec3.zero()
             node.cmd = Command(v_body, 0.0, gated=False)
@@ -574,6 +543,8 @@ class FormationRun:
         )
 
     def run(self) -> tuple[list[dict], list[SimEvent]]:
+        """A fresh run from the start poses; a second call repeats the first."""
+        self.records: list[dict] = []
         sim = network_from_config(self.cfg, lambda node_id, **wiring: RobotNode(node_id, self, **wiring))
         events = sim.run(self.cfg.duration_s)
         return self.records, events
@@ -637,19 +608,18 @@ def tracking_errors(
     p = np.array([records[row_at[key]]["pose_truth"]["p"] for key in keys], dtype=float).reshape(-1, 3)
     q = np.array([records[row_at[key]]["pose_truth"]["q"] for key in keys], dtype=float).reshape(-1, 4)
     pos_err, rot_err = follower_error_rows(keys, p, q, offsets)
-    paired: dict[int, list[int]] = {f: [] for f in offsets}  # rows with a leader row, in time order
-    for k, (t, node) in enumerate(keys):
-        if node in paired and (t, FormationRun.LEADER) in row_at:
-            paired[node].append(k)
+    t_row = np.array([t for t, _ in keys], dtype=float)
+    node_row = np.array([node for _, node in keys], dtype=np.int64)
     out: dict[int, dict[str, float]] = {}
-    for follower, rows in paired.items():
+    for follower in offsets:
+        rows = np.flatnonzero((node_row == follower) & ~np.isnan(pos_err))  # paired, in time order
         speeds = norm_rows(np.diff(p[rows], axis=0))
-        f = [k for k in rows if keys[k][0] >= skip_s]
+        f = rows[t_row[rows] >= skip_s]
         out[follower] = {
-            "mean_abs_pos_m": float(np.mean(pos_err[f])) if f else math.nan,
-            "median_pos_m": float(np.median(pos_err[f])) if f else math.nan,
-            "mean_abs_rot_deg": float(np.mean(rot_err[f])) if f else math.nan,
-            "median_rot_deg": float(np.median(rot_err[f])) if f else math.nan,
+            "mean_abs_pos_m": float(np.mean(pos_err[f])) if len(f) else math.nan,
+            "median_pos_m": float(np.median(pos_err[f])) if len(f) else math.nan,
+            "mean_abs_rot_deg": float(np.mean(rot_err[f])) if len(f) else math.nan,
+            "median_rot_deg": float(np.median(rot_err[f])) if len(f) else math.nan,
             "mean_vel_mps": float(np.mean(speeds) / dt) if len(speeds) else math.nan,
         }
     return out
@@ -659,18 +629,20 @@ def tracking_errors(
 # Keyframe homing
 
 
-@dataclass(frozen=True)
-class Keyframe:
-    index: int
-    obs: Observation  # the observation recorded at this keyframe (with hidden truth pose)
-    est_to_previous: Optional[PoseEstimate]
-
-
 @dataclass
 class HomingResult:
-    keyframes: list[Keyframe]
-    arrival_errors: list[float]  # true distance at each declared arrival
-    cross_track: list[float]  # per replay tick: distance to taught path
+    """A teach-and-replay run.
+
+    ``keyframes`` holds the observation recorded at each keyframe, the first
+    at tick 0. ``arrival_errors`` is the true distance to each keyframe when
+    its arrival was declared, and ``cross_track`` the distance from the taught
+    path after each replay tick. ``completed`` is whether the last keyframe
+    was reached.
+    """
+
+    keyframes: list[Observation]
+    arrival_errors: list[float]
+    cross_track: list[float]
     completed: bool
 
 
@@ -679,59 +651,41 @@ _REPLAY_FACTOR = 3.0  # replay ticks allowed per taught tick
 
 def run_homing(cfg: RunConfig) -> HomingResult:
     """Teach a trajectory as keyframes, then replay it by keyframe following."""
-    spec = trajectory_from_config(cfg)
     estimator = make_estimator(cfg)
     dt = 1.0 / cfg.superframe_hz
     n_teach = int(cfg.duration_s * cfg.superframe_hz)
 
-    # Teach: the robot is driven along the reference; keyframes appended when
-    # distance or uncertainty to the last keyframe crosses its threshold.
-    keyframes: list[Keyframe] = []
-    taught_path: list[Vec3] = []
+    # Teach: the robot is driven along the reference; an observation becomes a
+    # keyframe when distance or uncertainty to the last keyframe crosses its threshold.
+    keyframes: list[Observation] = []
+    path = []
     for k in range(n_teach):
-        pose = leader_pose(spec, k * dt)
-        taught_path.append(pose.position)
-        obs = Observation(0, pose, cfg.fov_deg, b"", tick=k)
-        if not keyframes:
-            keyframes.append(Keyframe(0, obs, None))
-            continue
-        last = keyframes[-1]
-        est = estimator(obs, last.obs, k)
-        if kf_record_step(est, cfg.d_kf_m, cfg.sigma_kf_m):
-            keyframes.append(Keyframe(len(keyframes), obs, est))
+        obs = Observation(0, leader_pose(cfg, k * dt), cfg.fov_deg, b"", tick=k)
+        path.append((obs.pose_truth.position.x, obs.pose_truth.position.y))
+        if not keyframes or kf_record_step(estimator(obs, keyframes[-1], k), cfg.d_kf_m, cfg.sigma_kf_m):
+            keyframes.append(obs)
 
-    # Replay from the taught start.
-    pose = leader_pose(spec, 0.0)
-    gains = gains_from_config(cfg)
-    gate = Gate(tau_p=cfg.tau_p_m, tau_q=cfg.tau_q)
+    # Replay from the taught start until kf_follow_step moves past the last keyframe.
+    pose = leader_pose(cfg, 0.0)
+    gains, gate = controller_from_config(cfg)
     state: Optional[PdState] = None
     kf_index = 0
     arrivals: list[float] = []
     cross: list[float] = []
-    path_xy = np.array([(p.x, p.y) for p in taught_path])
-    max_ticks = int(_REPLAY_FACTOR * n_teach)
-    completed = False
-    for k in range(max_ticks):
+    path_xy = np.array(path)
+    for k in range(int(_REPLAY_FACTOR * n_teach)):
         tick = n_teach + k  # distinct substream domain from the teach phase
-        obs_now = Observation(0, pose, cfg.fov_deg, b"", tick=tick)
         target = keyframes[kf_index]
-        est = estimator(obs_now, target.obs, tick)
+        est = estimator(Observation(0, pose, cfg.fov_deg, b"", tick=tick), target, tick)
         cmd, next_index, state = kf_follow_step(
             est, cfg.eps_reach_m, kf_index, len(keyframes), state, dt, gains, gate
         )
-        if next_index != kf_index or (
-            kf_index == len(keyframes) - 1 and est.p_hat.norm() < cfg.eps_reach_m
-        ):
-            true_dist = (pose.position - target.obs.pose_truth.position).norm()
-            arrivals.append(true_dist)
-            if kf_index == len(keyframes) - 1:
-                completed = True
-                break
+        if next_index != kf_index:
+            arrivals.append((pose.position - target.pose_truth.position).norm())
             kf_index = next_index
+            if kf_index == len(keyframes):
+                break
         pose = _integrate(pose, cmd, dt)
-        cross.append(
-            float(
-                np.min(np.hypot(path_xy[:, 0] - pose.position.x, path_xy[:, 1] - pose.position.y))
-            )
-        )
-    return HomingResult(keyframes, arrivals, cross, completed)
+        gap = np.hypot(path_xy[:, 0] - pose.position.x, path_xy[:, 1] - pose.position.y)
+        cross.append(float(np.min(gap)))
+    return HomingResult(keyframes, arrivals, cross, 0 < kf_index == len(keyframes))

@@ -160,7 +160,7 @@ class TestKeyframeFollow:
             gains=PdGains(), gate=Gate(),
         )
         assert cmd.v.norm() == 0.0 and cmd.w == 0.0
-        assert idx == 4
+        assert idx == 5
 
     def test_mid_advance(self):
         _, idx, _ = kf_follow_step(

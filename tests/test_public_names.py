@@ -49,6 +49,32 @@ def _attributes(tree):
     return [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
 
 
+def _scoped_attributes(tree):
+    """(name, line, class) of each attribute a module reaches; class names the
+    top-level class whose body holds the reach, or is None outside any class."""
+    for node in tree.body:
+        cls = node.name if isinstance(node, ast.ClassDef) else None
+        for sub in ast.walk(node):
+            if isinstance(sub, ast.Attribute):
+                yield sub.attr, sub.lineno, cls
+
+
+def _classes(trees):
+    """Per top-level class: the function names its body defines, and the class
+    with all of its ancestors in the package."""
+    nodes = {node.name: node for tree in trees.values() for node in tree.body if isinstance(node, ast.ClassDef)}
+
+    def lineage(name):
+        bases = [b.id for b in nodes[name].bases if isinstance(b, ast.Name) and b.id in nodes]
+        return {name}.union(*map(lineage, bases))
+
+    defines = {
+        name: {item.name for item in node.body if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef))}
+        for name, node in nodes.items()
+    }
+    return defines, {name: lineage(name) for name in nodes}
+
+
 def _package():
     return {path: ast.parse(path.read_text()) for path in sorted(PACKAGE.glob("*.py"))}
 
@@ -81,13 +107,27 @@ def test_every_public_name_has_a_caller():
 
 
 def test_every_public_method_has_a_caller():
+    # A reach inside a class body that itself defines the name (``self.dot`` in
+    # ``Vec3``) counts only for that class and its subclasses, so a base class
+    # calling its own hook still reaches each subclass's override.
     trees = _package()
-    uses = {path: _attributes(tree) for path, tree in trees.items()}
+    defines, lineage = _classes(trees)
+    uses = {path: list(_scoped_attributes(tree)) for path, tree in trees.items()}
     reached = {name for name, _ in _attributes(_acceptance())}
+
+    def reached_elsewhere(cls, name, path, first, last):
+        return any(
+            used == name
+            and not (other == path and first <= line <= last)
+            and (owner is None or name not in defines[owner] or owner in lineage[cls])
+            for other, refs in uses.items()
+            for used, line, owner in refs
+        )
+
     unused = [
         f"{path.name}:{first} {cls}.{name}"
         for path, tree in trees.items()
         for cls, name, first, last in _methods(tree)
-        if name not in reached and not _reached_elsewhere(name, path, first, last, uses)
+        if name not in reached and not reached_elsewhere(cls, name, path, first, last)
     ]
     assert unused == []

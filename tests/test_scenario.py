@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import struct
@@ -16,7 +17,6 @@ from covis.netsim import KIND_DELIVER
 from covis.scenario import (
     FormationRun,
     RobotNode,
-    TrajectorySpec,
     bev_crop,
     dataset_jsonl,
     follower_offsets,
@@ -71,7 +71,7 @@ class TestSampleGroups:
         w = gen_world(2, extent=18.0, n_rooms=3)
         groups = sample_groups(w, 20, n_max=5, d_max=2.0, seed=3, with_bev=False)
         for g in groups:
-            for a, b in g.directed_pairs():
+            for a, b in itertools.permutations(g.nodes, 2):
                 assert pos_dist(a.pose.position, b.pose.position) <= 4.0 + 1e-9
 
     def test_zero_radius_collapses(self):
@@ -89,7 +89,7 @@ class TestSampleGroups:
         groups = sample_groups(w, 150, n_max=3, d_max=2.0, seed=5, with_bev=False)
         flags = []
         for g in groups:
-            for a, b in g.directed_pairs():
+            for a, b in itertools.permutations(g.nodes, 2):
                 rel = relative_pose(a.pose, b.pose)
                 dummy = PoseEstimate(
                     rel.position, Vec3(0.1, 0.1, 0.1), rel.rotation, 0.1, a.node_id, b.node_id
@@ -290,7 +290,7 @@ class TestObservedGridReference:
 
 
 class TestLeaderPose:
-    SPEC = TrajectorySpec(kind="fig8_dynamic", size_x=2.0, size_y=1.0, period=30.0)
+    SPEC = RunConfig(trajectory="fig8_dynamic", traj_size_x_m=2.0, traj_size_y_m=1.0, traj_period_s=30.0)
 
     def test_origin_at_zero(self):
         p = leader_pose(self.SPEC, 0.0)
@@ -305,12 +305,12 @@ class TestLeaderPose:
         assert np.sign(v0) == -np.sign(v1)
 
     def test_static_heading_constant(self):
-        spec = TrajectorySpec(kind="fig8_static", size_x=2.0, size_y=1.0, period=30.0)
+        spec = RunConfig(trajectory="fig8_static", traj_size_x_m=2.0, traj_size_y_m=1.0, traj_period_s=30.0)
         yaws = {round(leader_pose(spec, t).rotation.yaw(), 9) for t in np.linspace(0, 60, 50)}
         assert len(yaws) == 1
 
     def test_rect_constant_speed(self):
-        spec = TrajectorySpec(kind="rect_dynamic", size_x=3.0, size_y=2.0, period=40.0)
+        spec = RunConfig(trajectory="rect_dynamic", traj_size_x_m=3.0, traj_size_y_m=2.0, traj_period_s=40.0)
         ts = np.linspace(0.0, 40.0, 400, endpoint=False)
         pts = [leader_pose(spec, t).position for t in ts]
         steps = [pos_dist(a, b) for a, b in zip(pts, pts[1:])]
@@ -343,6 +343,13 @@ class TestRunFormation:
         a = runlog_jsonl(cfg, run_formation(cfg)[0])
         b = runlog_jsonl(cfg, run_formation(cfg)[0])
         assert a == b
+
+    def test_second_run_repeats_the_first(self):
+        cfg = RunConfig(seed=13, duration_s=2.0)
+        run = FormationRun(cfg)
+        first = runlog_jsonl(cfg, run.run()[0])
+        second = runlog_jsonl(cfg, run.run()[0])
+        assert second == first
 
     def test_estimates_only_from_delivered_frames(self):
         cfg = RunConfig(seed=3, estimator="synthetic", **ACCEPT)
@@ -570,8 +577,7 @@ class TestHoming:
 
     def test_first_observation_always_keyframe(self):
         res = run_homing(RunConfig(seed=3, estimator="oracle", **self.BASE))
-        assert res.keyframes[0].index == 0
-        assert res.keyframes[0].est_to_previous is None
+        assert res.keyframes[0].tick == 0
 
 
 class TestDatasetJsonl:

@@ -151,6 +151,10 @@ class RunConfig:
             min(self.traj_size_x_m, self.traj_size_y_m) < 2 * self.traj_corner_radius_m
         ):
             raise ConfigError("rect_dynamic sides must be >= 2 * traj_corner_radius_m")
+        # Every superframe index a run reaches, floor(duration_s * superframe_hz),
+        # is a uint32 in the frame and the embedding header.
+        if self.duration_s * self.superframe_hz >= 2**32:
+            raise ConfigError("duration_s * superframe_hz must be below 2**32 superframes (uint32 index)")
 
     def replace(self, **kw) -> "RunConfig":
         return dataclasses.replace(self, **kw)

@@ -197,7 +197,7 @@ class BroadcastNode:
 
     Subclass hooks: ``payload_for(superframe_idx)`` supplies the broadcast bytes,
     ``handle_frame`` consumes deliveries, ``on_tick`` runs at superframe
-    boundaries.
+    boundaries. On start the scheduler takes the simulator's superframe period.
     """
 
     def __init__(
@@ -207,12 +207,9 @@ class BroadcastNode:
         payload_bytes: int = 6144,
         roster: Iterable[int] = (),
         scheduler: Optional[SchedulerState] = None,
-        superframe_hz: float = 15.0,
     ):
         self.node_id = node_id
-        self.scheduler = scheduler or SchedulerState(
-            node_id=node_id, n_slots=n_slots, superframe_period=1.0 / superframe_hz
-        )
+        self.scheduler = scheduler or SchedulerState(node_id=node_id, n_slots=n_slots)
         self.payload_bytes = payload_bytes
         self.roster = tuple(roster)
         self.trace: list[dict] = []  # per-superframe (t, divisor, loss) samples
@@ -232,6 +229,7 @@ class BroadcastNode:
     # -- wiring --------------------------------------------------------------
 
     def on_start(self, sim: Simulator, now: float) -> None:
+        self.scheduler.superframe_period = sim.superframe_period
         self.scheduler.rng = sim.node_rng_seed(self.node_id)
         self._payload = bytes(sim.node_rng_seed(self.node_id ^ 0xE0B).bytes(self.payload_bytes))
         for peer in self.roster:
@@ -266,10 +264,9 @@ def run(
     duration: float,
     seed: int,
     medium: Optional[Medium] = None,
-    superframe_hz: float = 15.0,
 ) -> list[SimEvent]:
     """Build a simulator around the behaviors and run it."""
-    sim = Simulator(medium or Medium(), seed=seed, superframe_hz=superframe_hz)
+    sim = Simulator(medium or Medium(), seed=seed)
     for b in behaviors:
         sim.add_node(b)
     return sim.run(duration)

@@ -30,7 +30,7 @@ from scipy import ndimage
 
 from .bev import UNKNOWN, BevGrid, cell_centres
 from .config import ConfigError, RunConfig
-from .control import Command, Gate, PdGains, PdState, formation_cmd, kf_follow_step, kf_record_step
+from .control import Command, PdState, formation_cmd, kf_follow_step, kf_record_step
 from .estimator import (
     NoiseProfile,
     Observation,
@@ -369,19 +369,6 @@ def profile_from_config(cfg: RunConfig) -> NoiseProfile:
     )
 
 
-def controller_from_config(cfg: RunConfig) -> tuple[PdGains, Gate]:
-    """The PD gains and uncertainty gate that formation and homing steer with."""
-    gains = PdGains(
-        kp_pos=cfg.kp_pos,
-        kd_pos=cfg.kd_pos,
-        kp_yaw=cfg.kp_yaw,
-        kd_yaw=cfg.kd_yaw,
-        v_max=cfg.v_max_mps,
-        w_max=cfg.w_max_rps,
-    )
-    return gains, Gate(tau_p=cfg.tau_p_m, tau_q=cfg.tau_q)
-
-
 def network_from_config(cfg: RunConfig, node: Callable[..., BroadcastNode] = BroadcastNode) -> Simulator:
     """The config's TDMA network: medium, simulator and one
     ``node(node_id, payload_bytes=..., roster=..., scheduler=...)`` per id."""
@@ -390,7 +377,7 @@ def network_from_config(cfg: RunConfig, node: Callable[..., BroadcastNode] = Bro
     roster = tuple(range(cfg.n_nodes))
     for node_id in roster:
         scheduler = SchedulerState(
-            node_id, cfg.n_slots, 1.0 / cfg.superframe_hz, max_divisor=cfg.max_divisor,
+            node_id, cfg.n_slots, max_divisor=cfg.max_divisor,
             high_watermark=cfg.high_watermark, low_watermark=cfg.low_watermark, loss_window=cfg.loss_window_s,
         )
         sim.add_node(node(node_id, payload_bytes=cfg.payload_bytes, roster=roster, scheduler=scheduler))
@@ -486,7 +473,6 @@ class FormationRun:
                 f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
             )
         self.cfg = cfg
-        self.gains, self.gate = controller_from_config(cfg)
         self.estimator = make_estimator(cfg)
         self.offsets = follower_offsets(cfg)
         self.dt = 1.0 / cfg.superframe_hz
@@ -519,12 +505,7 @@ class FormationRun:
                 gated = True
             else:
                 cmd, node.pd_state = formation_cmd(
-                    leader_est,
-                    self.offsets[node.node_id],
-                    node.pd_state,
-                    self.dt,
-                    self.gains,
-                    self.gate,
+                    leader_est, self.offsets[node.node_id], node.pd_state, self.cfg,
                     attenuate=self.cfg.gain_attenuation,
                 )
                 node.cmd = cmd
@@ -662,12 +643,11 @@ def run_homing(cfg: RunConfig) -> HomingResult:
     for k in range(n_teach):
         obs = Observation(0, leader_pose(cfg, k * dt), cfg.fov_deg, b"", tick=k)
         path.append((obs.pose_truth.position.x, obs.pose_truth.position.y))
-        if not keyframes or kf_record_step(estimator(obs, keyframes[-1], k), cfg.d_kf_m, cfg.sigma_kf_m):
+        if not keyframes or kf_record_step(estimator(obs, keyframes[-1], k), cfg):
             keyframes.append(obs)
 
     # Replay from the taught start until kf_follow_step moves past the last keyframe.
     pose = leader_pose(cfg, 0.0)
-    gains, gate = controller_from_config(cfg)
     state: Optional[PdState] = None
     kf_index = 0
     arrivals: list[float] = []
@@ -677,9 +657,7 @@ def run_homing(cfg: RunConfig) -> HomingResult:
         tick = n_teach + k  # distinct substream domain from the teach phase
         target = keyframes[kf_index]
         est = estimator(Observation(0, pose, cfg.fov_deg, b"", tick=tick), target, tick)
-        cmd, next_index, state = kf_follow_step(
-            est, cfg.eps_reach_m, kf_index, len(keyframes), state, dt, gains, gate
-        )
+        cmd, next_index, state = kf_follow_step(est, kf_index, len(keyframes), state, cfg)
         if next_index != kf_index:
             arrivals.append((pose.position - target.pose_truth.position).norm())
             kf_index = next_index

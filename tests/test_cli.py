@@ -157,12 +157,22 @@ class TestConfig:
             ("simulate", "stale_timeout_s", -1),
             ("simulate", "duration_s", math.inf),
             ("netbench", "superframe_hz", math.inf),
+            # A valid float whose superframe count overflows: Simulator.run raised
+            # OverflowError, and with duration_s 1 it pushed ticks until killed.
+            ("netbench", "superframe_hz", 1e308),
             pytest.param("simulate", "rect_dynamic", RECT | {"traj_size_x_m": 0, "traj_size_y_m": 0},
                          id="simulate-rect_dynamic-zero_sides"),
             ("homing", "sigma_jitter", 1e6),
             ("simulate", "seed", -1),
             ("netbench", "base_loss", 1.5),
             ("simulate", "kp_pos", -1),
+            ("simulate", "kd_pos", -1),
+            ("simulate", "kp_yaw", -1),
+            ("simulate", "kd_yaw", -1),
+            ("simulate", "v_max_mps", 0),
+            ("simulate", "w_max_rps", 0),
+            ("simulate", "tau_p_m", 0),
+            ("homing", "tau_q", 0),
             pytest.param("simulate", "oracle", {"estimator": "oracle", "sigma_floor": 0},
                          id="simulate-oracle-sigma_floor_0"),
             ("datagen", "world_rooms", 0),

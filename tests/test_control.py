@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from covis.config import RunConfig
 from covis.control import (
-    Gate,
-    PdGains,
+    DERIVATIVE_ALPHA,
     clamp_speed,
     formation_cmd,
     kf_follow_step,
@@ -14,7 +14,8 @@ from covis.control import (
 from covis.estimator import Observation, PoseEstimate, estimate_oracle
 from covis.geometry import Pose, UnitQuat, Vec3
 
-DT = 1.0 / 15.0
+CFG = RunConfig()
+DT = 1.0 / CFG.superframe_hz
 
 
 def est(p, yaw=0.0, sigma=0.1, sigma_q=0.05):
@@ -34,7 +35,7 @@ def ref(p=(0.0, -1.0, 0.0), yaw=0.0):
 
 class TestFormationCmd:
     def test_zero_at_reference(self):
-        cmd, _ = formation_cmd(est((0.0, -1.0, 0.0)), ref(), None, DT, PdGains(), Gate())
+        cmd, _ = formation_cmd(est((0.0, -1.0, 0.0)), ref(), None, CFG)
         assert cmd.v.norm() == 0.0
         assert cmd.w == 0.0
         assert not cmd.gated
@@ -42,24 +43,22 @@ class TestFormationCmd:
     def test_position_gate_steers_to_bearing(self):
         # Uncertain estimate with the leader 90 degrees to the left.
         cmd, _ = formation_cmd(
-            est((0.0, 2.0, 0.0), sigma=5.0), ref(), None, DT, PdGains(), Gate(tau_p=1.0)
+            est((0.0, 2.0, 0.0), sigma=5.0), ref(), None, RunConfig(tau_p_m=1.0)
         )
         assert cmd.gated
         assert cmd.v.norm() == 0.0
         assert cmd.w > 0.0
 
     def test_clamped_pure_x(self):
-        gains = PdGains(kp_pos=1.0, kd_pos=0.0, v_max=0.8)
-        cmd, _ = formation_cmd(
-            est((1.0, -1.0, 0.0)), ref(), None, DT, gains, Gate()
-        )
+        cfg = RunConfig(kp_pos=1.0, kd_pos=0.0, v_max_mps=0.8)
+        cmd, _ = formation_cmd(est((1.0, -1.0, 0.0)), ref(), None, cfg)
         assert cmd.v.x == pytest.approx(0.8)
         assert cmd.v.y == pytest.approx(0.0)
         assert cmd.v.z == pytest.approx(0.0)
 
     def test_rotation_gate_zeroes_yaw_only(self):
         cmd, _ = formation_cmd(
-            est((0.5, -1.0, 0.0), yaw=0.8, sigma_q=2.0), ref(), None, DT, PdGains(), Gate(tau_q=0.5)
+            est((0.5, -1.0, 0.0), yaw=0.8, sigma_q=2.0), ref(), None, RunConfig(tau_q=0.5)
         )
         assert not cmd.gated
         assert cmd.v.norm() > 0.0
@@ -67,7 +66,7 @@ class TestFormationCmd:
 
     def test_command_never_exceeds_limits(self):
         rng = np.random.default_rng(0)
-        gains = PdGains(kp_pos=5.0, kd_pos=1.0, kp_yaw=5.0, kd_yaw=1.0, v_max=0.8, w_max=1.5)
+        cfg = RunConfig(kp_pos=5.0, kd_pos=1.0, kp_yaw=5.0, kd_yaw=1.0, v_max_mps=0.8, w_max_rps=1.5)
         state = None
         for _ in range(500):
             e = est(
@@ -76,7 +75,7 @@ class TestFormationCmd:
                 sigma=float(rng.uniform(0.01, 3.0)),
                 sigma_q=float(rng.uniform(0.01, 1.0)),
             )
-            cmd, state = formation_cmd(e, ref(), state, DT, gains, Gate())
+            cmd, state = formation_cmd(e, ref(), state, cfg)
             assert cmd.v.norm() <= 0.8 + 1e-12
             assert abs(cmd.w) <= 1.5 + 1e-12
 
@@ -84,23 +83,32 @@ class TestFormationCmd:
         rng = np.random.default_rng(1)
         for _ in range(200):
             e = est(tuple(rng.standard_normal(3)), sigma=float(rng.uniform(1.01, 10.0)))
-            cmd, _ = formation_cmd(e, ref(), None, DT, PdGains(), Gate(tau_p=1.0))
+            cmd, _ = formation_cmd(e, ref(), None, RunConfig(tau_p_m=1.0))
             assert cmd.v.norm() == 0.0
 
     def test_attenuation_scales_down(self):
         e = est((1.0, -1.0, 0.0), sigma=0.9)
-        hard, _ = formation_cmd(e, ref(), None, DT, PdGains(kp_pos=0.5), Gate())
-        soft, _ = formation_cmd(e, ref(), None, DT, PdGains(kp_pos=0.5), Gate(), attenuate=True)
+        cfg = RunConfig(kp_pos=0.5)
+        hard, _ = formation_cmd(e, ref(), None, cfg)
+        soft, _ = formation_cmd(e, ref(), None, cfg, attenuate=True)
         assert soft.v.norm() < hard.v.norm()
 
-    def test_invalid_dt(self):
-        with pytest.raises(ValueError):
-            formation_cmd(est((0, -1, 0)), ref(), None, 0.0, PdGains(), Gate())
+    def test_derivative_scales_with_superframe_hz(self):
+        # The same error change over half the step doubles the raw derivative.
+        def second_step(hz):
+            cfg = RunConfig(superframe_hz=hz, kp_pos=0.0, kd_pos=1.0, v_max_mps=100.0)
+            _, state = formation_cmd(est((0.0, -1.0, 0.0)), ref(), None, cfg)
+            cmd, state = formation_cmd(est((0.1, -1.0, 0.0)), ref(), state, cfg)
+            return cmd.v.x, state.d_pos.x
+
+        v15, d15 = second_step(15.0)
+        v30, d30 = second_step(30.0)
+        assert d15 == pytest.approx(DERIVATIVE_ALPHA * 0.1 * 15.0)
+        assert (v30, d30) == (pytest.approx(2.0 * v15), pytest.approx(2.0 * d15))
 
     def test_closed_loop_static_leader_converges(self):
         # Oracle estimates, static leader at the origin, follower offset from
         # its slot: position error must drop below 5 cm within 10 s.
-        gains, gate = PdGains(), Gate()
         leader = Pose(Vec3(2.0, 1.0, 0.0), UnitQuat.from_yaw(0.5))
         offset = ref()  # leader should sit 1 m to the follower's right
         pos = np.array([0.0, 0.0])
@@ -111,7 +119,7 @@ class TestFormationCmd:
             e = estimate_oracle(
                 Observation(0, follower, 120.0, b""), Observation(1, leader, 120.0, b"")
             )
-            cmd, state = formation_cmd(e, offset, state, DT, gains, gate)
+            cmd, state = formation_cmd(e, offset, state, CFG)
             c, s = math.cos(yaw), math.sin(yaw)
             pos += DT * np.array([c * cmd.v.x - s * cmd.v.y, s * cmd.v.x + c * cmd.v.y])
             yaw += DT * cmd.w
@@ -136,43 +144,40 @@ class TestClampSpeed:
 
 class TestKeyframeRecord:
     def test_no_append_when_close_and_confident(self):
-        assert not kf_record_step(est((0.0, 0.0, 0.0), sigma=0.1), d_kf=1.2, sigma_kf=1.0)
+        assert not kf_record_step(est((0.0, 0.0, 0.0), sigma=0.1), CFG)
 
     def test_distance_trigger(self):
-        assert kf_record_step(est((1.2001, 0.0, 0.0), sigma=0.1), d_kf=1.2, sigma_kf=1.0)
+        assert kf_record_step(est((1.2001, 0.0, 0.0), sigma=0.1), CFG)
 
     def test_uncertainty_trigger(self):
-        assert kf_record_step(est((0.1, 0.0, 0.0), sigma=1.5), d_kf=1.2, sigma_kf=1.0)
+        assert kf_record_step(est((0.1, 0.0, 0.0), sigma=1.5), CFG)
 
     def test_monotone_in_distance_and_sigma(self):
         base_d, base_s = 0.6, 0.5
-        fired = kf_record_step(est((base_d, 0, 0), sigma=base_s), 1.2, 1.0)
+        fired = kf_record_step(est((base_d, 0, 0), sigma=base_s), CFG)
         for dd in (0.0, 0.4, 0.8):
             for ds in (0.0, 0.4, 0.8):
-                more = kf_record_step(est((base_d + dd, 0, 0), sigma=base_s + ds), 1.2, 1.0)
+                more = kf_record_step(est((base_d + dd, 0, 0), sigma=base_s + ds), CFG)
                 assert more >= fired
 
 
 class TestKeyframeFollow:
     def test_terminal_hold(self):
         cmd, idx, _ = kf_follow_step(
-            est((0.1, 0.0, 0.0)), 0.6, kf_index=4, kf_count=5, state=None, dt=DT,
-            gains=PdGains(), gate=Gate(),
+            est((0.1, 0.0, 0.0)), kf_index=4, kf_count=5, state=None, cfg=CFG
         )
         assert cmd.v.norm() == 0.0 and cmd.w == 0.0
         assert idx == 5
 
     def test_mid_advance(self):
         _, idx, _ = kf_follow_step(
-            est((0.1, 0.0, 0.0)), 0.6, kf_index=1, kf_count=5, state=None, dt=DT,
-            gains=PdGains(), gate=Gate(),
+            est((0.1, 0.0, 0.0)), kf_index=1, kf_count=5, state=None, cfg=CFG
         )
         assert idx == 2
 
     def test_far_drives(self):
         cmd, idx, _ = kf_follow_step(
-            est((2.0, 0.5, 0.0)), 0.6, kf_index=1, kf_count=5, state=None, dt=DT,
-            gains=PdGains(), gate=Gate(),
+            est((2.0, 0.5, 0.0)), kf_index=1, kf_count=5, state=None, cfg=CFG
         )
         assert cmd.v.norm() > 0.0
         assert idx == 1
@@ -180,6 +185,5 @@ class TestKeyframeFollow:
     def test_index_out_of_range(self):
         with pytest.raises(ValueError):
             kf_follow_step(
-                est((0, 0, 0)), 0.6, kf_index=5, kf_count=5, state=None, dt=DT,
-                gains=PdGains(), gate=Gate(),
+                est((0, 0, 0)), kf_index=5, kf_count=5, state=None, cfg=CFG
             )

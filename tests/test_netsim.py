@@ -47,7 +47,7 @@ def exact_fit_pair():
     sim = Simulator(medium, seed=0, superframe_hz=10.0)
     for i in range(2):
         # 80 payload bytes + 20 framing bytes = 800 bits = 0.05 s at 16 kb/s.
-        sim.add_node(pinned(BroadcastNode(i, n_slots=2, payload_bytes=80, superframe_hz=10.0)))
+        sim.add_node(pinned(BroadcastNode(i, n_slots=2, payload_bytes=80)))
     return sim
 
 

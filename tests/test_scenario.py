@@ -579,6 +579,11 @@ class TestHoming:
         res = run_homing(RunConfig(seed=3, estimator="oracle", **self.BASE))
         assert res.keyframes[0].tick == 0
 
+    def test_replay_ignores_gain_attenuation(self):
+        # Replay steers with the formation gains and gate, never attenuated.
+        cfg = RunConfig(seed=2, estimator="synthetic", **self.BASE)
+        assert run_homing(cfg.replace(gain_attenuation=True)) == run_homing(cfg)
+
 
 class TestDatasetJsonl:
     def test_schema_and_roundtrip(self):

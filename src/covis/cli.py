@@ -112,7 +112,7 @@ def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
     """Rows as CSV (header row carries the column names) or JSONL."""
     if fmt == "jsonl":
         path = path.with_suffix(".jsonl")
-        path.write_text("\n".join(json.dumps(r, sort_keys=True) for r in rows) + "\n")
+        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
         return
     path = path.with_suffix(".csv")
     if not rows:
@@ -321,7 +321,9 @@ def _edges_from_runlog(lines: list[str], cfg: RunConfig):
         try:
             values, pairs = array("d"), array("q")
             for d in rec["estimates"]:
-                _, dst, numbers = _estimate_numbers(d)
+                src, dst, numbers = _estimate_numbers(d)
+                if src != rec["node_id"]:
+                    raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
                 peer = pose_at.get((d["peer_tick"], dst))
                 if peer is None:
                     raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
@@ -435,7 +437,6 @@ def cmd_netbench(args) -> int:
     sim.capture_sink = lambda t, wire: capture.append(
         json.dumps({"t": t, "frame_b64": base64.b64encode(wire).decode("ascii")})
     )
-    behaviors = sim.behaviors.values()
     events = sim.run(cfg.duration_s)
     (out / "events.jsonl").write_text(
         json.dumps({"schema": "covis.events@1"}) + "\n" + events_to_jsonl(events)
@@ -444,18 +445,11 @@ def cmd_netbench(args) -> int:
     (out / "capture.jsonl").write_text("\n".join([capture_header] + capture) + "\n")
     trace_lines = [json.dumps({"schema": "covis.trace@1"})] + [
         json.dumps({"node_id": b.node_id, **sample}, sort_keys=True)
-        for b in behaviors
+        for b in sim.behaviors.values()
         for sample in b.trace
     ]
     (out / "trace.jsonl").write_text("\n".join(trace_lines) + "\n")
-    # A node that never woke ran no backoff step: NaN, but it keeps its row.
-    mean_div = {
-        b.node_id: float(np.mean([s["divisor"] for s in b.trace])) if b.trace else float("nan")
-        for b in behaviors
-    }
-    rows = [
-        {"schema": "covis.netbench@1", **row} for row in summarize(events, mean_div)
-    ]
+    rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
     _write_rows(out / "summary", rows, args.format)
     return EXIT_OK
 

@@ -203,9 +203,6 @@ class SchedulerState:
         if peer_id not in self.peers:
             self.peers[peer_id] = PeerTracker(window=self.loss_window, registered_at=now)
 
-    def superframe_of(self, t: float) -> int:
-        return int(math.floor(t / self.superframe_period + 1e-9))
-
     def eligible(self, superframe_idx: int) -> bool:
         return superframe_idx % self.tx_divisor == self.tx_phase
 

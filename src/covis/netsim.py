@@ -20,7 +20,7 @@ from typing import Callable, Iterable, Optional
 
 import numpy as np
 
-from .netproto import Frame, SchedulerState, adapt_rate, encode, next_tx_time, on_frame_received
+from .netproto import Frame, SchedulerState, adapt_rate, encode, on_frame_received
 
 KIND_TX_START = "tx_start"
 KIND_TX_END = "tx_end"
@@ -192,8 +192,9 @@ class Simulator:
 
 
 class BroadcastNode:
-    """TDMA broadcast participant: wakes every superframe in its own slot,
-    adapts its rate from measured peer loss, and transmits when eligible.
+    """TDMA broadcast participant: wakes in its own slot of every superframe,
+    the first wake-up at superframe 0, adapts its rate from measured peer
+    loss, and transmits when eligible. Each wake-up is handed its index.
 
     Subclass hooks: ``payload_for(superframe_idx)`` supplies the broadcast bytes,
     ``handle_frame`` consumes deliveries, ``on_tick`` runs at superframe
@@ -229,18 +230,18 @@ class BroadcastNode:
     # -- wiring --------------------------------------------------------------
 
     def on_start(self, sim: Simulator, now: float) -> None:
-        self.scheduler.superframe_period = sim.superframe_period
-        self.scheduler.rng = sim.node_rng_seed(self.node_id)
+        state = self.scheduler
+        state.superframe_period = sim.superframe_period
+        state.rng = sim.node_rng_seed(self.node_id)
         self._payload = bytes(sim.node_rng_seed(self.node_id ^ 0xE0B).bytes(self.payload_bytes))
         for peer in self.roster:
             if peer != self.node_id:
-                self.scheduler.register_peer(peer, now)
-        sim.schedule(next_tx_time(self.scheduler, now), _RANK_WAKE, self._slot_callback, sim)
+                state.register_peer(peer, now)
+        sim.schedule(state.slot_index * state.slot_width, _RANK_WAKE, self._slot_callback, sim, 0)
 
-    def _slot_callback(self, sim: Simulator) -> None:
+    def _slot_callback(self, sim: Simulator, k: int) -> None:
         now = sim.now
         state = self.scheduler
-        k = state.superframe_of(now)
         loss = adapt_rate(state, now)
         self.trace.append({"t": now, "divisor": state.tx_divisor, "loss": loss})
         if state.eligible(k):
@@ -252,7 +253,7 @@ class BroadcastNode:
             )
             sim.transmit(frame, self.node_id)
         sim.schedule((k + 1) * state.superframe_period + state.slot_index * state.slot_width,
-                     _RANK_WAKE, self._slot_callback, sim)
+                     _RANK_WAKE, self._slot_callback, sim, k + 1)
 
     def on_receive(self, sim: Simulator, frame: Frame, now: float) -> None:
         on_frame_received(self.scheduler, frame, now)
@@ -276,14 +277,15 @@ def events_to_jsonl(events: Iterable[SimEvent]) -> str:
     return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in events) + "\n"
 
 
-def summarize(events: Iterable[SimEvent], divisor_by_node: Optional[dict[int, float]] = None) -> list[dict]:
-    """Per-node frames_tx, frames_rx, collisions and loss_rate: one row for each
-    node seen in the events or keyed in ``divisor_by_node``, silent ones too."""
+def summarize(sim: Simulator) -> list[dict]:
+    """Per-node frames_tx, frames_rx, collisions, loss_rate and mean_divisor of a
+    run: one row per node of ``sim.behaviors``. A node's first wake-up is at
+    superframe 0; a run that ends before it leaves a NaN mean_divisor."""
     tx: dict[int, int] = {}
     rx: dict[int, int] = {}
     collided: dict[int, int] = {}
     received_of: dict[int, int] = {}  # deliveries of this sender's frames
-    for e in events:
+    for e in sim.events:
         if e.kind == KIND_TX_START:
             tx[e.node_id] = tx.get(e.node_id, 0) + 1
         elif e.kind == KIND_TX_END and e.collided:
@@ -291,14 +293,14 @@ def summarize(events: Iterable[SimEvent], divisor_by_node: Optional[dict[int, fl
         elif e.kind == KIND_DELIVER:
             rx[e.node_id] = rx.get(e.node_id, 0) + 1
             received_of[e.peer_id] = received_of.get(e.peer_id, 0) + 1
-    nodes = sorted(set(tx) | set(rx) | set(collided) | set(divisor_by_node or {}))
-    n = len(nodes)
+    n = len(sim.behaviors)
     rows = []
-    for node in nodes:
+    for node in sorted(sim.behaviors):
         sent = tx.get(node, 0)
         # Copies that could have been delivered vs copies actually delivered.
         potential = sent * max(0, n - 1)
         delivered = received_of.get(node, 0)
+        trace = sim.behaviors[node].trace
         rows.append(
             {
                 "node_id": node,
@@ -306,7 +308,7 @@ def summarize(events: Iterable[SimEvent], divisor_by_node: Optional[dict[int, fl
                 "frames_rx": rx.get(node, 0),
                 "collisions": collided.get(node, 0),
                 "loss_rate": 1.0 - delivered / potential if potential else 0.0,
-                "mean_divisor": (divisor_by_node or {}).get(node, float("nan")),
+                "mean_divisor": float(np.mean([s["divisor"] for s in trace])) if trace else math.nan,
             }
         )
     return rows

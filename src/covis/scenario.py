@@ -437,16 +437,14 @@ class RobotNode(BroadcastNode):
         # One sender's frames arrive in order, so the latest is the freshest.
         self.inbox[frame.node_id] = Observation.from_payload(frame.payload)
 
-    def fresh_estimates(self, tick: int, now: float) -> list[tuple[PoseEstimate, int]]:
+    def fresh_estimates(self, tick: int) -> list[tuple[PoseEstimate, int]]:
+        """Estimates of the peers whose latest frame is at most ``run.max_age`` superframes old."""
         own = Observation(self.node_id, self.pose, self.run.cfg.fov_deg, self._payload, tick)
-        out = []
-        for peer_id in sorted(self.inbox):
-            obs = self.inbox[peer_id]
-            age = now - obs.tick * self.scheduler.superframe_period
-            if age > self.run.cfg.stale_timeout_s:
-                continue
-            out.append((self.run.estimator(own, obs, tick), obs.tick))
-        return out
+        return [
+            (self.run.estimator(own, obs, tick), obs.tick)
+            for _, obs in sorted(self.inbox.items())
+            if tick - obs.tick <= self.run.max_age
+        ]
 
     def on_tick(self, sim: Simulator, superframe_idx: int, now: float) -> None:
         self.run.robot_tick(self, superframe_idx, now)
@@ -463,11 +461,12 @@ class FormationRun:
                 f"payload_bytes {cfg.payload_bytes} cannot hold the "
                 f"{Observation.HEADER.size}-byte embedding header of a formation run"
             )
-        # A frame is read at the first tick after it lands. If that tick is always
-        # past the stale timeout, every follower stays gated (rounded toward running).
+        # A frame is fresh for max_age superframes and read at the first tick after it
+        # lands. If that is always too late, every follower stays gated (rounded toward running).
+        self.max_age = math.floor(cfg.stale_timeout_s * cfg.superframe_hz + 1e-9)
         airtime = (cfg.payload_bytes + HEADER_LEN + CRC_LEN) * 8.0 / cfg.bitrate_bps
         lag = math.ceil((airtime + cfg.propagation_s) * cfg.superframe_hz - 1e-9)
-        if lag > cfg.stale_timeout_s * cfg.superframe_hz + 1e-9:
+        if lag > self.max_age:
             raise ConfigError(
                 f"no leader frame can arrive fresh: payload_bytes at bitrate_bps plus propagation_s "
                 f"is read {lag} superframes (superframe_hz) after sending, past stale_timeout_s"
@@ -494,7 +493,7 @@ class FormationRun:
             node.cmd = Command(v_body, 0.0, gated=False)
         else:
             node.pose = _integrate(node.pose, node.cmd, self.dt)
-        estimates = node.fresh_estimates(tick, now)
+        estimates = node.fresh_estimates(tick)
         gated = False
         if node.node_id != self.LEADER:
             leader_est = next(

@@ -612,6 +612,14 @@ class TestJsonlFormat:
         lines = (out / "summary.jsonl").read_text().strip().split("\n")
         assert all(json.loads(line)["schema"] == "covis.summary@1" for line in lines)
 
+    def test_no_rows_is_an_empty_file(self, tmp_path):
+        # A lone leader has no follower to summarize: no lines, as the CSV has none.
+        cfg = write_config(tmp_path, n_nodes=1, duration_s=1.0)
+        for fmt in ("jsonl", "csv"):
+            out = tmp_path / fmt
+            assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
+            assert (out / f"summary.{fmt}").read_text() == ""
+
 
 # ---------------------------------------------------------------------------
 # Reference metrics: the object reader and scalar scoring that the column
@@ -856,6 +864,23 @@ class TestMetricsMatchReference:
         assert set(busy[::40][: len(defects)]) | set(bad_pose) <= errors
         assert not errors & set(busy[::40][len(defects) : len(defects) + len(accepted)])
         assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+
+    def test_runlog_estimate_of_another_source_is_malformed(self, tmp_path, metrics_inputs):
+        # A runlog line logs its own node's estimates. One relabelled to another
+        # source would be scored from the wrong pose, so the line keeps no edge.
+        source = metrics_inputs("runlog-default", 101)
+        lines = source.read_text().splitlines()
+        no = next(no for no, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) == 2)
+
+        def relabel(rec):
+            rec["estimates"][1]["src"] = (rec["node_id"] + 1) % 3
+
+        self.corrupt(source, tmp_path / "runlog.jsonl", {no: relabel})
+        for path, out in ((source, "clean"), (tmp_path / "runlog.jsonl", "relabelled")):
+            assert main(["metrics", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        clean, relabelled = (read_csv(tmp_path / out / "summary.csv")[0] for out in ("clean", "relabelled"))
+        assert int(relabelled["malformed_lines"]) == int(clean["malformed_lines"]) + 1
+        assert int(relabelled["edges"]) == int(clean["edges"]) - 2
 
     def test_dataset_checks_match_constructors(self, tmp_path, metrics_inputs):
         def node(k, key, value):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from covis.netproto import PeerTracker
@@ -174,9 +176,11 @@ class TestTdmaIntegration:
 
     def test_goodput_tracks_loss(self):
         medium = Medium(base_loss=0.04, loss_slope=0.0)
-        behaviors = [pinned(BroadcastNode(i, n_slots=4, payload_bytes=1024)) for i in range(4)]
-        events = run(behaviors, duration=60.0, seed=9, medium=medium)
-        rows = {r["node_id"]: r for r in summarize(events)}
+        sim = Simulator(medium, seed=9)
+        for i in range(4):
+            sim.add_node(pinned(BroadcastNode(i, n_slots=4, payload_bytes=1024)))
+        events = sim.run(60.0)
+        rows = {r["node_id"]: r for r in summarize(sim)}
         for node_id, row in rows.items():
             offered = row["frames_tx"] / 60.0
             assert offered == pytest.approx(15.0, rel=0.02)
@@ -193,6 +197,37 @@ class TestTdmaIntegration:
             events = run([node], duration=80.0, seed=1, medium=LOSSLESS)
             sent = sum(1 for e in events if e.kind == KIND_TX_START)
             assert sent == 1200 // divisor + 1
+
+
+class TestWakeSchedule:
+    @pytest.mark.parametrize(
+        "superframe_hz, n_nodes, duration",
+        [(15.0, 4, 20.0), (1000.0, 4, 5.0), (15.0, 9, 20.0)],
+        ids=["15Hz", "1000Hz", "9_nodes_backoff"],
+    )
+    def test_one_wakeup_per_superframe_in_own_slot(self, superframe_hz, n_nodes, duration):
+        # Wake-up k of a node is at k * period + slot offset, for k = 0, 1, 2, ...
+        # with no gap and no repeat, whether or not the node transmits then.
+        sim = Simulator(LOSSLESS, seed=3, superframe_hz=superframe_hz)
+        for i in range(n_nodes):
+            sim.add_node(BroadcastNode(i, n_slots=4, payload_bytes=64, roster=range(n_nodes)))
+        sim.run(duration)
+        for node in sim.behaviors.values():
+            s = node.scheduler
+            times = [sample["t"] for sample in node.trace]
+            assert len(times) == math.floor(duration * superframe_hz + 1e-9) + (s.slot_index == 0)
+            assert times == [k * s.superframe_period + s.slot_index * s.slot_width for k in range(len(times))]
+
+    def test_frames_carry_their_wakeup_superframe(self):
+        sim = Simulator(LOSSLESS, seed=4, superframe_hz=1000.0)
+        for i in range(4):
+            sim.add_node(BroadcastNode(i, n_slots=4, payload_bytes=64))
+        sim.run(5.0)
+        starts = [e for e in sim.events if e.kind == KIND_TX_START]
+        assert len(starts) == 4 * 5000 + 1
+        for e in starts:
+            s = sim.behaviors[e.node_id].scheduler
+            assert e.time == e.superframe * s.superframe_period + s.slot_index * s.slot_width
 
 
 class TestLossMeasurement:

@@ -471,6 +471,32 @@ class TestRunFormation:
         with pytest.raises(ConfigError, match="stale_timeout_s"):
             run_formation(cfg)
 
+    def test_frame_one_superframe_old_is_fresh(self):
+        # Without loss every peer frame is read one superframe after it is sent.
+        # A stale timeout of one superframe (lag == max_age) keeps all of them,
+        # as two superframes do: each follower estimates both peers from tick 1 on.
+        counts = []
+        for stale in (1 / 15, 2 / 15):
+            cfg = RunConfig(seed=3, stale_timeout_s=stale, base_loss=0.0, loss_slope=0.0, duration_s=20.0)
+            run = FormationRun(cfg)
+            assert run.max_age == round(stale * 15)
+            records, _ = run.run()
+            followers = [r for r in records if r["node_id"] != 0 and r["t"] > 0]
+            assert all(any(e["dst"] == 0 for e in r["estimates"]) for r in followers)
+            counts.append(sum(len(r["estimates"]) for r in followers))
+        assert counts == [2 * 300 * 2] * 2
+
+    @pytest.mark.parametrize("hz", [10.0, 12.0])
+    def test_frame_max_age_old_is_fresh(self, hz):
+        # 0.5 s is a whole number of superframes at 10 and 12 Hz: a frame that
+        # many superframes old is fresh, one a superframe older is not.
+        run = FormationRun(RunConfig(estimator="oracle", superframe_hz=hz, stale_timeout_s=0.5))
+        assert run.max_age == round(0.5 * hz)
+        node, tick = RobotNode(1, run), 100
+        for peer, age in ((0, run.max_age), (2, run.max_age + 1)):
+            node.inbox[peer] = Observation(peer, run.initial_pose(peer), 90.0, b"", tick - age)
+        assert [(e.dst, peer_tick) for e, peer_tick in node.fresh_estimates(tick)] == [(0, tick - run.max_age)]
+
     def test_followers_start_in_formation(self):
         cfg = RunConfig(seed=1, estimator="oracle", **ACCEPT)
         records, _ = run_formation(cfg)

@@ -23,6 +23,7 @@ import itertools
 import json
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional
 
 import numpy as np
@@ -134,6 +135,10 @@ def sample_free_position(world: BevGrid, rng: np.random.Generator) -> tuple[floa
 
 
 _RAY_STEPS = 96  # samples per visibility ray
+# Samples per block of whole rays. Each float64 temporary of a block is then
+# about 100 kB, under glibc's 128 kB mmap threshold, so freed buffers are
+# reused instead of being faulted in again on every call.
+_RAY_BLOCK = 12_000
 
 
 def _to_world(pose: Pose, ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -151,6 +156,62 @@ def bev_crop(
     return BevGrid(world.sample(wx, wy), extent, resolution)
 
 
+@dataclass(frozen=True)
+class _RayTable:
+    """The pose-free part of ``observed_grid`` for one crop geometry and FOV.
+
+    ``points`` holds every ego coordinate a sample can take: row i, column k
+    is the centre coordinate i times alpha_k, so sample k of the ray to cell
+    (i, j) is the pair of entries (i, k) and (j, k). ``blocks`` holds, per
+    block of whole rays, the slice of ``marched`` it covers, the flat indices
+    into ``points`` of its samples' x and y (views into one array each, ray
+    after ray) and each ray's first sample within the block. Small integer
+    indices keep the table at a quarter of the size of the float64 points.
+    """
+
+    in_fov: np.ndarray  # cells whose bearing lies inside the FOV
+    marched: np.ndarray  # flat index of each in-FOV cell whose ray has a sample
+    points: np.ndarray
+    blocks: tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=4)
+def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
+    ex, ey = cell_centres(extent, resolution)
+    n = ex.shape[0]
+    bearing = np.degrees(np.arctan2(ey, ex))
+    in_fov = np.abs(bearing) <= fov_deg / 2.0
+    # Only cells inside the FOV can be visible, so only their rays are marched.
+    cells = np.flatnonzero(in_fov)
+
+    dist = np.hypot(ex.ravel()[cells], ey.ravel()[cells])
+    # Sample each ray from the ego to just short of the cell itself. The
+    # alphas rise, so a ray's samples are its first alphas below the cutoff.
+    alphas = (np.arange(_RAY_STEPS) + 0.5) / _RAY_STEPS
+    cutoff = 1.0 - resolution / np.maximum(dist, resolution)
+    steps = np.searchsorted(alphas, cutoff)  # how many alphas lie below each cutoff
+    cells, steps = cells[steps > 0], steps[steps > 0]  # a ray without samples is clear
+    ends = np.cumsum(steps)
+    first = ends - steps
+    k = np.arange(ends[-1] if ends.size else 0) - np.repeat(first, steps)
+    i, j = np.divmod(np.repeat(cells, steps), n)
+    points = (ex[:, 0, None] * alphas).ravel()  # ex[i, j] is centre coordinate i
+    index = np.min_scalar_type(points.size - 1)
+    ix, iy = (i * _RAY_STEPS + k).astype(index), (j * _RAY_STEPS + k).astype(index)
+    ix.flags.writeable = iy.flags.writeable = False  # and so the block views of them
+
+    # Each block holds the rays that start within its _RAY_BLOCK samples.
+    bounds = [*np.searchsorted(first, np.arange(0, k.size, _RAY_BLOCK)).tolist(), steps.size]
+    blocks = []
+    for r0, r1 in zip(bounds, bounds[1:]):
+        s0, s1 = first[r0], ends[r1 - 1]
+        blocks.append((slice(r0, r1), ix[s0:s1], iy[s0:s1], first[r0:r1] - s0))
+    table = _RayTable(in_fov, cells, points, tuple(blocks))
+    for a in (table.in_fov, table.marched, table.points, *(block[3] for block in blocks)):
+        a.flags.writeable = False
+    return table
+
+
 def observed_grid(world: BevGrid, pose: Pose, fov_deg: float, truth: BevGrid) -> BevGrid:
     """Ego crop masked to what the camera can actually see.
 
@@ -158,26 +219,20 @@ def observed_grid(world: BevGrid, pose: Pose, fov_deg: float, truth: BevGrid) ->
     wall blocks the straight line from the ego (walls themselves are visible
     as the first blocker). Invisible cells are unknown (0.5). ``truth`` is
     this pose's ``bev_crop``, whose extent and resolution the result takes.
+    Everything but the world transform and the wall lookup is cached per
+    geometry and FOV, and rays are marched in blocks of whole rays.
     """
     extent, resolution = truth.extent, truth.resolution
-    ex, ey = cell_centres(extent, resolution)
+    rays = _ray_blocks(extent, resolution, fov_deg)
+    blocked = np.empty(rays.marched.size, dtype=bool)
+    for which, ix, iy, starts in rays.blocks:
+        wx, wy = _to_world(pose, rays.points.take(ix), rays.points.take(iy))
+        # Samples off the floor read unknown (0.5), which is never a wall.
+        blocked[which] = np.logical_or.reduceat(world.sample(wx, wy) > 0.5, starts)
 
-    bearing = np.degrees(np.arctan2(ey, ex))
-    in_fov = np.abs(bearing) <= fov_deg / 2.0
-    # Only cells inside the FOV can be visible, so only their rays are marched.
-    ex, ey = ex[in_fov], ey[in_fov]
-
-    dist = np.hypot(ex, ey)
-    # Sample each ray from the ego to just short of the cell itself.
-    alphas = (np.arange(_RAY_STEPS) + 0.5) / _RAY_STEPS
-    cutoff = 1.0 - resolution / np.maximum(dist, resolution)
-    wx, wy = _to_world(pose, ex[:, None] * alphas, ey[:, None] * alphas)
-    # Samples off the floor read unknown (0.5), which is never a wall.
-    blocking = (world.sample(wx, wy) > 0.5) & (alphas[None, :] < cutoff[:, None])
-
-    visible = np.zeros(in_fov.shape, dtype=bool)
-    visible[in_fov] = ~blocking.any(axis=-1)
-    cells = np.full(in_fov.shape, UNKNOWN)
+    visible = rays.in_fov.copy()
+    visible.flat[rays.marched[blocked]] = False
+    cells = np.full(visible.shape, UNKNOWN)
     cells[visible] = truth.cells[visible]
     return BevGrid(cells, extent, resolution)
 

@@ -2,6 +2,7 @@ import itertools
 import json
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -287,6 +288,66 @@ class TestObservedGridReference:
                 got = observed_grid(world, pose, fov, bev_crop(world, pose, *grid)).cells
                 want = _observed_grid_reference(world, pose, fov, *grid)
                 assert got.tobytes() == want.tobytes(), (fov, x, y, grid)
+
+
+class TestObservedGridEdges:
+    """observed_grid matches the original ray march at the edges of its geometry."""
+
+    WORLD = gen_world(0)  # 256 x 256 cells, 24 m
+    POSES = (
+        Pose.identity(),
+        Pose(Vec3(3.1, -2.2, 0.0), UnitQuat.from_yaw(2.3)),
+        Pose(Vec3(-11.5, 10.9, 0.0), UnitQuat.from_yaw(-0.7)),  # near the world's corner
+    )
+
+    def _check(self, fov, extent, resolution, pose):
+        got = observed_grid(self.WORLD, pose, fov, bev_crop(self.WORLD, pose, extent, resolution)).cells
+        want = _observed_grid_reference(self.WORLD, pose, fov, extent, resolution)
+        assert got.tobytes() == want.tobytes(), (fov, extent, resolution, pose)
+
+    @pytest.mark.parametrize("fov", [1e-300, 30.0, 180.0])
+    def test_one_cell_crop_marches_no_sample(self, fov):
+        res = 6.0 / 64
+        assert scenario._ray_blocks(res, res, fov).blocks == ()
+        for pose in self.POSES:
+            self._check(fov, res, res, pose)
+
+    def test_tiny_fov_sees_no_cell(self):
+        assert not scenario._ray_blocks(6.0, 6.0 / 64, 1e-300).in_fov.any()
+        for pose in self.POSES:
+            self._check(1e-300, 6.0, 6.0 / 64, pose)
+            assert np.all(observed_grid(self.WORLD, pose, 1e-300, bev_crop(self.WORLD, pose)).cells == 0.5)
+
+    def test_largest_crop(self):
+        # 256 cells, the most a config allows; the reference holds ~0.5 GB per call.
+        for pose, fov in zip(self.POSES, (180.0, 120.0, 45.0)):
+            self._check(fov, 24.0, 0.09375, pose)
+
+    def test_alternating_geometries_and_fovs(self):
+        # More geometry-FOV pairs than the table cache holds, visited twice in
+        # an order that evicts each before it comes back.
+        pairs = [(g, fov) for fov in (120.0, 30.0, 180.0) for g in ((6.0, 6.0 / 64), (4.0, 0.125), (3.0, 0.1875))]
+        for round_ in range(2):
+            for k, ((extent, res), fov) in enumerate(pairs):
+                self._check(fov, extent, res, self.POSES[(k + round_) % len(self.POSES)])
+        table = scenario._ray_blocks(6.0, 6.0 / 64, 120.0)
+        arrays = [table.in_fov, table.marched, table.points, *(a for block in table.blocks for a in block[1:])]
+        assert not any(a.flags.writeable for a in arrays)
+
+    @pytest.mark.parametrize("extent, bound_mb", [(6.0, 1.0), (24.0, 2.0)])
+    def test_warm_call_memory_is_bounded(self, extent, bound_mb):
+        # Rays are marched in blocks, so no temporary grows with the crop's
+        # samples (the whole-crop march peaked at 5.7 MB and 90.9 MB).
+        pose = self.POSES[1]
+        truth = bev_crop(self.WORLD, pose, extent, 0.09375)
+        observed_grid(self.WORLD, pose, 120.0, truth)
+        tracemalloc.start()
+        try:
+            observed_grid(self.WORLD, pose, 120.0, truth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound_mb * 1e6
 
 
 class TestLeaderPose:

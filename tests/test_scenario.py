@@ -336,8 +336,7 @@ class TestObservedGridEdges:
 
     @pytest.mark.parametrize("extent, bound_mb", [(6.0, 1.0), (24.0, 2.0)])
     def test_warm_call_memory_is_bounded(self, extent, bound_mb):
-        # Rays are marched in blocks, so no temporary grows with the crop's
-        # samples (the whole-crop march peaked at 5.7 MB and 90.9 MB).
+        # Rays are marched in blocks, so no temporary grows with the crop's samples.
         pose = self.POSES[1]
         truth = bev_crop(self.WORLD, pose, extent, 0.09375)
         observed_grid(self.WORLD, pose, 120.0, truth)

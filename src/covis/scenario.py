@@ -175,7 +175,7 @@ class _RayTable:
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray], ...]
 
 
-@lru_cache(maxsize=4)
+@lru_cache(maxsize=1)  # callers use one geometry and FOV per process
 def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
     ex, ey = cell_centres(extent, resolution)
     n = ex.shape[0]
@@ -200,8 +200,9 @@ def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
     ix, iy = (i * _RAY_STEPS + k).astype(index), (j * _RAY_STEPS + k).astype(index)
     ix.flags.writeable = iy.flags.writeable = False  # and so the block views of them
 
-    # Each block holds the rays that start within its _RAY_BLOCK samples.
-    bounds = [*np.searchsorted(first, np.arange(0, k.size, _RAY_BLOCK)).tolist(), steps.size]
+    # Each block holds the rays that start within its _RAY_BLOCK samples, so
+    # a block begins at each ray whose first sample opens a new such span.
+    bounds = [*np.flatnonzero(np.diff(first // _RAY_BLOCK, prepend=-1)).tolist(), steps.size]
     blocks = []
     for r0, r1 in zip(bounds, bounds[1:]):
         s0, s1 = first[r0], ends[r1 - 1]

@@ -7,25 +7,35 @@ import subprocess
 import sys
 from pathlib import Path
 
-from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
-
 ROOT = Path(__file__).resolve().parents[1]
 spec = importlib.util.spec_from_file_location("golden", ROOT / "tools" / "golden.py")
 golden = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(golden)
 
-# Reruns every golden case and writes its digests, with the dispatch features
-# it was asked to switch off that numpy still reports on, to the file argv[1].
+
+def _cpu_features() -> tuple[list, dict]:
+    """numpy's dispatched SIMD features and which this CPU has; numpy keeps
+    both private, at a path that moved in numpy 2.0."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:  # numpy < 2
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    return __cpu_dispatch__, __cpu_features__
+
+
+# Loads this module from argv[2], reruns every golden case and writes its
+# digests, with the dispatch features it was asked to switch off that numpy
+# still reports on, to the file argv[1].
 _CHILD = """
 import importlib.util, json, os, sys, tempfile
 from pathlib import Path
-from numpy._core._multiarray_umath import __cpu_features__
-spec = importlib.util.spec_from_file_location("golden", sys.argv[2])
-golden = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(golden)
-still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if __cpu_features__.get(f)]
+spec = importlib.util.spec_from_file_location("test_golden", sys.argv[2])
+here = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(here)
+on = here._cpu_features()[1]
+still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if on.get(f)]
 with tempfile.TemporaryDirectory() as tmp:
-    found = golden.digests(Path(tmp))
+    found = here.golden.digests(Path(tmp))
 Path(sys.argv[1]).write_text(json.dumps({"still_on": still_on, "digests": found}))
 """
 
@@ -49,11 +59,12 @@ def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
     # numpy picks its vectorized loops at import from the CPU's features. A
     # child with every dispatched feature this CPU has switched off runs the
     # baseline loops; on a CPU with nothing above the baseline both runs match.
-    off = [f for f in __cpu_dispatch__ if __cpu_features__.get(f)]
+    dispatch, on = _cpu_features()
+    off = [f for f in dispatch if on.get(f)]
     env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
     out = tmp_path / "child.json"
     done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out), str(ROOT / "tools" / "golden.py")],
+        [sys.executable, "-c", _CHILD, str(out), __file__],
         env=env, capture_output=True, text=True, timeout=600,
     )
     assert done.returncode == 0, done.stderr

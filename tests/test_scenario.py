@@ -334,6 +334,22 @@ class TestObservedGridEdges:
         arrays = [table.in_fov, table.marched, table.points, *(a for block in table.blocks for a in block[1:])]
         assert not any(a.flags.writeable for a in arrays)
 
+    def test_blocks_cover_every_ray_at_any_fov(self):
+        # The FOV moves the total sample count past multiples of the block
+        # size, including where one falls inside the last ray.
+        for fov in np.arange(90.0, 180.0001, 0.05):
+            table = scenario._ray_blocks(6.0, 6.0 / 64, float(fov))
+            ray = 0
+            for which, ix, iy, starts in table.blocks:
+                assert which.start == ray and which.stop > ray, fov
+                assert starts.size == which.stop - which.start and starts[0] == 0, fov
+                assert ix.size == iy.size and ix.size > starts[-1], fov
+                ray = which.stop
+            assert ray == table.marched.size, fov
+        # FOVs whose last block boundary falls inside the last ray, and 120 for contrast.
+        for fov, pose in zip((29.2, 65.9, 100.0, 119.5, 120.0), itertools.cycle(self.POSES)):
+            self._check(fov, 6.0, 6.0 / 64, pose)
+
     @pytest.mark.parametrize("extent, bound_mb", [(6.0, 1.0), (24.0, 2.0)])
     def test_warm_call_memory_is_bounded(self, extent, bound_mb):
         # Rays are marched in blocks, so no temporary grows with the crop's samples.

@@ -73,12 +73,16 @@ class BevGrid:
         """
         n = self.cells.shape[0]
         cell = np.empty(np.shape(x))
-        flat = n + 3  # (i + 1) * (n + 2) + (j + 1), so indices -1 and n land on the ring
-        for v, stride in ((x, n + 2), (y, 1)):
+        ij = []
+        for v in (x, y):
             # In place, as the rays of one crop sample about 130k points.
             np.divide(np.add(v, self.extent / 2.0, out=cell), self.resolution, out=cell)
-            flat += stride * np.clip(np.floor(cell, out=cell), -1, n, out=cell).astype(np.intp)
-        return self._ringed.ravel()[flat]
+            ij.append(np.clip(np.floor(cell, out=cell), -1, n, out=cell).astype(np.intp))
+        i, j = ij
+        i *= n + 2  # flat index (i + 1) * (n + 2) + (j + 1), so indices -1 and n land on the ring
+        i += j
+        i += n + 3
+        return self._ringed.take(i)
 
     def to_bytes(self) -> bytes:
         h, w = self.cells.shape

@@ -11,9 +11,10 @@ Conventions
 - Ego frame of a robot: x forward, y left, z up.
 - Angles returned in degrees are in ``[0, 180]``.
 
-The ``*_rows`` functions apply the same arithmetic, in the same operation
-order, to (n, 3) and (n, 4) float arrays, so a row gives the bits of the
-scalar function.
+The ``*_rows`` functions take (n, 3) and (n, 4) float arrays and call the
+scalar arithmetic (``quat_mul``, ``quat_rotate`` and the private norm and
+yaw helpers) on their columns, so a row gives the bits of the scalar
+function.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ _RAD_TO_DEG = 180.0 / math.pi
 
 
 def quat_mul(a: tuple, b: tuple) -> tuple[float, float, float, float]:
-    """Hamilton product a * b of scalar-first 4-tuples; UnitQuat.multiply without the object."""
+    """Hamilton product a * b of scalar-first 4-tuples or columns; UnitQuat.multiply without the object."""
     w1, x1, y1, z1 = a
     w2, x2, y2, z2 = b
     return (
@@ -45,7 +46,7 @@ def quat_mul(a: tuple, b: tuple) -> tuple[float, float, float, float]:
 
 
 def quat_rotate(q: tuple, v: tuple) -> tuple[float, float, float]:
-    """UnitQuat.rotate on a scalar-first 4-tuple q and a 3-tuple v."""
+    """UnitQuat.rotate on a scalar-first 4-tuple q and a 3-tuple v, or on their columns."""
     w, x, y, z = q
     vx, vy, vz = v
     # v' = v + 2*w*(u x v) + 2*(u x (u x v)) with u = (x, y, z)
@@ -165,8 +166,7 @@ class UnitQuat:
 
     def yaw(self) -> float:
         """Heading of the body x-axis projected on the parent xy-plane, radians."""
-        r = self.to_matrix()
-        return math.atan2(r[1][0], r[0][0])
+        return math.atan2(*_yaw_args(self.w, self.x, self.y, self.z))
 
     def as_tuple(self) -> tuple[float, float, float, float]:
         return (self.w, self.x, self.y, self.z)
@@ -204,20 +204,24 @@ def relative_pose(pose_i: Pose, pose_j: Pose) -> Pose:
     return Pose(inv.rotate(pose_j.position - pose_i.position), inv.multiply(pose_j.rotation))
 
 
-def _signed_norms(a: tuple, b: tuple) -> tuple[float, float]:
-    """(||a - b||, ||a + b||) of 4-tuples, computed componentwise (no cancellation)."""
+def _yaw_args(w, x, y, z):
+    """(R[1][0], R[0][0]) of R(q): the atan2 arguments of the yaw."""
+    return 2 * (x * y + w * z), 1 - 2 * (y * y + z * z)
+
+
+def _signed_sq_norms(a, b):
+    """(||a - b||^2, ||a + b||^2) of scalar-first quaternions, computed
+    componentwise (no cancellation); 4-tuples or four columns."""
     aw, ax, ay, az = a
     bw, bx, by, bz = b
     dw, dx, dy, dz = aw - bw, ax - bx, ay - by, az - bz
     sw, sx, sy, sz = aw + bw, ax + bx, ay + by, az + bz
-    dm = math.sqrt(dw * dw + dx * dx + dy * dy + dz * dz)
-    dp = math.sqrt(sw * sw + sx * sx + sy * sy + sz * sz)
-    return dm, dp
+    return dw * dw + dx * dx + dy * dy + dz * dz, sw * sw + sx * sx + sy * sy + sz * sz
 
 
 def quat_dist(q: UnitQuat, q_hat: UnitQuat) -> float:
     """min(||q - q_hat||, ||q + q_hat||); sign-invariant, in [0, sqrt(2)]."""
-    return min(_signed_norms(q.as_tuple(), q_hat.as_tuple()))
+    return math.sqrt(min(_signed_sq_norms(q.as_tuple(), q_hat.as_tuple())))
 
 
 def rot_geodesic_deg(q: UnitQuat, q_hat: UnitQuat) -> float:
@@ -232,8 +236,8 @@ def quat_angle_deg(a: tuple, b: tuple) -> float:
     2*sin(angle/4) and 2*cos(angle/4), so this is the same quantity with full
     precision at both endpoints.
     """
-    dm, dp = _signed_norms(a, b)
-    return math.degrees(4.0 * math.atan2(min(dm, dp), max(dm, dp)))
+    dm2, dp2 = _signed_sq_norms(a, b)
+    return math.degrees(4.0 * math.atan2(math.sqrt(min(dm2, dp2)), math.sqrt(max(dm2, dp2))))
 
 
 def pos_dist(p: Vec3, p_hat: Vec3) -> float:
@@ -256,39 +260,11 @@ def unit_quat_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return q / np.where(flip, -n, n)[:, None], np.abs(n - 1.0) <= _NORM_TOL
 
 
-def _quat_mul_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    w1, x1, y1, z1 = a.T
-    w2, x2, y2, z2 = b.T
-    return np.stack(
-        [
-            w1 * w2 - x1 * x2 - y1 * y2 - z1 * z2,
-            w1 * x2 + x1 * w2 + y1 * z2 - z1 * y2,
-            w1 * y2 - x1 * z2 + y1 * w2 + z1 * x2,
-            w1 * z2 + x1 * y2 - y1 * x2 + z1 * w2,
-        ],
-        axis=1,
-    )
-
-
-def _quat_rotate_rows(q: np.ndarray, v: np.ndarray) -> np.ndarray:
-    w, x, y, z = q.T
-    vx, vy, vz = v.T
-    ux = y * vz - z * vy
-    uy = z * vx - x * vz
-    uz = x * vy - y * vx
-    uux = y * uz - z * uy
-    uuy = z * ux - x * uz
-    uuz = x * uy - y * ux
-    return np.stack(
-        [vx + 2.0 * (w * ux + uux), vy + 2.0 * (w * uy + uuy), vz + 2.0 * (w * uz + uuz)], axis=1
-    )
-
-
 def relative_pose_rows(p_i, q_i, p_j, q_j) -> tuple[np.ndarray, np.ndarray]:
     """relative_pose per row of unit quaternions: (positions, quaternions) of j in i's frame."""
     inv, _ = unit_quat_rows(q_i * np.array([1.0, -1.0, -1.0, -1.0]))
-    rel, _ = unit_quat_rows(_quat_mul_rows(inv, q_j))
-    return _quat_rotate_rows(inv, p_j - p_i), rel
+    rel, _ = unit_quat_rows(np.stack(quat_mul(inv.T, q_j.T), axis=1))
+    return np.stack(quat_rotate(inv.T, (p_j - p_i).T), axis=1), rel
 
 
 def _atan2_rows(y: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -303,16 +279,13 @@ def atan2_deg_rows(y: np.ndarray, x: np.ndarray, scale: float = 1.0) -> np.ndarr
 
 def yaw_rows(q: np.ndarray) -> np.ndarray:
     """UnitQuat.yaw per row, radians."""
-    w, x, y, z = q.T
-    return _atan2_rows(2 * (x * y + w * z), 1 - 2 * (y * y + z * z))
+    return _atan2_rows(*_yaw_args(*q.T))
 
 
 def quat_angle_deg_rows(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """quat_angle_deg per row; ``b`` may be a single (4,) quaternion."""
-    d, s = a - b, a + b
-    dm = np.sqrt(d[:, 0] * d[:, 0] + d[:, 1] * d[:, 1] + d[:, 2] * d[:, 2] + d[:, 3] * d[:, 3])
-    dp = np.sqrt(s[:, 0] * s[:, 0] + s[:, 1] * s[:, 1] + s[:, 2] * s[:, 2] + s[:, 3] * s[:, 3])
-    return atan2_deg_rows(np.minimum(dm, dp), np.maximum(dm, dp), 4.0)
+    dm2, dp2 = _signed_sq_norms(a.T, b.T)
+    return atan2_deg_rows(np.sqrt(np.minimum(dm2, dp2)), np.sqrt(np.maximum(dm2, dp2)), 4.0)
 
 
 def norm_rows(v: np.ndarray) -> np.ndarray:

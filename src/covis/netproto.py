@@ -83,6 +83,8 @@ class Frame:
             raise ValueError("superframe_idx out of uint32 range")
         if not 0 <= self.msg_type < 1 << 8:
             raise ValueError("msg_type out of uint8 range")
+        if not 0 <= self.version < 1 << 8:
+            raise ValueError("version out of uint8 range")
 
 
 def encode(frame: Frame) -> bytes:

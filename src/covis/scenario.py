@@ -352,45 +352,30 @@ def _fig8_xy(cfg: RunConfig, t: float) -> tuple[float, float, float, float]:
 def _rect_xy(cfg: RunConfig, t: float) -> tuple[float, float, float, float]:
     lx, ly, r = cfg.traj_size_x_m, cfg.traj_size_y_m, cfg.traj_corner_radius_m
     straight_x, straight_y = lx - 2 * r, ly - 2 * r
+    arc = math.pi * r / 2
     perimeter = 2 * straight_x + 2 * straight_y + 2 * math.pi * r
     speed = perimeter / cfg.traj_period_s
     s = (speed * t) % perimeter
-    # Centered rectangle, counter-clockwise from the bottom-left straight.
-    segs = [
-        (straight_x, lambda u: (-straight_x / 2 + u, -ly / 2, 1.0, 0.0)),
-        (
-            math.pi * r / 2,
-            lambda u: _arc(straight_x / 2, -straight_y / 2, r, -math.pi / 2, u / r),
-        ),
-        (straight_y, lambda u: (lx / 2, -straight_y / 2 + u, 0.0, 1.0)),
-        (
-            math.pi * r / 2,
-            lambda u: _arc(straight_x / 2, straight_y / 2, r, 0.0, u / r),
-        ),
-        (straight_x, lambda u: (straight_x / 2 - u, ly / 2, -1.0, 0.0)),
-        (
-            math.pi * r / 2,
-            lambda u: _arc(-straight_x / 2, straight_y / 2, r, math.pi / 2, u / r),
-        ),
-        (straight_y, lambda u: (-lx / 2, straight_y / 2 - u, 0.0, -1.0)),
-        (
-            math.pi * r / 2,
-            lambda u: _arc(-straight_x / 2, -straight_y / 2, r, math.pi, u / r),
-        ),
-    ]
-    for i, (length, fn) in enumerate(segs):
-        if s <= length or i == len(segs) - 1:
-            x, y, tx, ty = fn(min(s, length))
-            return x, y, tx * speed, ty * speed
+    # Centered rectangle, counter-clockwise from the bottom-left straight. Each side is a straight
+    # (start point, unit direction, length), then a quarter arc of radius r (centre, start angle).
+    sides = (
+        (-straight_x / 2, -ly / 2, 1.0, 0.0, straight_x, straight_x / 2, -straight_y / 2, -math.pi / 2),
+        (lx / 2, -straight_y / 2, 0.0, 1.0, straight_y, straight_x / 2, straight_y / 2, 0.0),
+        (straight_x / 2, ly / 2, -1.0, 0.0, straight_x, -straight_x / 2, straight_y / 2, math.pi / 2),
+        (-lx / 2, straight_y / 2, 0.0, -1.0, straight_y, -straight_x / 2, -straight_y / 2, math.pi),
+    )
+    for x0, y0, dx, dy, length, cx, cy, phi0 in sides:
+        if s <= length:
+            return x0 + dx * s, y0 + dy * s, dx * speed, dy * speed
         s -= length
-    raise AssertionError("unreachable")
-
-
-def _arc(cx: float, cy: float, r: float, phi0: float, dphi: float):
-    phi = phi0 + dphi
-    x = cx + r * math.cos(phi)
-    y = cy + r * math.sin(phi)
-    return x, y, -math.sin(phi), math.cos(phi)
+        if s <= arc:
+            break
+        s -= arc
+    else:
+        s = arc  # float residue past the last arc's end
+    # A zero-radius corner is its corner point.
+    phi = phi0 + s / r if r else phi0
+    return cx + r * math.cos(phi), cy + r * math.sin(phi), -math.sin(phi) * speed, math.cos(phi) * speed
 
 
 def leader_pose(cfg: RunConfig, t: float) -> Pose:

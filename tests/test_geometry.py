@@ -316,6 +316,39 @@ class TestRowKernels:
             assert bits(angles[k]) == bits(quat_angle_deg(q[k].as_tuple(), q[half + k].as_tuple()))
         assert bits(norm_rows(p_rows)) == bits([v.norm() for v in p])
 
+    def test_w_zero_rows_and_single_b(self):
+        # Rows with w == 0 (half-turns), against each other and against one (4,) quaternion.
+        rng = np.random.default_rng(34)
+        v = rng.standard_normal((600, 3))
+        v[::3, int(rng.integers(3))] = 0.0
+        raw = np.hstack([np.zeros((600, 1)), v / np.linalg.norm(v, axis=1)[:, None]])
+        unit, ok = unit_quat_rows(raw)
+        assert ok.all() and (unit[:, 0] == 0.0).all()
+        q = [UnitQuat(*row) for row in unit.tolist()]
+        p_rows = rng.standard_normal((600, 3))
+        t_pos, t_quat = relative_pose_rows(p_rows[:300], unit[:300], p_rows[300:], unit[300:])
+        angles = quat_angle_deg_rows(unit[:300], unit[300:])
+        for k in range(300):
+            rel = relative_pose(Pose(Vec3(*p_rows[k]), q[k]), Pose(Vec3(*p_rows[300 + k]), q[300 + k]))
+            assert bits(t_pos[k]) == bits(rel.position.as_tuple())
+            assert bits(t_quat[k]) == bits(rel.rotation.as_tuple())
+            assert bits(angles[k]) == bits(quat_angle_deg(q[k].as_tuple(), q[300 + k].as_tuple()))
+        assert bits(yaw_rows(unit)) == bits([r.yaw() for r in q])
+        for b in (q[7], UnitQuat.identity(), random_quat(rng)):
+            want = [quat_angle_deg(r.as_tuple(), b.as_tuple()) for r in q]
+            assert bits(quat_angle_deg_rows(unit, np.array(b.as_tuple()))) == bits(want)
+
+    def test_quat_dist_is_the_smaller_signed_norm(self):
+        rng = np.random.default_rng(35)
+        raw = awkward_quats(rng, 2000)
+        q = [UnitQuat(*row) for row in raw[unit_quat_rows(raw)[1]].tolist()]
+        for a, b in zip(q, q[1:] + q[:1]):
+            d = [u - v for u, v in zip(a.as_tuple(), b.as_tuple())]
+            s = [u + v for u, v in zip(a.as_tuple(), b.as_tuple())]
+            dm = math.sqrt(d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + d[3] * d[3])
+            dp = math.sqrt(s[0] * s[0] + s[1] * s[1] + s[2] * s[2] + s[3] * s[3])
+            assert quat_dist(a, b).hex() == min(dm, dp).hex()
+
     def test_yaw_rows(self):
         raw = awkward_quats(np.random.default_rng(33), 3000)
         unit, ok = unit_quat_rows(raw)

@@ -88,6 +88,16 @@ class TestCodec:
                 classified += 1
         assert classified == 20_000  # nothing this small is a valid frame
 
+    @pytest.mark.parametrize("version", [-1, 256])
+    def test_version_out_of_uint8_range(self, version):
+        with pytest.raises(ValueError, match="version out of uint8 range"):
+            Frame(node_id=0, seq=0, superframe_idx=0, version=version)
+
+    def test_any_uint8_version_encodes(self):
+        for version in (0, 255):
+            with pytest.raises(BadVersion):
+                decode(encode(Frame(node_id=0, seq=0, superframe_idx=0, version=version)))
+
     def test_field_validation(self):
         with pytest.raises(ValueError):
             Frame(node_id=-1, seq=0, superframe_idx=0)

@@ -1,4 +1,6 @@
-"""Every public name in the package has a caller outside its own tests."""
+"""Every public name in the package has a caller outside its own tests, and
+every private top-level name a reference in the package outside its own
+definition."""
 
 import ast
 from pathlib import Path
@@ -7,8 +9,9 @@ ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "covis"
 
 
-def _defined(tree):
-    """(name, first line, last line) of each public top-level definition."""
+def _defined(tree, private=False):
+    """(name, first line, last line) of each public (or private) top-level
+    definition; dunder names such as ``__all__`` are neither."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names = [node.name]
@@ -19,7 +22,8 @@ def _defined(tree):
         else:
             continue
         for name in names:
-            if not name.startswith("_"):
+            dunder = name.startswith("__") and name.endswith("__")
+            if not dunder and name.startswith("_") == private:
                 yield name, node.lineno, node.end_lineno
 
 
@@ -102,6 +106,18 @@ def test_every_public_name_has_a_caller():
         for path, tree in trees.items()
         for name, first, last in _defined(tree)
         if name not in imported and not _reached_elsewhere(name, path, first, last, uses)
+    ]
+    assert unused == []
+
+
+def test_every_private_name_is_referenced():
+    trees = _package()
+    uses = {path: list(_used(tree)) for path, tree in trees.items()}
+    unused = [
+        f"{path.name}:{first} {name}"
+        for path, tree in trees.items()
+        for name, first, last in _defined(tree, private=True)
+        if not _reached_elsewhere(name, path, first, last, uses)
     ]
     assert unused == []
 

@@ -401,6 +401,94 @@ class TestLeaderPose:
             leader_pose(self.SPEC, -1.0)
 
 
+def _rect_xy_reference(cfg, t):
+    """The rectangle as eight segment lambdas, each straight and arc written out."""
+    lx, ly, r = cfg.traj_size_x_m, cfg.traj_size_y_m, cfg.traj_corner_radius_m
+    straight_x, straight_y = lx - 2 * r, ly - 2 * r
+    perimeter = 2 * straight_x + 2 * straight_y + 2 * math.pi * r
+    speed = perimeter / cfg.traj_period_s
+    s = (speed * t) % perimeter
+
+    def arc(cx, cy, phi0, dphi):
+        phi = phi0 + dphi
+        return cx + r * math.cos(phi), cy + r * math.sin(phi), -math.sin(phi), math.cos(phi)
+
+    segs = [
+        (straight_x, lambda u: (-straight_x / 2 + u, -ly / 2, 1.0, 0.0)),
+        (math.pi * r / 2, lambda u: arc(straight_x / 2, -straight_y / 2, -math.pi / 2, u / r)),
+        (straight_y, lambda u: (lx / 2, -straight_y / 2 + u, 0.0, 1.0)),
+        (math.pi * r / 2, lambda u: arc(straight_x / 2, straight_y / 2, 0.0, u / r)),
+        (straight_x, lambda u: (straight_x / 2 - u, ly / 2, -1.0, 0.0)),
+        (math.pi * r / 2, lambda u: arc(-straight_x / 2, straight_y / 2, math.pi / 2, u / r)),
+        (straight_y, lambda u: (-lx / 2, straight_y / 2 - u, 0.0, -1.0)),
+        (math.pi * r / 2, lambda u: arc(-straight_x / 2, -straight_y / 2, math.pi, u / r)),
+    ]
+    for i, (length, fn) in enumerate(segs):
+        if s <= length or i == len(segs) - 1:
+            x, y, tx, ty = fn(min(s, length))
+            return x, y, tx * speed, ty * speed
+        s -= length
+
+
+class TestRectPath:
+    # (size x, size y, corner radius, period): a side of zero straight length
+    # (r = lx / 2, then r = ly / 2), a small corner, and two sizes where float
+    # residue just before the period's end leaves the walk past the last arc.
+    SIZES = [
+        (3.0, 2.0, 0.5, 40.0),
+        (2.0, 3.0, 1.0, 60.0),
+        (2.0, 1.0, 0.5, 60.0),
+        (4.0, 1.5, 0.01, 17.0),
+        (4.225, 2.381, 0.198, 29.8),
+        (2.575890720840042, 2.9861110641145037, 0.3, 8.27995386437745),
+    ]
+
+    @staticmethod
+    def _times(cfg):
+        """Dense times plus the time of every segment boundary, in the first and
+        second lap, and of each lap's end, with four float neighbours on each side."""
+        lx, ly, r = cfg.traj_size_x_m, cfg.traj_size_y_m, cfg.traj_corner_radius_m
+        straight_x, straight_y = lx - 2 * r, ly - 2 * r
+        arc = math.pi * r / 2
+        perimeter = 2 * straight_x + 2 * straight_y + 2 * math.pi * r
+        speed = perimeter / cfg.traj_period_s
+        times = np.linspace(0.0, 2.5 * cfg.traj_period_s, 5000).tolist()
+        edges = list(itertools.accumulate([straight_x, arc, straight_y, arc] * 2))
+        centres = [e / speed for e in edges] + [cfg.traj_period_s * (1.0 + e / perimeter) for e in edges]
+        for t in centres + [cfg.traj_period_s, 2 * cfg.traj_period_s]:
+            below = above = t
+            for _ in range(4):
+                below, above = math.nextafter(below, 0.0), math.nextafter(above, math.inf)
+                times += [below, above]
+            times.append(t)
+        return times
+
+    @pytest.mark.parametrize("lx, ly, r, period", SIZES)
+    def test_table_matches_eight_segments(self, lx, ly, r, period):
+        cfg = RunConfig(trajectory="rect_dynamic", traj_size_x_m=lx, traj_size_y_m=ly,
+                        traj_corner_radius_m=r, traj_period_s=period)
+        for t in self._times(cfg):
+            want = [float(v).hex() for v in _rect_xy_reference(cfg, t)]
+            assert [float(v).hex() for v in scenario._rect_xy(cfg, t)] == want, t
+
+    def test_zero_radius_corner_is_its_corner_point(self):
+        # Float residue leaves the walk past the last straight, on the zero-length last arc.
+        lx, ly, period = 2.575890720840042, 2.9861110641145037, 8.27995386437745
+        cfg = RunConfig(trajectory="rect_dynamic", traj_corner_radius_m=0.0,
+                        traj_size_x_m=lx, traj_size_y_m=ly, traj_period_s=period)
+        pose = leader_pose(cfg, 8.279953864377449)
+        assert pose.position.as_tuple() == (-lx / 2, -ly / 2, 0.0)
+
+    def test_zero_radius_stays_on_the_rectangle(self):
+        for lx, ly, _, period in self.SIZES:
+            cfg = RunConfig(trajectory="rect_dynamic", traj_size_x_m=lx, traj_size_y_m=ly,
+                            traj_corner_radius_m=0.0, traj_period_s=period)
+            for t in self._times(cfg):
+                x, y, _ = leader_pose(cfg, t).position.as_tuple()
+                assert abs(x) <= lx / 2 and abs(y) <= ly / 2
+                assert min(lx / 2 - abs(x), ly / 2 - abs(y)) <= 1e-12, (lx, ly, t)
+
+
 ACCEPT = dict(
     duration_s=30.0,
     kp_pos=6.0,

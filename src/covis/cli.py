@@ -219,6 +219,13 @@ def _numbers(values, n: int, name: str) -> array:
     return row
 
 
+def _integer(d: dict, key: str) -> int:
+    """``d[key]``, which must be a JSON integer: a bool, float or string raises."""
+    if type(d[key]) is not int:
+        raise ValueError(f"{key} {d[key]!r} is not an integer")
+    return d[key]
+
+
 def _pose_numbers(d: dict) -> array:
     return _numbers(d["p"], 3, "position") + _numbers(d["q"], 4, "quaternion")
 
@@ -228,7 +235,7 @@ def _estimate_numbers(d: dict) -> tuple[int, int, array]:
     row = _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
     row += _numbers(d["q_hat"], 4, "q_hat")
     row.append(float(d["sigma_q"]))
-    return int(d["src"]), int(d["dst"]), row
+    return _integer(d, "src"), _integer(d, "dst"), row
 
 
 def _edges_from_dataset(lines: list[str], cfg: RunConfig):
@@ -237,7 +244,7 @@ def _edges_from_dataset(lines: list[str], cfg: RunConfig):
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
-            nodes = {n["id"]: n for n in rec["nodes"]}
+            nodes = {_integer(n, "id"): n for n in rec["nodes"]}
             first = len(reader.pose_line)
             row_of = {node_id: first + k for k, node_id in enumerate(nodes)}
             poses = array("d")
@@ -299,8 +306,7 @@ def _runlog_poses(lines: list[str], cfg: RunConfig) -> tuple[_EdgeReader, list, 
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
-            key = (round(rec["t"] / period), rec["node_id"])
-            hash(key)  # an unhashable node id fails here, on its own line
+            key = (round(rec["t"] / period), _integer(rec, "node_id"))
             pose = _pose_numbers(rec["pose_truth"])
         except Exception as exc:
             reader.errors[no] = str(exc)
@@ -324,7 +330,7 @@ def _edges_from_runlog(lines: list[str], cfg: RunConfig):
                 src, dst, numbers = _estimate_numbers(d)
                 if src != rec["node_id"]:
                     raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
-                peer = pose_at.get((d["peer_tick"], dst))
+                peer = pose_at.get((_integer(d, "peer_tick"), dst))
                 if peer is None:
                     raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
                 values += numbers
@@ -489,9 +495,7 @@ def cmd_traces(args) -> int:
         return EXIT_VALIDATION
     reader, parsed, pose_at = _runlog_poses(lines, cfg)
     for no, rec in parsed:
-        if not isinstance(rec["node_id"], int):
-            reader.errors.setdefault(no, f"node_id {rec['node_id']!r} is not an integer")
-        elif "gated" not in rec:
+        if "gated" not in rec:
             reader.errors.setdefault(no, "record has no 'gated'")
     if reader.errors:  # the first bad line ends the command
         log.error("line %d: %s", *min(reader.errors.items()))

@@ -10,8 +10,10 @@ low-pass (alpha = 0.5) to tame estimator noise.
 Gating: when the position-uncertainty norm exceeds its threshold the robot
 stops translating and only steers its heading toward the estimated leader
 bearing; when the rotation uncertainty alone exceeds its threshold the yaw
-command is zeroed. An optional attenuation scales gains by
-1 / (1 + |sigma_p| / tau_p) instead of hard zeroing.
+command is zeroed. Optional attenuation scales the PD output by
+1 / (1 + |sigma_p| / tau_p) while the position gate is open. It replaces
+neither gate: a position-gated command still does not translate, and the
+rotation gate still zeroes the yaw rate.
 
 Every gain, limit, threshold and the step ``dt = 1 / superframe_hz`` is read
 from the ``RunConfig``, which owns their defaults and range rules.

@@ -1,16 +1,9 @@
 """Wire-frame codec and the shared-slot TDMA scheduler with loss-driven backoff.
 
-Frame layout (all multi-byte fields little-endian)::
-
-    magic      2 bytes   0x43 0x56
-    version    1 byte    currently 1
-    msg_type   1 byte    0 = embedding
-    node_id    uint16
-    seq        uint32    increments per transmitted frame
-    superframe uint32    superframe index of the transmission
-    payload_len uint16   <= 8192
-    payload    payload_len bytes
-    crc        uint32    IEEE CRC-32 over all preceding bytes
+Frame: a header packed by ``_HEADER`` (little-endian: magic ``CV``,
+version 1, msg_type 0 = embedding, node_id, seq incrementing per transmitted
+frame, superframe index of the transmission, payload_len <= 8192), then the
+payload and an IEEE CRC-32 (uint32) over all preceding bytes.
 
 Scheduling: the superframe repeats at 15 Hz and is divided into n_slots
 equal slots; a node owns slot ``node_id % n_slots``. Nodes sharing a slot are
@@ -26,6 +19,7 @@ traces per wake-up is the one measurement its backoff acted on.
 from __future__ import annotations
 
 import math
+import struct
 import zlib
 from collections import deque
 from dataclasses import dataclass, field
@@ -36,7 +30,8 @@ import numpy as np
 MAGIC = b"CV"
 VERSION = 1
 MSG_EMBEDDING = 0
-HEADER_LEN = 16
+_HEADER = struct.Struct("<2sBBHIIH")
+HEADER_LEN = _HEADER.size
 CRC_LEN = 4
 MAX_PAYLOAD = 8192
 
@@ -90,45 +85,35 @@ class Frame:
 def encode(frame: Frame) -> bytes:
     if len(frame.payload) > MAX_PAYLOAD:
         raise OverlongPayload(f"payload {len(frame.payload)} exceeds {MAX_PAYLOAD}")
-    header = (
-        MAGIC
-        + bytes((frame.version, frame.msg_type))
-        + frame.node_id.to_bytes(2, "little")
-        + frame.seq.to_bytes(4, "little")
-        + frame.superframe_idx.to_bytes(4, "little")
-        + len(frame.payload).to_bytes(2, "little")
-    )
-    body = header + frame.payload
-    return body + zlib.crc32(body).to_bytes(4, "little")
+    body = _HEADER.pack(
+        MAGIC, frame.version, frame.msg_type, frame.node_id, frame.seq, frame.superframe_idx,
+        len(frame.payload),
+    ) + frame.payload
+    return body + zlib.crc32(body).to_bytes(CRC_LEN, "little")
 
 
 def decode(data: bytes) -> Frame:
     """Parse one frame; raises a typed FrameError for any malformed input."""
     if len(data) < HEADER_LEN + CRC_LEN:
         raise Truncated(f"{len(data)} bytes, need at least {HEADER_LEN + CRC_LEN}")
-    if data[:2] != MAGIC:
-        raise BadMagic(f"magic {data[:2]!r}")
-    version = data[2]
+    magic, version, msg_type, node_id, seq, superframe_idx, payload_len = _HEADER.unpack_from(data)
+    if magic != MAGIC:
+        raise BadMagic(f"magic {magic!r}")
     if version != VERSION:
         raise BadVersion(f"version {version}")
-    msg_type = data[3]
-    node_id = int.from_bytes(data[4:6], "little")
-    seq = int.from_bytes(data[6:10], "little")
-    superframe_idx = int.from_bytes(data[10:14], "little")
-    payload_len = int.from_bytes(data[14:16], "little")
     if payload_len > MAX_PAYLOAD:
         raise OverlongPayload(f"declared payload {payload_len}")
     total = HEADER_LEN + payload_len + CRC_LEN
     if len(data) != total:
         raise Truncated(f"{len(data)} bytes, declared frame is {total}")
-    crc = int.from_bytes(data[-4:], "little")
-    if zlib.crc32(data[:-4]) != crc:
+    crc = int.from_bytes(data[-CRC_LEN:], "little")
+    if zlib.crc32(data[:-CRC_LEN]) != crc:
         raise BadCrc("crc mismatch")
     return Frame(
         node_id=node_id,
         seq=seq,
         superframe_idx=superframe_idx,
-        payload=data[HEADER_LEN:-4],
+        payload=data[HEADER_LEN:-CRC_LEN],
         msg_type=msg_type,
         version=version,
     )

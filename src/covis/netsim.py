@@ -3,11 +3,13 @@
 Single-threaded event loop over one heap of ``(t, rank, counter, fn, args)``
 entries, each running ``fn(*args)`` at ``t``. At one instant transmission ends
 run first, then deliveries, superframe ticks and slot wake-ups, each kind in
-push order. Identical (world, duration, seed) inputs replay byte-identically.
-Two transmissions whose airtime intervals overlap destroy each other at every
-receiver; otherwise each receiver independently drops the frame with the
-medium's loss probability. Transmission intervals are half-open, so a frame
-ending exactly when another starts does not collide.
+push order. Each tick and each wake-up schedules its successor, so the heap
+holds one tick, not a whole run of them. Identical (world, duration, seed)
+inputs replay byte-identically. Two transmissions whose airtime intervals
+overlap destroy each other at every receiver; otherwise each receiver
+independently drops the frame with the medium's loss probability.
+Transmission intervals are half-open, so a frame ending exactly when another
+starts does not collide.
 """
 
 from __future__ import annotations
@@ -79,7 +81,6 @@ class SimEvent:
 @dataclass
 class _Transmission:
     frame: Frame
-    tx_node: int
     t_start: float
     t_end: float
     collided: bool = False
@@ -120,19 +121,20 @@ class Simulator:
 
     # -- medium ------------------------------------------------------------
 
-    def transmit(self, frame: Frame, tx_node: int) -> None:
+    def transmit(self, frame: Frame) -> None:
+        """Put ``frame`` on the air now, from its sender ``frame.node_id``."""
         wire = encode(frame)
         if self.capture_sink is not None:
             self.capture_sink(self.now, wire)
         airtime = len(wire) * 8.0 / self.medium.bitrate
-        tx = _Transmission(frame, tx_node, self.now, self.now + airtime)
+        tx = _Transmission(frame, self.now, self.now + airtime)
         for other in self._active:
             if self.now < other.t_end and other.t_start < tx.t_end:
                 other.collided = True
                 tx.collided = True
         self._active.append(tx)
         self.events.append(
-            SimEvent(self.now, KIND_TX_START, tx_node, -1, frame.seq, frame.superframe_idx)
+            SimEvent(self.now, KIND_TX_START, frame.node_id, -1, frame.seq, frame.superframe_idx)
         )
         self.schedule(tx.t_end, _RANK_TX_END, self._finish_transmission, tx)
 
@@ -142,7 +144,7 @@ class Simulator:
             SimEvent(
                 tx.t_end,
                 KIND_TX_END,
-                tx.tx_node,
+                tx.frame.node_id,
                 -1,
                 tx.frame.seq,
                 tx.frame.superframe_idx,
@@ -153,7 +155,7 @@ class Simulator:
             return
         p = loss_probability(self.medium, len(self.behaviors))
         for peer_id in sorted(self.behaviors):
-            if peer_id == tx.tx_node:
+            if peer_id == tx.frame.node_id:
                 continue
             if self._rng.random() < p:
                 continue
@@ -167,8 +169,12 @@ class Simulator:
         )
         self.behaviors[peer_id].on_receive(self, frame, self.now)
 
-    def _tick(self, superframe_idx: int) -> None:
+    def _tick(self, superframe_idx: int, last: int) -> None:
+        """Superframe boundary ``superframe_idx``; it schedules the next one up to ``last``."""
         self.events.append(SimEvent(self.now, KIND_TICK, superframe=superframe_idx))
+        if superframe_idx < last:
+            k = superframe_idx + 1
+            self.schedule(k * self.superframe_period, _RANK_TICK, self._tick, k, last)
         for node_id in sorted(self.behaviors):
             self.behaviors[node_id].on_tick(self, superframe_idx, self.now)
 
@@ -177,9 +183,8 @@ class Simulator:
     def run(self, duration: float) -> list[SimEvent]:
         if duration <= 0.0:
             raise ValueError("duration must be positive")
-        n_ticks = int(math.floor(duration / self.superframe_period + 1e-9))
-        for k in range(n_ticks + 1):
-            self.schedule(k * self.superframe_period, _RANK_TICK, self._tick, k)
+        last = int(math.floor(duration / self.superframe_period + 1e-9))
+        self.schedule(0.0, _RANK_TICK, self._tick, 0, last)
         for behavior in [self.behaviors[i] for i in sorted(self.behaviors)]:
             behavior.on_start(self, 0.0)
         while self._heap:
@@ -251,7 +256,7 @@ class BroadcastNode:
                 superframe_idx=k,
                 payload=self.payload_for(k),
             )
-            sim.transmit(frame, self.node_id)
+            sim.transmit(frame)
         sim.schedule((k + 1) * state.superframe_period + state.slot_index * state.slot_width,
                      _RANK_WAKE, self._slot_callback, sim, k + 1)
 

@@ -535,21 +535,15 @@ class FormationRun:
         else:
             node.pose = _integrate(node.pose, node.cmd, self.dt)
         estimates = node.fresh_estimates(tick)
-        gated = False
         if node.node_id != self.LEADER:
-            leader_est = next(
-                (e for e, _ in estimates if e.dst == self.LEADER), None
-            )
+            leader_est = next((e for e, _ in estimates if e.dst == self.LEADER), None)
             if leader_est is None:
                 node.cmd = Command(Vec3.zero(), 0.0, gated=True)
-                gated = True
             else:
-                cmd, node.pd_state = formation_cmd(
+                node.cmd, node.pd_state = formation_cmd(
                     leader_est, self.offsets[node.node_id], node.pd_state, self.cfg,
                     attenuate=self.cfg.gain_attenuation,
                 )
-                node.cmd = cmd
-                gated = cmd.gated
         self.records.append(
             {
                 "t": now,
@@ -559,7 +553,7 @@ class FormationRun:
                     e.to_dict() | {"peer_tick": peer_tick} for e, peer_tick in estimates
                 ],
                 "cmd": {"v": list(node.cmd.v.as_tuple()), "w": node.cmd.w},
-                "gated": gated,
+                "gated": node.cmd.gated,
             }
         )
 

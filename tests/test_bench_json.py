@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -56,3 +57,27 @@ def test_missing_side(tmp_path):
     write_records(tmp_path / "parent", "dataset", [1.0])
     argv = ["--parent", str(tmp_path / "parent"), "--change", str(tmp_path / "none"), "--out", str(tmp_path / "b.json")]
     assert bench_json.main(argv) == 2
+
+
+def test_commit_labels_tree_state(tmp_path, capsys):
+    repo = tmp_path / "repo"
+    repo.mkdir()
+
+    def git(*args):
+        return subprocess.run(["git", "-C", str(repo), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                              check=True, capture_output=True, text=True).stdout.strip()
+
+    git("init", "-q")
+    (repo / "a.txt").write_text("one\n")
+    git("add", "a.txt")
+    git("commit", "-q", "-m", "one")
+    head = git("rev-parse", "HEAD")
+    (repo / "untracked.txt").write_text("not part of the tree\n")
+    assert bench_json.commit_of(repo) == head
+    assert capsys.readouterr().err == ""
+    (repo / "a.txt").write_text("two\n")
+    assert bench_json.commit_of(repo) == f"{head}-dirty"
+    assert "uncommitted changes" in capsys.readouterr().err
+    (repo / "plain").mkdir()
+    assert bench_json.commit_of(repo / "plain") is None
+    assert "not a git checkout" in capsys.readouterr().err

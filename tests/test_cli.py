@@ -592,9 +592,14 @@ class TestTraces:
                 {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
                 {"t": 0.0, "node_id": [1], "pose_truth": POSE, "gated": False},
             ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": True, "pose_truth": {"p": [9.0, 9.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]},
+                 "gated": False},
+            ],
         ],
         ids=["empty", "t_not_a_number", "non_finite_position", "quaternion_off_unit", "no_gated",
-             "unhashable_node_id"],
+             "unhashable_node_id", "bool_node_id"],
     )
     def test_malformed_record_exits_validation(self, tmp_path, caplog, records):
         runlog = tmp_path / "runlog.jsonl"
@@ -627,14 +632,28 @@ class TestJsonlFormat:
 # PoseEstimate and an EdgeRecord, scored with geometry's scalar functions.
 
 
+def _reference_integer(value):
+    """A node id, ``src``, ``dst`` or ``peer_tick``: only a JSON integer is one."""
+    if type(value) is not int:
+        raise ValueError(f"{value!r} is not an integer")
+    return value
+
+
+def _reference_estimate(d):
+    """``PoseEstimate.from_dict``, which ``int()``s ``src`` and ``dst``, once both are integers."""
+    for key in ("src", "dst"):
+        _reference_integer(d[key])
+    return PoseEstimate.from_dict(d)
+
+
 def _reference_dataset_records(lines, cfg):
     records, grid_scores, errors = [], [], []
     for no, line in enumerate(lines, start=2):
         try:
             rec = json.loads(line)
-            nodes = {n["id"]: n for n in rec["nodes"]}
+            nodes = {_reference_integer(n["id"]): n for n in rec["nodes"]}
             poses = {i: Pose(Vec3(*n["pose"]["p"]), UnitQuat(*n["pose"]["q"])) for i, n in nodes.items()}
-            ests = [PoseEstimate.from_dict(d) for d in rec.get("estimates", [])]
+            ests = [_reference_estimate(d) for d in rec.get("estimates", [])]
             edges = [
                 EdgeRecord(relative_pose(poses[e.src], poses[e.dst]), e, float(nodes[e.src]["fov_deg"]))
                 for e in ests
@@ -655,7 +674,7 @@ def _reference_runlog_records(lines, cfg):
             rec = json.loads(line)
             tick = round(rec["t"] / period)
             pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
-            pose_at[(tick, rec["node_id"])] = pose
+            pose_at[(tick, _reference_integer(rec["node_id"]))] = pose
             parsed.append((no, rec, pose))
         except Exception as exc:
             errors.append((no, str(exc)))
@@ -663,8 +682,9 @@ def _reference_runlog_records(lines, cfg):
         try:
             edges = []
             for d in rec["estimates"]:
-                est = PoseEstimate.from_dict(d)
-                edges.append(EdgeRecord(relative_pose(pose, pose_at[(d["peer_tick"], est.dst)]), est, cfg.fov_deg))
+                est = _reference_estimate(d)
+                peer = pose_at[(_reference_integer(d["peer_tick"]), est.dst)]
+                edges.append(EdgeRecord(relative_pose(pose, peer), est, cfg.fov_deg))
             records.extend(edges)
         except Exception as exc:
             errors.append((no, str(exc)))
@@ -846,11 +866,11 @@ class TestMetricsMatchReference:
             estimate(1, "p_hat", [0.1, 0.2, 0.3, 0.4]),
             estimate(2, "p_hat", [math.nan, 0.2, 0.3]),
             lambda rec: rec.update(t="x"),
+            estimate(1, "dst", "3"),  # a node id is a JSON integer, not a string int() takes
         ]
         accepted = [
             estimate(0, "sigma_q", "0.5"),  # float() takes a numeric string
             estimate(0, "q_hat", [0.0, 0.0, 0.0, -1.0 + 5e-7]),  # near unit, w == 0, flipped
-            estimate(1, "dst", "3"),  # int() too
         ]
         source = metrics_inputs("runlog-formation", 101)
         lines = source.read_text().splitlines()
@@ -967,7 +987,7 @@ class TestMalformedLineKeepsNoEdge:
         assert cut["malformed_lines"] == "1"
         assert f"line {no}: no pose of peer node {dst} at tick 1000000" in caplog.text
 
-    @pytest.mark.parametrize("defect", ["pose_lookup", "fov", "fusion"])
+    @pytest.mark.parametrize("defect", ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool"])
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
         lines = source.read_text().splitlines()
@@ -976,8 +996,15 @@ class TestMalformedLineKeepsNoEdge:
             rec["estimates"][1]["dst"] = 99
         elif defect == "fov":
             rec["nodes"][-1]["fov_deg"] = 0.0  # only the estimates that node makes fail
-        else:
+        elif defect == "fusion":
             rec["nodes"][-1]["bev_b64"] = "AAAA"
+        # Each of these once read as the node it rounds or converts to.
+        elif defect == "src_float":
+            rec["estimates"][1]["src"] += 0.7
+        elif defect == "dst_string":
+            rec["estimates"][1]["dst"] = str(rec["estimates"][1]["dst"])
+        else:
+            next(node for node in rec["nodes"] if node["id"] == 1)["id"] = True
         lines[1] = json.dumps(rec)
         broken = tmp_path / "dataset.jsonl"
         broken.write_text("\n".join(lines) + "\n")
@@ -988,6 +1015,35 @@ class TestMalformedLineKeepsNoEdge:
         assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
         assert cut["malformed_lines"] == "1"
         assert "line 2:" in caplog.text
+
+    @pytest.mark.parametrize("defect", ["peer_tick_float", "src_float", "dst_string", "node_id_bool"])
+    def test_runlog_non_integer_id(self, tmp_path, metrics_inputs, caplog, defect):
+        # Each edit once read as the integer it rounds or converts to, and kept every edge.
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        # Node 1's last record with estimates: no later tick reads its pose.
+        no = max(k for k, rec in enumerate(records, start=2) if rec["node_id"] == 1 and rec["estimates"])
+        rec = records[no - 2]
+        est = rec["estimates"][0]
+        if defect == "peer_tick_float":
+            field, est["peer_tick"] = "peer_tick", float(est["peer_tick"])
+        elif defect == "src_float":
+            field, est["src"] = "src", est["src"] + 0.7
+        elif defect == "dst_string":
+            field, est["dst"] = "dst", str(est["dst"])
+        else:
+            field, rec["node_id"] = "node_id", True
+        lines[no - 1] = json.dumps(rec)
+        broken = tmp_path / "runlog.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "whole")]) == EXIT_OK
+        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "cut")]) == EXIT_OK
+        whole = read_csv(tmp_path / "whole" / "summary.csv")[0]
+        cut = read_csv(tmp_path / "cut" / "summary.csv")[0]
+        assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
+        assert cut["malformed_lines"] == "1"
+        assert f"line {no}: {field} " in caplog.text and "is not an integer" in caplog.text
 
 
 def test_metrics_logs_counts_and_stage_times(tmp_path, metrics_inputs, caplog):

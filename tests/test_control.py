@@ -56,9 +56,10 @@ class TestFormationCmd:
         assert cmd.v.y == pytest.approx(0.0)
         assert cmd.v.z == pytest.approx(0.0)
 
-    def test_rotation_gate_zeroes_yaw_only(self):
+    @pytest.mark.parametrize("attenuate", [False, True])
+    def test_rotation_gate_zeroes_yaw_only(self, attenuate):
         cmd, _ = formation_cmd(
-            est((0.5, -1.0, 0.0), yaw=0.8, sigma_q=2.0), ref(), None, RunConfig(tau_q=0.5)
+            est((0.5, -1.0, 0.0), yaw=0.8, sigma_q=2.0), ref(), None, RunConfig(tau_q=0.5), attenuate=attenuate
         )
         assert not cmd.gated
         assert cmd.v.norm() > 0.0
@@ -79,11 +80,12 @@ class TestFormationCmd:
             assert cmd.v.norm() <= 0.8 + 1e-12
             assert abs(cmd.w) <= 1.5 + 1e-12
 
-    def test_gated_state_never_translates(self):
+    @pytest.mark.parametrize("attenuate", [False, True])
+    def test_gated_state_never_translates(self, attenuate):
         rng = np.random.default_rng(1)
         for _ in range(200):
             e = est(tuple(rng.standard_normal(3)), sigma=float(rng.uniform(1.01, 10.0)))
-            cmd, _ = formation_cmd(e, ref(), None, RunConfig(tau_p_m=1.0))
+            cmd, _ = formation_cmd(e, ref(), None, RunConfig(tau_p_m=1.0), attenuate=attenuate)
             assert cmd.v.norm() == 0.0
 
     def test_attenuation_scales_down(self):

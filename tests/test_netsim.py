@@ -11,6 +11,7 @@ from covis.netsim import (
     BroadcastNode,
     Medium,
     Simulator,
+    _RANK_TICK,
     events_to_jsonl,
     loss_probability,
     run,
@@ -217,6 +218,21 @@ class TestWakeSchedule:
             times = [sample["t"] for sample in node.trace]
             assert len(times) == math.floor(duration * superframe_hz + 1e-9) + (s.slot_index == 0)
             assert times == [k * s.superframe_period + s.slot_index * s.slot_width for k in range(len(times))]
+
+    def test_heap_holds_only_the_next_tick(self):
+        # Each tick schedules the next, so at every tick the heap holds one
+        # tick entry, and none at the last tick of the run.
+        seen = []
+
+        class TickCounter(BroadcastNode):
+            def on_tick(self, sim, superframe_idx, now):
+                seen.append(sum(entry[1] == _RANK_TICK for entry in sim._heap))
+
+        sim = Simulator(Medium(), seed=6)
+        for i in range(2):
+            sim.add_node(TickCounter(i, payload_bytes=256))
+        sim.run(60.0)
+        assert seen == [1] * (2 * 900) + [0, 0]  # superframes 0..900, two nodes each
 
     def test_frames_carry_their_wakeup_superframe(self):
         sim = Simulator(LOSSLESS, seed=4, superframe_hz=1000.0)

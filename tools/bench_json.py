@@ -41,8 +41,21 @@ def load_records(checkout: Path, seeds: set[int] | None) -> list[dict]:
 
 
 def commit_of(checkout: Path) -> str | None:
-    done = subprocess.run(["git", "-C", str(checkout), "rev-parse", "HEAD"], capture_output=True, text=True)
-    return done.stdout.strip() if done.returncode == 0 else None
+    """HEAD's hash, with ``-dirty`` when a tracked file differs from it, or None
+    when ``checkout`` is not the root of a git checkout; both are warned about."""
+    def git(*args: str) -> subprocess.CompletedProcess:
+        return subprocess.run(["git", "-C", str(checkout), *args], capture_output=True, text=True)
+
+    done = git("rev-parse", "--show-toplevel", "HEAD")
+    top, _, commit = done.stdout.strip().partition("\n")
+    if done.returncode != 0 or Path(top).resolve() != checkout.resolve():
+        print(f"warning: {checkout} is not a git checkout; its commit is recorded as null", file=sys.stderr)
+        return None
+    if git("status", "--porcelain", "--untracked-files=no").stdout.strip():
+        print(f"warning: {checkout} has uncommitted changes; its commit is recorded as {commit}-dirty",
+              file=sys.stderr)
+        commit += "-dirty"
+    return commit
 
 
 def spread(values: list[float]) -> dict:

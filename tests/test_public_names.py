@@ -48,19 +48,18 @@ def _used(tree):
                 yield alias.name, node.lineno
 
 
-def _attributes(tree):
-    """(name, line) of each attribute a module reaches."""
-    return [(node.attr, node.lineno) for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
-
-
-def _scoped_attributes(tree):
-    """(name, line, class) of each attribute a module reaches; class names the
-    top-level class whose body holds the reach, or is None outside any class."""
+def _scoped_attributes(tree, classes):
+    """(name, line, class, named) of each attribute a module reaches. class names
+    the top-level class whose body holds the reach, or is None outside any class;
+    named is the class of ``classes`` whose bare name the attribute is read from
+    (``RunConfig`` in ``RunConfig.from_dict``), or None."""
     for node in tree.body:
         cls = node.name if isinstance(node, ast.ClassDef) else None
         for sub in ast.walk(node):
             if isinstance(sub, ast.Attribute):
-                yield sub.attr, sub.lineno, cls
+                value = sub.value
+                named = value.id if isinstance(value, ast.Name) and value.id in classes else None
+                yield sub.attr, sub.lineno, cls, named
 
 
 def _classes(trees):
@@ -125,25 +124,31 @@ def test_every_private_name_is_referenced():
 def test_every_public_method_has_a_caller():
     # A reach inside a class body that itself defines the name (``self.dot`` in
     # ``Vec3``) counts only for that class and its subclasses, so a base class
-    # calling its own hook still reaches each subclass's override.
+    # calling its own hook still reaches each subclass's override. A reach
+    # through a class's bare name (``RunConfig.from_dict``) counts only for that
+    # class and its ancestors, here and in the acceptance tests.
     trees = _package()
     defines, lineage = _classes(trees)
-    uses = {path: list(_scoped_attributes(tree)) for path, tree in trees.items()}
-    reached = {name for name, _ in _attributes(_acceptance())}
+    uses = {path: list(_scoped_attributes(tree, lineage)) for path, tree in trees.items()}
+    accepted = [(used, named) for used, _, _, named in _scoped_attributes(_acceptance(), lineage)]
+
+    def reaches(cls, name, used, named):
+        return used == name and (named is None or cls in lineage[named])
 
     def reached_elsewhere(cls, name, path, first, last):
         return any(
-            used == name
+            reaches(cls, name, used, named)
             and not (other == path and first <= line <= last)
             and (owner is None or name not in defines[owner] or owner in lineage[cls])
             for other, refs in uses.items()
-            for used, line, owner in refs
+            for used, line, owner, named in refs
         )
 
     unused = [
         f"{path.name}:{first} {cls}.{name}"
         for path, tree in trees.items()
         for cls, name, first, last in _methods(tree)
-        if name not in reached and not reached_elsewhere(cls, name, path, first, last)
+        if not any(reaches(cls, name, used, named) for used, named in accepted)
+        and not reached_elsewhere(cls, name, path, first, last)
     ]
     assert unused == []

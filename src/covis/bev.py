@@ -60,7 +60,7 @@ class BevGrid:
         ringed[1:-1, 1:-1] = c
         ringed.flags.writeable = False
         cells = ringed[1:-1, 1:-1]
-        if np.any(cells < 0.0) or np.any(cells > 1.0):
+        if cells.size and not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails too
             raise ValueError("cells must lie in [0, 1]")
         object.__setattr__(self, "_ringed", ringed)
         object.__setattr__(self, "cells", cells)

@@ -37,7 +37,7 @@ from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
 from .geometry import UnitQuat, Vec3, relative_pose_rows, unit_quat_rows, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
-from .netsim import events_to_jsonl, summarize
+from .netsim import summarize
 from .scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
@@ -46,6 +46,7 @@ from .scenario import (
     follower_error_rows,
     follower_offsets,
     gen_world,
+    jsonl,
     network_from_config,
     run_homing,
     runlog_jsonl,
@@ -237,7 +238,7 @@ def _estimate_numbers(d: dict) -> tuple[int, int, array]:
     """src, dst and the p_hat, sigma_p, q_hat and sigma_q numbers of a logged estimate."""
     row = _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
     row += _numbers(d["q_hat"], 4, "q_hat")
-    row.append(float(d["sigma_q"]))
+    row.append(_typed(d, "sigma_q", "a number"))
     return _typed(d, "src"), _typed(d, "dst"), row
 
 
@@ -259,7 +260,7 @@ def _edges_from_dataset(lines: list[str], cfg: RunConfig):
                 if src not in row_of or dst not in row_of:
                     raise LookupError(f"estimate {src}->{dst} names a node the group lacks")
                 values += numbers
-                values.append(float(nodes[src]["fov_deg"]))
+                values.append(_typed(nodes[src], "fov_deg", "a number"))
                 pairs += array("q", (row_of[src], row_of[dst]))
                 ends.append((src, dst))
         except Exception as exc:  # malformed line: report, keep going
@@ -448,16 +449,15 @@ def cmd_netbench(args) -> int:
     )
     events = sim.run(cfg.duration_s)
     (out / "events.jsonl").write_text(
-        json.dumps({"schema": "covis.events@1"}) + "\n" + events_to_jsonl(events)
+        jsonl({"schema": "covis.events@1"}, (json.dumps(vars(e), sort_keys=True) for e in events))
     )
-    capture_header = json.dumps({"schema": "covis.capture@1"})
-    (out / "capture.jsonl").write_text("\n".join([capture_header] + capture) + "\n")
-    trace_lines = [json.dumps({"schema": "covis.trace@1"})] + [
+    (out / "capture.jsonl").write_text(jsonl({"schema": "covis.capture@1"}, capture))
+    trace = (
         json.dumps({"node_id": b.node_id, **sample}, sort_keys=True)
         for b in sim.behaviors.values()
         for sample in b.trace
-    ]
-    (out / "trace.jsonl").write_text("\n".join(trace_lines) + "\n")
+    )
+    (out / "trace.jsonl").write_text(jsonl({"schema": "covis.trace@1"}, trace))
     rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
     _write_rows(out / "summary", rows, args.format)
     return EXIT_OK

@@ -15,7 +15,6 @@ starts does not collide.
 from __future__ import annotations
 
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
@@ -58,24 +57,15 @@ def loss_probability(medium: Medium, n_nodes: int) -> float:
 
 @dataclass(frozen=True)
 class SimEvent:
-    time: float
+    """One logged event; its fields are the keys of its ``events.jsonl`` line."""
+
+    t: float
     kind: str
-    node_id: int = -1
-    peer_id: int = -1
+    node: int = -1
+    peer: int = -1
     seq: int = -1
     superframe: int = -1
     collided: bool = False
-
-    def to_dict(self) -> dict:
-        return {
-            "t": self.time,
-            "kind": self.kind,
-            "node": self.node_id,
-            "peer": self.peer_id,
-            "seq": self.seq,
-            "superframe": self.superframe,
-            "collided": self.collided,
-        }
 
 
 @dataclass
@@ -140,28 +130,19 @@ class Simulator:
 
     def _finish_transmission(self, tx: _Transmission) -> None:
         self._active.remove(tx)
+        frame = tx.frame
         self.events.append(
-            SimEvent(
-                tx.t_end,
-                KIND_TX_END,
-                tx.frame.node_id,
-                -1,
-                tx.frame.seq,
-                tx.frame.superframe_idx,
-                collided=tx.collided,
-            )
+            SimEvent(tx.t_end, KIND_TX_END, frame.node_id, -1, frame.seq, frame.superframe_idx, tx.collided)
         )
         if tx.collided:
             return
         p = loss_probability(self.medium, len(self.behaviors))
         for peer_id in sorted(self.behaviors):
-            if peer_id == tx.frame.node_id:
+            if peer_id == frame.node_id:
                 continue
             if self._rng.random() < p:
                 continue
-            self.schedule(
-                tx.t_end + self.medium.propagation, _RANK_DELIVER, self._deliver, peer_id, tx.frame
-            )
+            self.schedule(tx.t_end + self.medium.propagation, _RANK_DELIVER, self._deliver, peer_id, frame)
 
     def _deliver(self, peer_id: int, frame: Frame) -> None:
         self.events.append(
@@ -278,10 +259,6 @@ def run(
     return sim.run(duration)
 
 
-def events_to_jsonl(events: Iterable[SimEvent]) -> str:
-    return "\n".join(json.dumps(e.to_dict(), sort_keys=True) for e in events) + "\n"
-
-
 def summarize(sim: Simulator) -> list[dict]:
     """Per-node frames_tx, frames_rx, collisions, loss_rate and mean_divisor of a
     run: one row per node of ``sim.behaviors``. A node's first wake-up is at
@@ -292,12 +269,12 @@ def summarize(sim: Simulator) -> list[dict]:
     received_of: dict[int, int] = {}  # deliveries of this sender's frames
     for e in sim.events:
         if e.kind == KIND_TX_START:
-            tx[e.node_id] = tx.get(e.node_id, 0) + 1
+            tx[e.node] = tx.get(e.node, 0) + 1
         elif e.kind == KIND_TX_END and e.collided:
-            collided[e.node_id] = collided.get(e.node_id, 0) + 1
+            collided[e.node] = collided.get(e.node, 0) + 1
         elif e.kind == KIND_DELIVER:
-            rx[e.node_id] = rx.get(e.node_id, 0) + 1
-            received_of[e.peer_id] = received_of.get(e.peer_id, 0) + 1
+            rx[e.node] = rx.get(e.node, 0) + 1
+            received_of[e.peer] = received_of.get(e.peer, 0) + 1
     n = len(sim.behaviors)
     rows = []
     for node in sorted(sim.behaviors):

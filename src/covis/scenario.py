@@ -24,7 +24,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 import numpy as np
 from scipy import ndimage
@@ -48,6 +48,12 @@ from .netsim import BroadcastNode, Medium, SimEvent, Simulator
 
 RUNLOG_SCHEMA = "covis.runlog@1"
 DATASET_SCHEMA = "covis.dataset@1"
+
+
+def jsonl(header: dict, lines: Iterable[str]) -> str:
+    """A JSONL log: the ``header`` object, then the already-encoded record ``lines``, one per line."""
+    # The closing "" ends the last line in the one join, so the log is never copied to append it.
+    return "\n".join([json.dumps(header, sort_keys=True), *lines, ""])
 
 
 # ---------------------------------------------------------------------------
@@ -308,7 +314,7 @@ def dataset_jsonl(cfg: RunConfig, groups: list[SampleGroup]) -> str:
     Estimates come from ``make_estimator(cfg)`` with the group index as tick.
     """
     estimator = make_estimator(cfg)
-    lines = [json.dumps({"schema": DATASET_SCHEMA, "seed": cfg.seed}, sort_keys=True)]
+    lines = []
     for g_idx, group in enumerate(groups):
         nodes = []
         for node in group.nodes:
@@ -323,10 +329,10 @@ def dataset_jsonl(cfg: RunConfig, groups: list[SampleGroup]) -> str:
                 entry["bev_obs_b64"] = node.bev_obs.to_base64()
             nodes.append(entry)
         views = [Observation(n.node_id, n.pose, n.fov_deg, b"", tick=g_idx) for n in group.nodes]
-        ests = [estimator(a, b, g_idx).to_dict() for a, b in itertools.permutations(views, 2)]
+        ests = [estimator(a, b).to_dict() for a, b in itertools.permutations(views, 2)]
         record = {"group": g_idx, "nodes": nodes, "estimates": ests}
         lines.append(json.dumps(record, sort_keys=True))
-    return "\n".join(lines) + "\n"
+    return jsonl({"schema": DATASET_SCHEMA, "seed": cfg.seed}, lines)
 
 
 def _pose_dict(pose: Pose) -> dict:
@@ -425,18 +431,18 @@ def network_from_config(cfg: RunConfig, node: Callable[..., BroadcastNode] = Bro
     return sim
 
 
-def make_estimator(cfg: RunConfig) -> Callable[[Observation, Observation, int], PoseEstimate]:
-    """Estimator closure keyed by (seed, receiver tick, src, dst)."""
+def make_estimator(cfg: RunConfig) -> Callable[[Observation, Observation], PoseEstimate]:
+    """Estimator closure keyed by (seed, observer tick ``obs_i.tick``, src, dst)."""
     if cfg.estimator == "oracle":
 
-        def run_oracle(obs_i, obs_j, tick):
+        def run_oracle(obs_i, obs_j):
             return estimate_oracle(obs_i, obs_j, sigma_floor=cfg.sigma_floor)
 
         return run_oracle
     profile = profile_from_config(cfg)
 
-    def run_synthetic(obs_i, obs_j, tick):
-        z = edge_rng(cfg.seed, tick, obs_i.node_id, obs_j.node_id)
+    def run_synthetic(obs_i, obs_j):
+        z = edge_rng(cfg.seed, obs_i.tick, obs_i.node_id, obs_j.node_id)
         return estimate(obs_i, obs_j, profile, z)
 
     return run_synthetic
@@ -482,7 +488,7 @@ class RobotNode(BroadcastNode):
         """Estimates of the peers whose latest frame is at most ``run.max_age`` superframes old."""
         own = Observation(self.node_id, self.pose, self.run.cfg.fov_deg, self._payload, tick)
         return [
-            (self.run.estimator(own, obs, tick), obs.tick)
+            (self.run.estimator(own, obs), obs.tick)
             for _, obs in sorted(self.inbox.items())
             if tick - obs.tick <= self.run.max_age
         ]
@@ -578,11 +584,8 @@ def run_formation(cfg: RunConfig) -> tuple[list[dict], list[SimEvent]]:
 
 
 def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
-    header = json.dumps(
-        {"schema": RUNLOG_SCHEMA, "seed": cfg.seed, "config": cfg.to_dict()}, sort_keys=True
-    )
-    lines = [header] + [json.dumps(r, sort_keys=True) for r in records]
-    return "\n".join(lines) + "\n"
+    header = {"schema": RUNLOG_SCHEMA, "seed": cfg.seed, "config": cfg.to_dict()}
+    return jsonl(header, (json.dumps(r, sort_keys=True) for r in records))
 
 
 def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarray, np.ndarray]:
@@ -668,7 +671,7 @@ def run_homing(cfg: RunConfig) -> HomingResult:
     """Teach a trajectory as keyframes, then replay it by keyframe following."""
     estimator = make_estimator(cfg)
     dt = 1.0 / cfg.superframe_hz
-    n_teach = int(cfg.duration_s * cfg.superframe_hz)
+    n_teach = math.floor(cfg.duration_s * cfg.superframe_hz + 1e-9)
 
     # Teach: the robot is driven along the reference; an observation becomes a
     # keyframe when distance or uncertainty to the last keyframe crosses its threshold.
@@ -677,7 +680,7 @@ def run_homing(cfg: RunConfig) -> HomingResult:
     for k in range(n_teach):
         obs = Observation(0, leader_pose(cfg, k * dt), cfg.fov_deg, b"", tick=k)
         path.append((obs.pose_truth.position.x, obs.pose_truth.position.y))
-        if not keyframes or kf_record_step(estimator(obs, keyframes[-1], k), cfg):
+        if not keyframes or kf_record_step(estimator(obs, keyframes[-1]), cfg):
             keyframes.append(obs)
 
     # Replay from the taught start until kf_follow_step moves past the last keyframe.
@@ -690,7 +693,7 @@ def run_homing(cfg: RunConfig) -> HomingResult:
     for k in range(int(_REPLAY_FACTOR * n_teach)):
         tick = n_teach + k  # distinct substream domain from the teach phase
         target = keyframes[kf_index]
-        est = estimator(Observation(0, pose, cfg.fov_deg, b"", tick=tick), target, tick)
+        est = estimator(Observation(0, pose, cfg.fov_deg, b"", tick=tick), target)
         cmd, next_index, state = kf_follow_step(est, kf_index, len(keyframes), state, cfg)
         if next_index != kf_index:
             arrivals.append((pose.position - target.pose_truth.position).norm())

@@ -34,6 +34,11 @@ class TestBevGrid:
         with pytest.raises(ValueError):
             BevGrid(np.full((4, 4), 1.5), extent=4.0, resolution=1.0)
 
+    def test_nan_cells_rejected(self):
+        # NaN is neither < 0 nor > 1, so a range check must be written to fail on it.
+        with pytest.raises(ValueError, match=r"cells must lie in \[0, 1\]"):
+            BevGrid(np.full((40, 40), np.nan), 4.0, 0.1)
+
     def test_bytes_roundtrip(self):
         rng = np.random.default_rng(0)
         g = BevGrid(rng.uniform(size=(64, 64)).astype(np.float32).astype(float))

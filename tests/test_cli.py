@@ -1,4 +1,5 @@
 import argparse
+import base64
 import csv
 import json
 import logging
@@ -641,14 +642,18 @@ class TestJsonlFormat:
 
 
 def _reference_integer(value, types=(int,)):
-    """A node id, ``src``, ``dst`` or ``peer_tick``: only a JSON integer is one (a runlog ``t`` may be a float)."""
+    """A node id, ``src``, ``dst`` or ``peer_tick``: only a JSON integer is one.
+
+    A runlog ``t``, ``sigma_q`` and a dataset node's ``fov_deg`` take ``(int, float)``: any JSON number.
+    """
     if type(value) not in types:
         raise ValueError(f"{value!r} is not one of {types}")
     return value
 
 
 def _reference_estimate(d):
-    return PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]), float(d["sigma_q"]),
+    sigma_q = _reference_integer(d["sigma_q"], (int, float))
+    return PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]), sigma_q,
                         _reference_integer(d["src"]), _reference_integer(d["dst"]))
 
 
@@ -671,10 +676,10 @@ def _reference_dataset_records(lines, cfg):
             nodes = {_reference_integer(n["id"]): n for n in rec["nodes"]}
             poses = {i: Pose(Vec3(*n["pose"]["p"]), UnitQuat(*n["pose"]["q"])) for i, n in nodes.items()}
             ests = [_reference_estimate(d) for d in rec.get("estimates", [])]
-            edges = [
-                EdgeRecord(relative_pose(poses[e.src], poses[e.dst]), e, float(nodes[e.src]["fov_deg"]))
-                for e in ests
-            ]
+            edges = []
+            for e in ests:
+                fov = _reference_integer(nodes[e.src]["fov_deg"], (int, float))
+                edges.append(EdgeRecord(relative_pose(poses[e.src], poses[e.dst]), e, fov))
             if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
                 grid_scores.extend(_reference_fusion(nodes, ests, cfg))
             records.extend(edges)
@@ -885,23 +890,28 @@ class TestMetricsMatchReference:
             lambda rec: rec.update(t="x"),
             estimate(1, "dst", "3"),  # a node id is a JSON integer, not a string int() takes
             estimate(2, "sigma_q", math.nan),  # NaN fails no "<= 0" guard
+            estimate(0, "sigma_q", "0.5"),  # a number is a JSON number, not a string float() takes
+            estimate(1, "sigma_q", True),  # nor a bool, which float() reads as 1.0
         ]
         accepted = [
-            estimate(0, "sigma_q", "0.5"),  # float() takes a numeric string
             estimate(0, "q_hat", [0.0, 0.0, 0.0, -1.0 + 5e-7]),  # near unit, w == 0, flipped
         ]
         source = metrics_inputs("runlog-formation", 101)
         lines = source.read_text().splitlines()
         busy = [no for no, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 4]
-        changes = dict(zip(busy[::40], defects + accepted))
         bad_pose = {len(lines) - 1: pose("q", [1.0, 0.0, 0.0]), len(lines): pose("p", [0.0, 10**400, 0.0])}
-        self.corrupt(source, tmp_path / "runlog.jsonl", changes | bad_pose)
-        source = tmp_path / "runlog.jsonl"
-        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "got")]) == EXIT_OK
-        errors = {no for no, _ in _metrics_reference(source, tmp_path / "want")}
-        assert set(busy[::40][: len(defects)]) | set(bad_pose) <= errors
-        assert not errors & set(busy[::40][len(defects) : len(defects) + len(accepted)])
-        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+        # Ten defects and the two bad poses fill the 1% malformed-line budget of these 1,207 lines.
+        for k in range(0, len(defects), 10):
+            some = defects[k : k + 10]
+            changes = dict(zip(busy[::40], some + accepted))
+            broken = tmp_path / f"runlog{k}.jsonl"
+            self.corrupt(source, broken, changes | bad_pose)
+            got, want = tmp_path / f"got{k}", tmp_path / f"want{k}"
+            assert main(["metrics", "--input", str(broken), "--out", str(got)]) == EXIT_OK
+            errors = {no for no, _ in _metrics_reference(broken, want)}
+            assert set(busy[::40][: len(some)]) | set(bad_pose) <= errors
+            assert not errors & set(busy[::40][len(some) : len(some) + len(accepted)])
+            assert _metrics_files(got) == _metrics_files(want)
 
     def test_runlog_estimate_of_another_source_is_malformed(self, tmp_path, metrics_inputs):
         # A runlog line logs its own node's estimates. One relabelled to another
@@ -1030,7 +1040,9 @@ class TestMalformedLineKeepsNoEdge:
         assert f"line {no}: {message}" in caplog.text
 
     @pytest.mark.parametrize(
-        "defect", ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan"]
+        "defect",
+        ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan", "fov_bool",
+         "fov_string", "bev_nan"],
     )
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
@@ -1049,8 +1061,17 @@ class TestMalformedLineKeepsNoEdge:
             rec["estimates"][1]["dst"] = str(rec["estimates"][1]["dst"])
         elif defect == "id_bool":
             next(node for node in rec["nodes"] if node["id"] == 1)["id"] = True
-        else:  # NaN fails no "<= 0" guard
+        elif defect == "sigma_q_nan":  # NaN fails no "<= 0" guard
             rec["estimates"][1]["sigma_q"] = math.nan
+        # Once read as a 1-degree and a 120-degree camera.
+        elif defect == "fov_bool":
+            rec["nodes"][-1]["fov_deg"] = True
+        elif defect == "fov_string":
+            rec["nodes"][-1]["fov_deg"] = "120"
+        else:  # NaN cells fail no "< 0" or "> 1" guard
+            raw = base64.b64decode(rec["nodes"][-1]["bev_obs_b64"])
+            cells = np.full((len(raw) - 16) // 4, np.nan, dtype="<f4")
+            rec["nodes"][-1]["bev_obs_b64"] = base64.b64encode(raw[:16] + cells.tobytes()).decode("ascii")
         lines[1] = json.dumps(rec)
         broken = tmp_path / "dataset.jsonl"
         broken.write_text("\n".join(lines) + "\n")

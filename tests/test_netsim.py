@@ -12,7 +12,6 @@ from covis.netsim import (
     Medium,
     Simulator,
     _RANK_TICK,
-    events_to_jsonl,
     loss_probability,
     run,
     summarize,
@@ -59,8 +58,8 @@ class TestMediumMechanics:
         sim = exact_fit_pair()
         events = sim.run(0.45)
         ends = [e for e in events if e.kind == KIND_TX_END]
-        starts = {e.time for e in events if e.kind == KIND_TX_START}
-        assert len({e.time for e in ends} & starts) >= 8  # the intervals really do touch
+        starts = {e.t for e in events if e.kind == KIND_TX_START}
+        assert len({e.t for e in ends} & starts) >= 8  # the intervals really do touch
         assert not any(e.collided for e in ends)
         assert sum(1 for e in events if e.kind == KIND_DELIVER) == len(ends)
 
@@ -71,7 +70,7 @@ class TestMediumMechanics:
         # needs the tick before the wake-up so a robot encodes its moved pose.
         sim = exact_fit_pair()
         events = sim.run(0.15)
-        at = [e.kind for e in events if e.time == 0.1]
+        at = [e.kind for e in events if e.t == 0.1]
         assert at == [KIND_TX_END, KIND_DELIVER, KIND_TICK, KIND_TX_START]
 
     def test_two_disjoint_frames_delivered(self):
@@ -90,10 +89,10 @@ class TestMediumMechanics:
         sim.add_node(BroadcastNode(2, n_slots=2, payload_bytes=512))
         sim.add_node(BroadcastNode(1, n_slots=2, payload_bytes=512))
         events = sim.run(0.05)  # within the first superframe: no backoff yet
-        slot0 = [e for e in events if e.kind == KIND_TX_END and e.node_id in (0, 2)]
+        slot0 = [e for e in events if e.kind == KIND_TX_END and e.node in (0, 2)]
         assert slot0 and all(e.collided for e in slot0)
         assert not any(
-            e.kind == KIND_DELIVER and e.peer_id in (0, 2) for e in events
+            e.kind == KIND_DELIVER and e.peer in (0, 2) for e in events
         )
 
     def test_bernoulli_loss_rate(self):
@@ -121,7 +120,7 @@ class TestMediumMechanics:
         per_frame = {}
         for e in events:
             if e.kind == KIND_DELIVER:
-                per_frame[(e.peer_id, e.seq)] = per_frame.get((e.peer_id, e.seq), 0) + 1
+                per_frame[(e.peer, e.seq)] = per_frame.get((e.peer, e.seq), 0) + 1
         assert all(v <= 3 for v in per_frame.values())
 
     def test_seq_and_superframe_monotone_per_node(self):
@@ -133,7 +132,7 @@ class TestMediumMechanics:
         by_node = {}
         for e in events:
             if e.kind == KIND_TX_START:
-                by_node.setdefault(e.node_id, []).append((e.seq, e.superframe))
+                by_node.setdefault(e.node, []).append((e.seq, e.superframe))
         for rows in by_node.values():
             seqs = [s for s, _ in rows]
             superframes = [k for _, k in rows]
@@ -144,17 +143,14 @@ class TestMediumMechanics:
 class TestDeterminism:
     def test_identical_seeds_identical_logs(self):
         kwargs = dict(duration=3.0, seed=11, medium=Medium())
-        a = events_to_jsonl(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], **kwargs))
-        b = events_to_jsonl(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], **kwargs))
+        # repr keeps every float bit, -0.0 included.
+        a = repr(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], **kwargs))
+        b = repr(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], **kwargs))
         assert a == b
 
     def test_different_seed_differs(self):
-        a = events_to_jsonl(
-            run([BroadcastNode(i, payload_bytes=256) for i in range(3)], duration=3.0, seed=1)
-        )
-        b = events_to_jsonl(
-            run([BroadcastNode(i, payload_bytes=256) for i in range(3)], duration=3.0, seed=2)
-        )
+        a = repr(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], duration=3.0, seed=1))
+        b = repr(run([BroadcastNode(i, payload_bytes=256) for i in range(3)], duration=3.0, seed=2))
         assert a != b
 
     def test_empty_world_only_ticks(self):
@@ -186,7 +182,7 @@ class TestTdmaIntegration:
             offered = row["frames_tx"] / 60.0
             assert offered == pytest.approx(15.0, rel=0.02)
             goodput = sum(
-                1 for e in events if e.kind == KIND_DELIVER and e.peer_id == node_id
+                1 for e in events if e.kind == KIND_DELIVER and e.peer == node_id
             ) / (3 * 60.0)
             assert goodput == pytest.approx(15.0 * (1.0 - row["loss_rate"]), rel=0.05)
 
@@ -242,8 +238,8 @@ class TestWakeSchedule:
         starts = [e for e in sim.events if e.kind == KIND_TX_START]
         assert len(starts) == 4 * 5000 + 1
         for e in starts:
-            s = sim.behaviors[e.node_id].scheduler
-            assert e.time == e.superframe * s.superframe_period + s.slot_index * s.slot_width
+            s = sim.behaviors[e.node].scheduler
+            assert e.t == e.superframe * s.superframe_period + s.slot_index * s.slot_width
 
 
 class TestLossMeasurement:
@@ -280,7 +276,7 @@ class TestLossMeasurement:
         seqs = {}
         for e in events:
             if e.kind == KIND_DELIVER:
-                seqs.setdefault((e.node_id, e.peer_id), []).append(e.seq)
+                seqs.setdefault((e.node, e.peer), []).append(e.seq)
         assert len(seqs) == n_nodes * (n_nodes - 1)
         for got in seqs.values():
             assert all(a < b for a, b in zip(got, got[1:]))
@@ -304,7 +300,7 @@ class TestContention:
             assert dips, f"node {node_id} never measured loss below the watermark"
             assert any(s["divisor"] > 1 for s in b.trace), "backoff never engaged"
         # After recovery there are actual deliveries both ways.
-        late_delivers = [e for e in events if e.kind == KIND_DELIVER and e.time > 6.0]
+        late_delivers = [e for e in events if e.kind == KIND_DELIVER and e.t > 6.0]
         assert late_delivers
 
     def test_jammer_recovery(self):

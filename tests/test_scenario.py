@@ -521,7 +521,7 @@ class TestRunFormation:
         delivered = {}  # (receiver, sender) -> set of superframe indices
         for e in events:
             if e.kind == KIND_DELIVER:
-                delivered.setdefault((e.node_id, e.peer_id), set()).add(e.superframe)
+                delivered.setdefault((e.node, e.peer), set()).add(e.superframe)
         period = 1.0 / cfg.superframe_hz
         for rec in records:
             tick = round(rec["t"] / period)
@@ -773,6 +773,16 @@ class TestHoming:
         # Replay steers with the formation gains and gate, never attenuated.
         cfg = RunConfig(seed=2, estimator="synthetic", **self.BASE)
         assert run_homing(cfg.replace(gain_attenuation=True)) == run_homing(cfg)
+
+    def test_teaches_every_superframe_inside_the_duration(self, monkeypatch):
+        # 8.2 s * 15 Hz is 122.99999999999999 in floats; superframe 122 (8.133 s) is inside 8.2 s.
+        times = []
+        pose_at = scenario.leader_pose
+        monkeypatch.setattr(scenario, "leader_pose", lambda cfg, t: times.append(t) or pose_at(cfg, t))
+        run_homing(RunConfig(seed=1, estimator="oracle", **self.BASE | dict(duration_s=8.2)))
+        teach, replay_start = times[:-1], times[-1]  # replay starts from one more leader_pose(0)
+        assert replay_start == 0.0
+        assert len(teach) == 123 and teach[-1] == pytest.approx(122 / 15)
 
 
 class TestDatasetJsonl:

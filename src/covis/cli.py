@@ -20,7 +20,6 @@ Log level comes from the COVIS_LOG_LEVEL environment variable
 from __future__ import annotations
 
 import argparse
-import base64
 import csv
 import json
 import logging
@@ -37,7 +36,7 @@ from .config import ConfigError, RunConfig
 from .estimator import PoseEstimate
 from .geometry import UnitQuat, Vec3, relative_pose_rows, unit_quat_rows, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
-from .netsim import summarize
+from .netsim import SimEvent, capture_line, summarize
 from .scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
@@ -444,19 +443,11 @@ def cmd_netbench(args) -> int:
     out = _out_dir(args)
     sim = network_from_config(cfg)
     capture: list[str] = []
-    sim.capture_sink = lambda t, wire: capture.append(
-        json.dumps({"t": t, "frame_b64": base64.b64encode(wire).decode("ascii")})
-    )
+    sim.capture_sink = lambda t, wire: capture.append(capture_line(t, wire))
     events = sim.run(cfg.duration_s)
-    (out / "events.jsonl").write_text(
-        jsonl({"schema": "covis.events@1"}, (json.dumps(vars(e), sort_keys=True) for e in events))
-    )
+    (out / "events.jsonl").write_text(jsonl({"schema": "covis.events@1"}, map(SimEvent.line, events)))
     (out / "capture.jsonl").write_text(jsonl({"schema": "covis.capture@1"}, capture))
-    trace = (
-        json.dumps({"node_id": b.node_id, **sample}, sort_keys=True)
-        for b in sim.behaviors.values()
-        for sample in b.trace
-    )
+    trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
     (out / "trace.jsonl").write_text(jsonl({"schema": "covis.trace@1"}, trace))
     rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
     _write_rows(out / "summary", rows, args.format)

@@ -16,8 +16,9 @@ from __future__ import annotations
 
 import heapq
 import math
+from base64 import b64encode
 from dataclasses import dataclass
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Iterator, Optional
 
 import numpy as np
 
@@ -55,7 +56,17 @@ def loss_probability(medium: Medium, n_nodes: int) -> float:
     return min(0.5, medium.base_loss + medium.loss_slope * max(0, n_nodes - 2))
 
 
-@dataclass(frozen=True)
+def _json_float(x: float) -> str:
+    """``x`` as ``json.dumps`` writes a finite float: ``float.__repr__``, the
+    shortest repr that reads back to ``x``, also for a numpy float64. NaN and
+    ±inf raise ``ValueError``: ``json`` would write them as NaN and Infinity,
+    which are not JSON."""
+    if not math.isfinite(x):
+        raise ValueError(f"cannot log the non-finite float {x!r}")
+    return float.__repr__(x)
+
+
+@dataclass(frozen=True, slots=True)
 class SimEvent:
     """One logged event; its fields are the keys of its ``events.jsonl`` line."""
 
@@ -67,6 +78,21 @@ class SimEvent:
     superframe: int = -1
     collided: bool = False
 
+    # The fields in sorted key order; ``kind`` is one of the KIND_* names, which need no escape.
+    _LINE = '{"collided": %s, "kind": "%s", "node": %d, "peer": %d, "seq": %d, "superframe": %d, "t": %s}'
+
+    def line(self) -> str:
+        """This event's ``events.jsonl`` line, the bytes ``json.dumps`` writes with sorted keys."""
+        return self._LINE % (
+            "true" if self.collided else "false",
+            self.kind,
+            self.node,
+            self.peer,
+            self.seq,
+            self.superframe,
+            _json_float(self.t),
+        )
+
 
 @dataclass
 class _Transmission:
@@ -74,6 +100,12 @@ class _Transmission:
     t_start: float
     t_end: float
     collided: bool = False
+
+
+def capture_line(t: float, wire: bytes) -> str:
+    """The ``capture.jsonl`` line of the ``wire`` bytes a ``Simulator.capture_sink``
+    is handed at ``t``: keys ``t`` then ``frame_b64``, the bytes ``json.dumps`` writes."""
+    return '{"t": %s, "frame_b64": "%s"}' % (_json_float(t), b64encode(wire).decode("ascii"))
 
 
 class Simulator:
@@ -201,6 +233,14 @@ class BroadcastNode:
         self.roster = tuple(roster)
         self.trace: list[dict] = []  # per-superframe (t, divisor, loss) samples
         self._payload = b""
+
+    # A trace sample and its node id in sorted key order.
+    _TRACE_LINE = '{"divisor": %d, "loss": %s, "node_id": %d, "t": %s}'
+
+    def trace_lines(self) -> Iterator[str]:
+        """One ``trace.jsonl`` line per ``trace`` sample, the bytes ``json.dumps`` writes with sorted keys."""
+        line, node_id = self._TRACE_LINE, self.node_id
+        return (line % (s["divisor"], _json_float(s["loss"]), node_id, _json_float(s["t"])) for s in self.trace)
 
     # -- hooks ---------------------------------------------------------------
 

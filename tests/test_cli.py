@@ -1,10 +1,12 @@
 import argparse
 import base64
 import csv
+import gc
 import json
 import logging
 import math
 import tempfile
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -28,7 +30,7 @@ from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
-from covis.netsim import BroadcastNode
+from covis.netsim import BroadcastNode, Simulator
 from covis.scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
@@ -456,6 +458,38 @@ class TestNetbench:
         assert float(rows[0]["loss_rate"]) == 1.0
         # Nodes 1 to 3 never woke up, so they ran no backoff step to average.
         assert all(math.isnan(float(r["mean_divisor"])) for r in rows[1:])
+
+    def test_non_finite_trace_value_exits_validation(self, tmp_path, monkeypatch):
+        # JSON has no NaN, so a NaN loss fails its trace line instead of being written.
+        monkeypatch.setattr("covis.netsim.adapt_rate", lambda state, now: math.nan)
+        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
+        assert main(["netbench", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+
+    def test_writing_the_logs_keeps_no_memory_per_event(self, tmp_path, monkeypatch):
+        # The netstorm benchmark config. Writing an event's line must not leave
+        # anything on the event (a __dict__ built for it, say) once the
+        # lines are written, so the run's memory peaks in the run.
+        cfg = write_config(tmp_path, n_nodes=8, n_slots=8, duration_s=60.0, seed=7)
+        held, run = {}, Simulator.run
+
+        def hold(sim, duration):
+            events = run(sim, duration)
+            held["sim"] = sim
+            gc.collect()
+            held["after_run"] = tracemalloc.get_traced_memory()[0]
+            return events
+
+        monkeypatch.setattr(Simulator, "run", hold)
+        tracemalloc.start()
+        try:
+            assert main(["netbench", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_OK
+            gc.collect()
+            grown = tracemalloc.get_traced_memory()[0] - held["after_run"]
+        finally:
+            tracemalloc.stop()
+        events = len(held["sim"].events)
+        assert events > 9000
+        assert grown / events < 8.0
 
 
 # A non-default value of each network key of RunConfig.

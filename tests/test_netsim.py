@@ -1,6 +1,12 @@
+import base64
+import dataclasses
+import json
 import math
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from covis.netproto import PeerTracker
 from covis.netsim import (
@@ -10,8 +16,10 @@ from covis.netsim import (
     KIND_TX_START,
     BroadcastNode,
     Medium,
+    SimEvent,
     Simulator,
     _RANK_TICK,
+    capture_line,
     loss_probability,
     run,
     summarize,
@@ -340,3 +348,78 @@ class TestBlackout:
             medium=medium,
         )
         assert not any(e.kind == KIND_DELIVER for e in events)
+
+
+# Finite floats, with the values whose repr is easiest to get wrong pinned as examples.
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+UINT16 = st.integers(0, 2**16 - 1)
+UINT32 = st.integers(0, 2**32 - 1)
+PINNED = (-0.0, 5e-324, 1e300, 1e16, 0.1)
+
+
+def trace_node(node_id, samples):
+    node = BroadcastNode(node_id)
+    node.trace = [{"t": t, "divisor": divisor, "loss": loss} for t, divisor, loss in samples]
+    return node
+
+
+class TestLogLines:
+    """Each fixed-key line template writes the bytes ``json.dumps`` writes."""
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(
+        FINITE,
+        st.sampled_from((KIND_TX_START, KIND_TX_END, KIND_DELIVER, KIND_TICK)),
+        st.integers(-1, 2**16 - 1),
+        st.integers(-1, 2**16 - 1),
+        st.integers(-1, 2**32 - 1),
+        st.integers(-1, 2**32 - 1),
+        st.booleans(),
+    )
+    @example(-0.0, KIND_TX_END, 65535, 65535, 2**32 - 1, 2**32 - 1, True)
+    @example(5e-324, KIND_DELIVER, 0, 65535, 2**32 - 1, 0, False)
+    @example(1e300, KIND_TX_START, 65535, -1, 0, 2**32 - 1, False)
+    @example(1e16, KIND_TICK, -1, -1, -1, 7, False)
+    @example(0.1, KIND_TX_END, 3, -1, 12, 5, True)
+    def test_event_line(self, t, kind, node, peer, seq, superframe, collided):
+        event = SimEvent(t, kind, node, peer, seq, superframe, collided)
+        assert event.line() == json.dumps(dataclasses.asdict(event), sort_keys=True)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(UINT16, st.lists(st.tuples(FINITE, st.integers(1, 8192), FINITE), max_size=4))
+    @example(65535, [(x, 8192, x) for x in PINNED])
+    def test_trace_line(self, node_id, samples):
+        node = trace_node(node_id, samples)
+        assert list(node.trace_lines()) == [
+            json.dumps({"node_id": node_id, **s}, sort_keys=True) for s in node.trace
+        ]
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None)
+    @given(FINITE, st.binary(max_size=64))
+    @example(-0.0, b"")
+    @example(5e-324, bytes(range(256)))
+    @example(1e300, b"\xff" * 8)
+    @example(1e16, b"\x00")
+    @example(0.1, b"CV")
+    def test_capture_line(self, t, wire):
+        # Unsorted: the capture keys are written in this order.
+        expected = json.dumps({"t": t, "frame_b64": base64.b64encode(wire).decode("ascii")})
+        assert capture_line(t, wire) == expected
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.float64("nan"), np.float64("-inf")])
+    def test_non_finite_floats_raise(self, x):
+        with pytest.raises(ValueError, match="non-finite"):
+            SimEvent(x, KIND_TICK).line()
+        with pytest.raises(ValueError, match="non-finite"):
+            list(trace_node(0, [(0.0, 1, x)]).trace_lines())
+        with pytest.raises(ValueError, match="non-finite"):
+            list(trace_node(0, [(x, 1, 0.0)]).trace_lines())
+        with pytest.raises(ValueError, match="non-finite"):
+            capture_line(x, b"")
+
+    @pytest.mark.parametrize("x", PINNED + (1 / 3, 2.5e-308, 123456.789))
+    def test_numpy_float64_writes_the_python_float(self, x):
+        y = np.float64(x)  # whose repr under numpy 2 is np.float64(...)
+        assert SimEvent(y, KIND_TICK).line() == SimEvent(x, KIND_TICK).line()
+        assert list(trace_node(1, [(y, 2, y)]).trace_lines()) == list(trace_node(1, [(x, 2, x)]).trace_lines())
+        assert capture_line(y, b"ab") == capture_line(x, b"ab")

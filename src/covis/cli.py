@@ -442,15 +442,24 @@ def cmd_netbench(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     sim = network_from_config(cfg)
-    capture: list[str] = []
-    sim.capture_sink = lambda t, wire: capture.append(capture_line(t, wire))
-    events = sim.run(cfg.duration_s)
-    (out / "events.jsonl").write_text(jsonl({"schema": "covis.events@1"}, map(SimEvent.line, events)))
-    (out / "capture.jsonl").write_text(jsonl({"schema": "covis.capture@1"}, capture))
-    trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
-    (out / "trace.jsonl").write_text(jsonl({"schema": "covis.trace@1"}, trace))
-    rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
-    _write_rows(out / "summary", rows, args.format)
+    made: list[Path] = []  # the logs this run has created, removed again if it fails
+    try:
+        with (out / "capture.jsonl").open("w") as capture:  # a frame's line is written as it goes on the air
+            made.append(out / "capture.jsonl")
+            capture.write(jsonl({"schema": "covis.capture@1"}, ()))
+            sim.capture_sink = lambda t, wire: capture.write(capture_line(t, wire) + "\n")
+            events = sim.run(cfg.duration_s)
+        trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
+        for name, lines in (("events", map(SimEvent.line, events)), ("trace", trace)):
+            with (out / f"{name}.jsonl").open("w") as file:
+                made.append(out / f"{name}.jsonl")
+                file.write(jsonl({"schema": f"covis.{name}@1"}, lines))
+        rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
+        _write_rows(out / "summary", rows, args.format)
+    except BaseException:
+        for path in made:
+            path.unlink(missing_ok=True)
+        raise
     return EXIT_OK
 
 

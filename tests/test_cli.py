@@ -30,13 +30,14 @@ from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
-from covis.netsim import BroadcastNode, Simulator
+from covis.netsim import BroadcastNode, Simulator, capture_line
 from covis.scenario import (
     DATASET_SCHEMA,
     RUNLOG_SCHEMA,
     FormationRun,
     RobotNode,
     follower_offsets,
+    jsonl,
     network_from_config,
     runlog_jsonl,
 )
@@ -490,6 +491,49 @@ class TestNetbench:
         events = len(held["sim"].events)
         assert events > 9000
         assert grown / events < 8.0
+
+    @pytest.mark.parametrize("failure", ["nan-loss", "fifth-capture-line"])
+    def test_failed_run_leaves_no_logs(self, tmp_path, monkeypatch, failure):
+        if failure == "nan-loss":  # fails while the trace is encoded, after the run
+            monkeypatch.setattr("covis.netsim.adapt_rate", lambda state, now: math.nan)
+        else:  # fails in the run, with four capture lines already written
+            frames = iter(range(1, 10**6))
+
+            def fifth_fails(t, wire):
+                if next(frames) == 5:
+                    raise ValueError("fifth frame")
+                return capture_line(t, wire)
+
+            monkeypatch.setattr("covis.cli.capture_line", fifth_fails)
+        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert sorted(p.name for p in out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_capture(self, tmp_path):
+        # The netstorm benchmark config. The capture is written as frames go on
+        # the air, so only the events and trace samples grow with run length.
+        peaks = {}
+        for duration in (30.0, 60.0):
+            cfg = write_config(tmp_path, n_nodes=8, n_slots=8, duration_s=duration, seed=7)
+            tracemalloc.start()
+            try:
+                assert main(["netbench", "--config", cfg, "--out", str(tmp_path / f"out{duration}")]) == EXIT_OK
+                peaks[duration] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+        assert peaks[60.0] <= 12.0
+        assert peaks[60.0] - peaks[30.0] <= 5.0
+
+    def test_streamed_capture_bytes_at_a_non_default_config(self, tmp_path):
+        cfg = write_config(tmp_path, n_nodes=3, n_slots=4, payload_bytes=64, duration_s=5.0, seed=3)
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        sim, lines = network_from_config(RunConfig.from_file(cfg)), []
+        sim.capture_sink = lambda t, wire: lines.append(capture_line(t, wire))
+        sim.run(5.0)
+        assert len(lines) > 10
+        assert (out / "capture.jsonl").read_text() == jsonl({"schema": "covis.capture@1"}, lines)
 
 
 # A non-default value of each network key of RunConfig.

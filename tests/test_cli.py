@@ -461,10 +461,29 @@ class TestNetbench:
         assert all(math.isnan(float(r["mean_divisor"])) for r in rows[1:])
 
     def test_non_finite_trace_value_exits_validation(self, tmp_path, monkeypatch):
-        # JSON has no NaN, so a NaN loss fails its trace line instead of being written.
+        # JSON has no NaN, so a NaN loss fails its trace line instead of being
+        # written, and the failed run removes the logs it had written before.
         monkeypatch.setattr("covis.netsim.adapt_rate", lambda state, now: math.nan)
         cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
-        assert main(["netbench", "--config", cfg, "--out", str(tmp_path / "out")]) == EXIT_VALIDATION
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
+
+    def test_failed_capture_leaves_no_partial_log(self, tmp_path, monkeypatch):
+        # The run fails with four capture lines already written to the open file.
+        sent = []
+
+        def fifth_fails(t, wire):
+            sent.append(t)
+            if len(sent) == 5:
+                raise ValueError("fifth frame")
+            return capture_line(t, wire)
+
+        monkeypatch.setattr("covis.cli.capture_line", fifth_fails)
+        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
 
     def test_writing_the_logs_keeps_no_memory_per_event(self, tmp_path, monkeypatch):
         # The netstorm benchmark config. Writing an event's line must not leave
@@ -491,24 +510,6 @@ class TestNetbench:
         events = len(held["sim"].events)
         assert events > 9000
         assert grown / events < 8.0
-
-    @pytest.mark.parametrize("failure", ["nan-loss", "fifth-capture-line"])
-    def test_failed_run_leaves_no_logs(self, tmp_path, monkeypatch, failure):
-        if failure == "nan-loss":  # fails while the trace is encoded, after the run
-            monkeypatch.setattr("covis.netsim.adapt_rate", lambda state, now: math.nan)
-        else:  # fails in the run, with four capture lines already written
-            frames = iter(range(1, 10**6))
-
-            def fifth_fails(t, wire):
-                if next(frames) == 5:
-                    raise ValueError("fifth frame")
-                return capture_line(t, wire)
-
-            monkeypatch.setattr("covis.cli.capture_line", fifth_fails)
-        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
-        out = tmp_path / "out"
-        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
-        assert sorted(p.name for p in out.iterdir()) == []
 
     def test_memory_does_not_grow_with_the_capture(self, tmp_path):
         # The netstorm benchmark config. The capture is written as frames go on

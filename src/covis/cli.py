@@ -9,8 +9,11 @@ Subcommands::
     homing     record-then-replay run -> keyframes.csv, summary.csv
     traces     plot-ready per-tick columns from a runlog -> traces.csv
 
-On a runlog, ``metrics`` and ``traces`` share one checked pose pass
-(``_runlog_poses``); ``metrics`` skips a bad line, ``traces`` exits on the first.
+Inputs are read one line at a time. On a runlog, ``metrics`` and ``traces``
+share one pass (``_RunlogReader``) that keeps each line's numbers and never its
+decoded object; ``metrics`` skips a bad line, ``traces`` exits on the first.
+``simulate`` and ``netbench`` write their logs as the run goes, and a failed
+run removes every file its command writes.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 validation error.
 Log level comes from the COVIS_LOG_LEVEL environment variable
@@ -21,13 +24,16 @@ from __future__ import annotations
 
 import argparse
 import csv
+import itertools
 import json
 import logging
 import os
 import sys
 import time
 from array import array
+from contextlib import contextmanager
 from pathlib import Path
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -48,9 +54,10 @@ from .scenario import (
     jsonl,
     network_from_config,
     run_homing,
-    runlog_jsonl,
+    runlog_header,
+    runlog_line,
     sample_groups,
-    tracking_errors,
+    tracking_stats,
 )
 
 EXIT_OK = 0
@@ -79,15 +86,38 @@ def _load_config(args) -> RunConfig:
 _READER_KEYS = ("youden_labeling", "youden_error_threshold_m", "gate_sigma_m", "bin_threshold")
 
 
-def _read_input(args) -> tuple[RunConfig, str, list[str]]:
+def _text_lines(path) -> Iterator[str]:
+    """The lines of ``Path(path).read_text().strip().split("\\n")``, read one at a time.
+
+    Blank lines before the first text line and after the last are dropped, the
+    text is stripped at both ends, and a blank line in between is kept.
+    """
+    with open(path) as file:
+        last, blank = None, []  # the latest text line, and the blank lines read after it
+        for line in file:
+            line = line.removesuffix("\n")
+            if not line.strip():
+                if last is not None:
+                    blank.append(line)
+            elif last is None:
+                last = line.lstrip()
+            else:
+                yield last
+                yield from blank
+                last, blank = line, []
+        yield "" if last is None else last.rstrip()
+
+
+def _read_input(args) -> tuple[RunConfig, str, Iterator[str]]:
     """Config, header schema and record lines of a JSONL input.
 
+    The header is read here; the record lines are read as they are taken.
     A runlog is read with the config in its header: ``--config`` supplies
     only the reader keys, and a conflict on any other key is logged.
     """
     cfg = _load_config(args)
-    lines = Path(args.input).read_text().strip().split("\n")
-    header = json.loads(lines[0])
+    lines = _text_lines(args.input)
+    header = json.loads(next(lines))
     if not isinstance(header, dict):
         raise ValueError("header line is not a JSON object")
     schema = header.get("schema", "")
@@ -99,13 +129,25 @@ def _read_input(args) -> tuple[RunConfig, str, list[str]]:
             if differ:
                 log.warning("--config differs from the runlog header on %s; using the header", differ)
         cfg = own.replace(**{k: getattr(cfg, k) for k in _READER_KEYS})
-    return cfg, schema, lines[1:]
+    return cfg, schema, lines
 
 
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+@contextmanager
+def _removed_on_failure(out: Path, *names: str):
+    """Remove every named file of ``out`` if the block fails, so that a failed run
+    leaves neither a partial log nor an earlier run's file beside it."""
+    try:
+        yield
+    except BaseException:
+        for name in names:
+            (out / name).unlink(missing_ok=True)
+        raise
 
 
 def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
@@ -133,15 +175,25 @@ def cmd_simulate(args) -> int:
     cfg = _load_config(args)
     run = FormationRun(cfg)  # refuses a config that cannot run before any output exists
     out = _out_dir(args)
-    records, events = run.run()
-    (out / "runlog.jsonl").write_text(runlog_jsonl(cfg, records))
-    stats = tracking_errors(records, run.offsets, skip_s=10.0)
-    rows = [
-        {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
-        for f, s in sorted(stats.items())
-    ]
-    _write_rows(out / "summary", rows, args.format)
-    log.info("simulate: %d tick records, %d network events", len(records), len(events))
+    keys, poses = [], array("d")  # (t, node id) and pose numbers of each record, for the summary
+    with _removed_on_failure(out, "runlog.jsonl", f"summary.{args.format}"):
+        with (out / "runlog.jsonl").open("w") as runlog:  # a record's line is written as it is made
+            runlog.write(jsonl(runlog_header(cfg), ()))
+
+            def write(rec: dict) -> None:
+                runlog.write(runlog_line(rec) + "\n")
+                keys.append((rec["t"], rec["node_id"]))
+                poses.extend(rec["pose_truth"]["p"])
+                poses.extend(rec["pose_truth"]["q"])
+
+            events = run.run(write)
+        stats = tracking_stats(keys, np.frombuffer(poses).reshape(-1, 7), run.offsets, skip_s=10.0)
+        rows = [
+            {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
+            for f, s in sorted(stats.items())
+        ]
+        _write_rows(out / "summary", rows, args.format)
+    log.info("simulate: %d tick records, %d network events", len(keys), len(events))
     return EXIT_OK
 
 
@@ -163,13 +215,12 @@ class _EdgeReader:
         # Per estimate: p_hat, sigma_p, q_hat, sigma_q, fov, and its two pose rows.
         self.est_values, self.est_line, self.pairs = array("d"), [], array("q")
 
-    def add(self, no: int, poses: array, estimates: array, pairs: array) -> None:
-        """Rows of one line that parsed whole: 7 numbers per pose, 12 per estimate, 2 per pair."""
+    def add(self, no: int, poses: array, estimates: array) -> None:
+        """Rows of one line that parsed whole: 7 numbers per pose, 12 per estimate."""
         self.pose_values += poses
         self.pose_line += [no] * (len(poses) // 7)
         self.est_values += estimates
-        self.est_line += [no] * (len(pairs) // 2)
-        self.pairs += pairs
+        self.est_line += [no] * (len(estimates) // 12)
 
     def _charge(self, line_of: list[int], checks) -> np.ndarray:
         failed = np.zeros(len(line_of), dtype=bool)
@@ -241,7 +292,7 @@ def _estimate_numbers(d: dict) -> tuple[int, int, array]:
     return _typed(d, "src"), _typed(d, "dst"), row
 
 
-def _edges_from_dataset(lines: list[str], cfg: RunConfig):
+def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
     reader = _EdgeReader()
     fusing = []  # (line, nodes, (src, dst) per estimate, first estimate row) of groups that carry grids
     for no, line in enumerate(lines, start=2):  # header was line 1
@@ -267,7 +318,8 @@ def _edges_from_dataset(lines: list[str], cfg: RunConfig):
             continue
         if ends and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
             fusing.append((no, nodes, ends, len(reader.est_line)))
-        reader.add(no, poses, values, pairs)
+        reader.add(no, poses, values)
+        reader.pairs += pairs
     reader.check_poses()
     reader.check_estimates()
     grid_scores: list[tuple[float, float]] = []
@@ -301,48 +353,82 @@ def _fusion_scores(nodes, ends, rows, cfg) -> list[tuple[float, float]]:
     return out
 
 
-def _runlog_poses(lines: list[str], cfg: RunConfig) -> tuple[_EdgeReader, list, dict]:
-    """Pose pass of a runlog: (reader, [(line, record)], (tick, node id) -> pose row)."""
-    reader = _EdgeReader()
-    period = 1.0 / cfg.superframe_hz
-    keys, parsed = [], []
-    for no, line in enumerate(lines, start=2):  # header was line 1
-        try:
-            rec = json.loads(line)
-            key = (round(_typed(rec, "t", "a number") / period), _typed(rec, "node_id"))
-            pose = _pose_numbers(rec["pose_truth"])
-        except Exception as exc:
-            reader.errors[no] = str(exc)
-            continue
-        reader.add(no, pose, array("d"), array("q"))
-        keys.append(key)
-        parsed.append((no, rec))
-    ok = reader.check_poses()
-    # Pose row k is parsed record k's; a later record of the same tick and node wins.
-    return reader, parsed, {key: row for row, key in enumerate(keys) if ok[row]}
+class _RunlogReader(_EdgeReader):
+    """One pass over a runlog's record lines, with the poses checked.
+
+    A line keeps its pose numbers, ``t`` and ``gated``, and each of its
+    estimates its numbers and the (peer_tick, dst) key of its peer pose; the
+    decoded line is not kept. A line whose estimates fail to parse still
+    offers its pose, so its failure waits in ``pending`` until
+    ``resolve_peers`` has looked up the peers of the estimates before it.
+    """
+
+    def __init__(self, lines: Iterable[str], cfg: RunConfig):
+        super().__init__()
+        period = 1.0 / cfg.superframe_hz
+        keys = []  # (tick, node id) per pose row
+        self.t, self.gated = array("d"), bytearray()  # per pose row
+        self.bad_gated: dict[int, str] = {}  # line -> message, for traces alone
+        self.own, self.peer = array("q"), array("q")  # per estimate: its line's pose row, its peer key
+        self.peer_keys: dict[tuple[int, int], int] = {}  # (peer_tick, dst) -> peer key
+        self.pending: dict[int, tuple[list[int], str]] = {}  # line -> (peer keys before the failure, failure)
+        for no, line in enumerate(lines, start=2):  # header was line 1
+            try:
+                rec = json.loads(line)
+                key = (round(_typed(rec, "t", "a number") / period), _typed(rec, "node_id"))
+                pose = _pose_numbers(rec["pose_truth"])
+            except Exception as exc:
+                self.errors[no] = str(exc)
+                continue
+            row = len(keys)
+            keys.append(key)
+            self.t.append(rec["t"])
+            gated = rec.get("gated")
+            if type(gated) is not bool:
+                self.bad_gated[no] = f"gated {gated!r} is not a bool"
+            self.gated.append(gated is True)
+            values, peers = array("d"), []
+            try:
+                for d in rec["estimates"]:
+                    src, dst, numbers = _estimate_numbers(d)
+                    if src != rec["node_id"]:
+                        raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
+                    peer = (_typed(d, "peer_tick"), dst)
+                    peers.append(self.peer_keys.setdefault(peer, len(self.peer_keys)))
+                    values += numbers
+                    values.append(cfg.fov_deg)
+            except Exception as exc:
+                self.pending[no] = (peers, str(exc))
+                values, peers = array("d"), []
+            self.add(no, pose, values)
+            self.own += array("q", [row] * len(peers))
+            self.peer += array("q", peers)
+        ok = self.check_poses()
+        # A later line of the same tick and node wins.
+        self.pose_at = {key: row for row, key in enumerate(keys) if ok[row]}
+
+    def resolve_peers(self) -> None:
+        """Pair each estimate with its peer's pose row. A line's first failure is
+        its pose's, then its first estimate's whose peer has no pose, then its pending one."""
+        keys = list(self.peer_keys)
+        row_of = np.array([self.pose_at.get(key, -1) for key in keys], dtype=np.int64)
+        peer = row_of[np.frombuffer(self.peer, dtype=np.int64)]
+
+        def missing(k: int) -> str:
+            tick, dst = keys[k]
+            return f"no pose of peer node {dst} at tick {tick}"
+
+        for e in np.flatnonzero(peer < 0):
+            self.errors.setdefault(self.est_line[e], missing(self.peer[e]))
+        for no, (peers, message) in self.pending.items():
+            first = next((k for k in peers if row_of[k] < 0), None)
+            self.errors.setdefault(no, message if first is None else missing(first))
+        self.pairs = np.column_stack([np.frombuffer(self.own, dtype=np.int64), peer])
 
 
-def _edges_from_runlog(lines: list[str], cfg: RunConfig):
-    reader, parsed, pose_at = _runlog_poses(lines, cfg)
-    for row, (no, rec) in enumerate(parsed):
-        if no in reader.errors:
-            continue
-        try:
-            values, pairs = array("d"), array("q")
-            for d in rec["estimates"]:
-                src, dst, numbers = _estimate_numbers(d)
-                if src != rec["node_id"]:
-                    raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
-                peer = pose_at.get((_typed(d, "peer_tick"), dst))
-                if peer is None:
-                    raise LookupError(f"no pose of peer node {dst} at tick {d['peer_tick']}")
-                values += numbers
-                values.append(cfg.fov_deg)
-                pairs += array("q", (row, peer))
-        except Exception as exc:
-            reader.errors[no] = str(exc)
-            continue
-        reader.add(no, array("d"), values, pairs)
+def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
+    reader = _RunlogReader(lines, cfg)
+    reader.resolve_peers()
     reader.check_estimates()
     return *reader.columns(), []
 
@@ -351,6 +437,8 @@ def cmd_metrics(args) -> int:
     started = time.perf_counter()
     cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
+    counter = itertools.count()
+    lines = (line for line, _ in zip(lines, counter))  # counts the lines the reader takes
     if schema == DATASET_SCHEMA:
         edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
     elif schema == RUNLOG_SCHEMA:
@@ -360,14 +448,15 @@ def cmd_metrics(args) -> int:
         return EXIT_VALIDATION
     for no, msg in errors:
         log.error("line %d: %s", no, msg)
-    if len(errors) > 0.01 * max(1, len(lines)):
-        log.error("%d malformed lines out of %d", len(errors), len(lines))
+    read = next(counter)
+    if len(errors) > 0.01 * max(1, read):
+        log.error("%d malformed lines out of %d", len(errors), read)
         return EXIT_VALIDATION
     if not len(edges):
         log.error("no usable edge records")
         return EXIT_VALIDATION
 
-    read = time.perf_counter()
+    parsed = time.perf_counter()
     report = evaluate_records(
         edges,
         labeling=cfg.youden_labeling,
@@ -411,7 +500,7 @@ def cmd_metrics(args) -> int:
     _write_rows(out / "summary", summary, args.format)
     log.info(
         "metrics: %d edges scored, %d malformed lines; read %.3f s, score %.3f s, write %.3f s",
-        len(edges), len(errors), read - started, scored - read, time.perf_counter() - scored,
+        len(edges), len(errors), parsed - started, scored - parsed, time.perf_counter() - scored,
     )
     return EXIT_OK
 
@@ -442,24 +531,18 @@ def cmd_netbench(args) -> int:
     cfg = _load_config(args)
     out = _out_dir(args)
     sim = network_from_config(cfg)
-    made: list[Path] = []  # the logs this run has created, removed again if it fails
-    try:
+    written = ("capture.jsonl", "events.jsonl", "trace.jsonl", f"summary.{args.format}")
+    with _removed_on_failure(out, *written):
         with (out / "capture.jsonl").open("w") as capture:  # a frame's line is written as it goes on the air
-            made.append(out / "capture.jsonl")
             capture.write(jsonl({"schema": "covis.capture@1"}, ()))
             sim.capture_sink = lambda t, wire: capture.write(capture_line(t, wire) + "\n")
             events = sim.run(cfg.duration_s)
         trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
         for name, lines in (("events", map(SimEvent.line, events)), ("trace", trace)):
             with (out / f"{name}.jsonl").open("w") as file:
-                made.append(out / f"{name}.jsonl")
                 file.write(jsonl({"schema": f"covis.{name}@1"}, lines))
         rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
         _write_rows(out / "summary", rows, args.format)
-    except BaseException:
-        for path in made:
-            path.unlink(missing_ok=True)
-        raise
     return EXIT_OK
 
 
@@ -496,21 +579,20 @@ def cmd_traces(args) -> int:
     if schema != RUNLOG_SCHEMA:
         log.error("traces needs a runlog input")
         return EXIT_VALIDATION
-    reader, parsed, pose_at = _runlog_poses(lines, cfg)
-    for no, rec in parsed:
-        if type(rec.get("gated")) is not bool:
-            reader.errors.setdefault(no, f"gated {rec.get('gated')!r} is not a bool")
+    reader = _RunlogReader(lines, cfg)
+    for no, message in reader.bad_gated.items():
+        reader.errors.setdefault(no, message)
     if reader.errors:  # the first bad line ends the command
         log.error("line %d: %s", *min(reader.errors.items()))
         return EXIT_VALIDATION
-    keys = sorted(pose_at)
-    rows = [pose_at[key] for key in keys]
+    keys = sorted(reader.pose_at)
+    rows = [reader.pose_at[key] for key in keys]
     pos_err, rot_err = follower_error_rows(keys, reader.p[rows], reader.q[rows], follower_offsets(cfg))
     xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
     errors = zip(pos_err.tolist(), rot_err.tolist())
     traces = [
-        {"schema": "covis.traces@1", "t": float(parsed[row][1]["t"]), "node_id": node, "x_m": x, "y_m": y,
-         "yaw_rad": a, "gated": parsed[row][1]["gated"], "pos_err_m": pos, "rot_err_deg": rot}
+        {"schema": "covis.traces@1", "t": reader.t[row], "node_id": node, "x_m": x, "y_m": y,
+         "yaw_rad": a, "gated": bool(reader.gated[row]), "pos_err_m": pos, "rot_err_deg": rot}
         for (_, node), row, (x, y, _), a, (pos, rot) in zip(keys, rows, xyz, yaw, errors)
     ]
     _write_rows(out / "traces", traces, args.format)

@@ -550,7 +550,7 @@ class FormationRun:
                     leader_est, self.offsets[node.node_id], node.pd_state, self.cfg,
                     attenuate=self.cfg.gain_attenuation,
                 )
-        self.records.append(
+        self.sink(
             {
                 "t": now,
                 "node_id": node.node_id,
@@ -563,12 +563,12 @@ class FormationRun:
             }
         )
 
-    def run(self) -> tuple[list[dict], list[SimEvent]]:
-        """A fresh run from the start poses; a second call repeats the first."""
-        self.records: list[dict] = []
+    def run(self, sink: Callable[[dict], object]) -> list[SimEvent]:
+        """A fresh run from the start poses, handing each tick record to ``sink`` as it is
+        made; returns the network events. A second call repeats the first."""
+        self.sink = sink
         sim = network_from_config(self.cfg, lambda node_id, **wiring: RobotNode(node_id, self, **wiring))
-        events = sim.run(self.cfg.duration_s)
-        return self.records, events
+        return sim.run(self.cfg.duration_s)
 
 
 def _integrate(pose: Pose, cmd: Command, dt: float) -> Pose:
@@ -580,12 +580,22 @@ def _integrate(pose: Pose, cmd: Command, dt: float) -> Pose:
 
 def run_formation(cfg: RunConfig) -> tuple[list[dict], list[SimEvent]]:
     """Deterministic closed-loop run; returns (tick records, network events)."""
-    return FormationRun(cfg).run()
+    records: list[dict] = []
+    events = FormationRun(cfg).run(records.append)
+    return records, events
+
+
+def runlog_header(cfg: RunConfig) -> dict:
+    return {"schema": RUNLOG_SCHEMA, "seed": cfg.seed, "config": cfg.to_dict()}
+
+
+def runlog_line(record: dict) -> str:
+    """A tick record's runlog line, without its newline."""
+    return json.dumps(record, sort_keys=True)
 
 
 def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
-    header = {"schema": RUNLOG_SCHEMA, "seed": cfg.seed, "config": cfg.to_dict()}
-    return jsonl(header, (json.dumps(r, sort_keys=True) for r in records))
+    return jsonl(runlog_header(cfg), map(runlog_line, records))
 
 
 def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarray, np.ndarray]:
@@ -612,19 +622,29 @@ def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarra
 def tracking_errors(
     records: list[dict], offsets: dict[int, Pose], skip_s: float = 0.0
 ) -> dict[int, dict[str, float]]:
-    """Per-follower tracking statistics from a run log.
+    """Per-follower tracking statistics (``tracking_stats``) of a run's tick records."""
+    keys = [(rec["t"], rec["node_id"]) for rec in records]
+    poses = [rec["pose_truth"]["p"] + rec["pose_truth"]["q"] for rec in records]
+    return tracking_stats(keys, np.array(poses, dtype=float).reshape(-1, 7), offsets, skip_s)
 
-    Position error is the distance between the true relative leader pose and
-    the reference offset; rotation error is their geodesic yaw gap. ``Vel``
-    is the mean realized speed. Records hold unit quaternions, as a run
-    writes them; a later record of the same time and node replaces an earlier one.
+
+def tracking_stats(
+    keys: list[tuple[float, int]], poses: np.ndarray, offsets: dict[int, Pose], skip_s: float = 0.0
+) -> dict[int, dict[str, float]]:
+    """Per-follower tracking statistics from a run's (time, node id) keys and pose rows.
+
+    Row k of ``poses`` is position xyz and unit quaternion wxyz of ``keys[k]``,
+    as a run writes them; a later row of the same time and node replaces an
+    earlier one. Position error is the distance between the true relative
+    leader pose and the reference offset; rotation error is their geodesic yaw
+    gap. ``Vel`` is the mean realized speed.
     """
-    row_at = {(rec["t"], rec["node_id"]): k for k, rec in enumerate(records)}
+    row_at = {key: k for k, key in enumerate(keys)}
     keys = sorted(row_at)
     times = sorted({t for t, _ in keys})
     dt = times[1] - times[0] if len(times) > 1 else 1.0
-    p = np.array([records[row_at[key]]["pose_truth"]["p"] for key in keys], dtype=float).reshape(-1, 3)
-    q = np.array([records[row_at[key]]["pose_truth"]["q"] for key in keys], dtype=float).reshape(-1, 4)
+    poses = poses[[row_at[key] for key in keys]]
+    p, q = poses[:, :3], poses[:, 3:]
     pos_err, rot_err = follower_error_rows(keys, p, q, offsets)
     t_row = np.array([t for t, _ in keys], dtype=float)
     node_row = np.array([node for _, node in keys], dtype=np.int64)

@@ -22,6 +22,7 @@ from covis.cli import (
     EXIT_VALIDATION,
     _edges_from_dataset,
     _read_input,
+    _text_lines,
     _write_rows,
     main,
 )
@@ -39,7 +40,10 @@ from covis.scenario import (
     follower_offsets,
     jsonl,
     network_from_config,
+    run_formation,
     runlog_jsonl,
+    runlog_line,
+    tracking_errors,
 )
 
 FAST = {
@@ -316,6 +320,76 @@ class TestSimulate:
         v1, v2 = (float(r["mean_vel_mps"]) for r in rows)
         assert abs(v1 - v2) > 0.02  # inner vs outer follower
 
+    def test_streamed_runlog_bytes_at_a_non_default_config(self, tmp_path):
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps(
+            {"trajectory": "rect_dynamic", "n_nodes": 3, "estimator": "oracle", "seed": 3, "duration_s": 15.0}
+        ))
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == EXIT_OK
+        cfg = RunConfig.from_file(config)
+        records = run_formation(cfg)[0]
+        assert len(records) == 3 * 226
+        assert (out / "runlog.jsonl").read_text() == runlog_jsonl(cfg, records)
+        # The summary is the library's statistics of the same records.
+        stats = tracking_errors(records, follower_offsets(cfg), skip_s=10.0)
+        rows = read_csv(out / "summary.csv")
+        assert [int(row["node_id"]) for row in rows] == sorted(stats) == [1, 2]
+        for row in rows:
+            assert {key: float(row[key]) for key in stats[1]} == stats[int(row["node_id"])]
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("stage", ["run", "summary"])
+    def test_failed_run_leaves_no_output(self, tmp_path, monkeypatch, stage, fmt):
+        # An earlier run's outputs are in --out. A run that fails removes them
+        # with its own partial runlog, so no mixed set is left.
+        cfg = write_config(tmp_path, duration_s=2.0)
+        out = tmp_path / "out"
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == ["runlog.jsonl", f"summary.{fmt}"]
+        if stage == "run":  # four record lines are already written to the open file
+            made = []
+
+            def fifth_fails(rec):
+                made.append(rec)
+                if len(made) == 5:
+                    raise ValueError("fifth record")
+                return runlog_line(rec)
+
+            monkeypatch.setattr("covis.cli.runlog_line", fifth_fails)
+        else:  # the whole runlog is written
+
+            def fails(*args, **kwargs):
+                raise ValueError("summary")
+
+            monkeypatch.setattr("covis.cli.tracking_stats", fails)
+        assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_VALIDATION
+        assert list(out.iterdir()) == []
+
+    def test_memory_does_not_grow_with_the_runlog(self, tmp_path):
+        # The formation benchmark's team. Records go to disk as they are made,
+        # and the reader keeps each line's numbers, not the line, so what grows
+        # with run length is the simulator's events and the reader's number rows.
+        peaks = {}
+        for duration in (20.0, 60.0):
+            config, out = tmp_path / f"config{duration}.json", tmp_path / f"out{duration}"
+            config.write_text(json.dumps({"n_nodes": 8, "duration_s": duration, "seed": 7}))
+            runs = (
+                ("simulate", ["--config", str(config)]),
+                ("metrics", ["--input", str(out / "simulate" / "runlog.jsonl")]),
+            )
+            for command, argv in runs:
+                tracemalloc.start()
+                try:
+                    assert main([command, *argv, "--out", str(out / command)]) == EXIT_OK
+                    peaks[command, duration] = tracemalloc.get_traced_memory()[1] / 1e6
+                finally:
+                    tracemalloc.stop()
+        assert peaks["simulate", 60.0] <= 16.0
+        assert peaks["metrics", 60.0] <= 32.0
+        assert peaks["simulate", 60.0] - peaks["simulate", 20.0] <= 10.0
+        assert peaks["metrics", 60.0] - peaks["metrics", 20.0] <= 20.0
+
 
 class TestDatagenAndMetrics:
     def test_oracle_dataset_gives_perfect_metrics(self, tmp_path):
@@ -470,7 +544,12 @@ class TestNetbench:
         assert list(out.iterdir()) == []
 
     def test_failed_capture_leaves_no_partial_log(self, tmp_path, monkeypatch):
-        # The run fails with four capture lines already written to the open file.
+        # An earlier run's four files are in --out, and the run fails with four
+        # capture lines already written to the open file: none of the files is left.
+        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
+        out = tmp_path / "out"
+        assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_OK
+        assert len(list(out.iterdir())) == 4
         sent = []
 
         def fifth_fails(t, wire):
@@ -480,8 +559,6 @@ class TestNetbench:
             return capture_line(t, wire)
 
         monkeypatch.setattr("covis.cli.capture_line", fifth_fails)
-        cfg = write_config(tmp_path, n_nodes=2, duration_s=0.5)
-        out = tmp_path / "out"
         assert main(["netbench", "--config", cfg, "--out", str(out)]) == EXIT_VALIDATION
         assert list(out.iterdir()) == []
 
@@ -1031,6 +1108,7 @@ class TestMetricsMatchReference:
         self.corrupt(metrics_inputs("dataset-default", 101), source, changes)
         # Five malformed lines of 101 exceed the 1% budget, so compare the readers directly.
         cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(source)))
+        lines = list(lines)  # read once, by both readers
         edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
         records, want_scores, want_errors = _reference_dataset_records(lines, cfg)
         assert [no for no, _ in errors] == [no for no, _ in want_errors] == sorted(changes)
@@ -1161,6 +1239,83 @@ class TestMalformedLineKeepsNoEdge:
         assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
         assert cut["malformed_lines"] == "1"
         assert "line 2:" in caplog.text
+
+
+class TestInputLines:
+    @settings(max_examples=300, deadline=None)
+    @given(st.text(alphabet="a \t\r\n\x0b\x0c\x1c", max_size=30))
+    def test_lines_split_as_the_whole_text(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.jsonl"
+            path.write_bytes(text.encode())
+            assert list(_text_lines(path)) == path.read_text().strip().split("\n")
+
+    @staticmethod
+    def outputs(out):
+        return {path.name: path.read_bytes() for path in out.iterdir()}
+
+    @pytest.mark.parametrize("name", ["runlog-default", "dataset-default"])
+    def test_blank_ends_and_crlf_read_as_the_clean_file(self, tmp_path, metrics_inputs, name):
+        source = metrics_inputs(name, 101)
+        messy = tmp_path / "messy.jsonl"
+        messy.write_bytes(("\n \n" + source.read_text().replace("\n", "\r\n") + "\r\n\n\t\n").encode())
+        for command in ("metrics", "traces") if name.startswith("runlog") else ("metrics",):
+            for path, out in ((source, "clean"), (messy, "messy")):
+                assert main([command, "--input", str(path), "--out", str(tmp_path / command / out)]) == EXIT_OK
+            assert self.outputs(tmp_path / command / "messy") == self.outputs(tmp_path / command / "clean")
+
+    @pytest.mark.parametrize("name", ["runlog-default", "dataset-default"])
+    def test_blank_line_inside_is_one_malformed_line(self, tmp_path, metrics_inputs, caplog, name):
+        source = metrics_inputs(name, 101)
+        lines = source.read_text().split("\n")
+        lines.insert(5, "")
+        broken = tmp_path / "broken.jsonl"
+        broken.write_text("\n".join(lines))
+        for path, out in ((source, "whole"), (broken, "cut")):
+            assert main(["metrics", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        whole, cut = (read_csv(tmp_path / out / "summary.csv")[0] for out in ("whole", "cut"))
+        assert (cut["malformed_lines"], cut["edges"]) == ("1", whole["edges"])
+        assert "line 6: Expecting value" in caplog.text
+        if name.startswith("runlog"):
+            caplog.clear()
+            assert main(["traces", "--input", str(broken), "--out", str(tmp_path / "tr")]) == EXIT_VALIDATION
+            assert "line 6: Expecting value" in caplog.text
+
+
+class TestRunlogFirstFailure:
+    @pytest.mark.parametrize("missing, malformed", [(0, 1), (1, 0)], ids=["peer_first", "parse_first"])
+    def test_order(self, tmp_path, metrics_inputs, caplog, missing, malformed):
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        records = [json.loads(line) for line in lines[1:]]
+        period = 1.0 / RunConfig().superframe_hz
+        read = {(e["peer_tick"], e["dst"]) for r in records for e in r["estimates"]}
+        # A line with two estimates or more whose pose later lines read.
+        no, rec = next(
+            (no, r) for no, r in enumerate(records, start=2)
+            if len(r["estimates"]) >= 2 and (round(r["t"] / period), r["node_id"]) in read
+        )
+        dst = rec["estimates"][missing]["dst"]
+        rec["estimates"][missing]["peer_tick"] = 10**6
+        rec["estimates"][malformed]["sigma_q"] = "0.5"
+        lines[no - 1] = json.dumps(rec)
+        broken = tmp_path / "runlog.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        for path, out in ((source, "whole"), (broken, "cut")):
+            assert main(["metrics", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        if missing < malformed:
+            message = f"no pose of peer node {dst} at tick 1000000"
+        else:
+            message = "sigma_q '0.5' is not a number"
+        assert f"line {no}: {message}" in caplog.text
+        # The line still offers its pose: only its own estimates are lost.
+        whole, cut = (read_csv(tmp_path / out / "summary.csv")[0] for out in ("whole", "cut"))
+        assert cut["malformed_lines"] == "1"
+        assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
+        # traces reads no estimate, so it neither fails nor changes.
+        for path, out in ((source, "tr_whole"), (broken, "tr_cut")):
+            assert main(["traces", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        assert (tmp_path / "tr_cut" / "traces.csv").read_bytes() == (tmp_path / "tr_whole" / "traces.csv").read_bytes()
 
 
 def test_metrics_logs_counts_and_stage_times(tmp_path, metrics_inputs, caplog):

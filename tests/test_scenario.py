@@ -510,10 +510,10 @@ class TestRunFormation:
 
     def test_second_run_repeats_the_first(self):
         cfg = RunConfig(seed=13, duration_s=2.0)
-        run = FormationRun(cfg)
-        first = runlog_jsonl(cfg, run.run()[0])
-        second = runlog_jsonl(cfg, run.run()[0])
-        assert second == first
+        run, first, second = FormationRun(cfg), [], []
+        run.run(first.append)
+        run.run(second.append)
+        assert runlog_jsonl(cfg, second) == runlog_jsonl(cfg, first)
 
     def test_estimates_only_from_delivered_frames(self):
         cfg = RunConfig(seed=3, estimator="synthetic", **ACCEPT)
@@ -614,7 +614,8 @@ class TestRunFormation:
             tick(node, k, now)
 
         run.robot_tick = robot_tick
-        records, _ = run.run()
+        records = []
+        run.run(records.append)
         assert len(records) == cfg.n_nodes * 301
         period = 1.0 / cfg.superframe_hz
         truth = {(r["node_id"], round(r["t"] / period)): r["pose_truth"] for r in records}
@@ -644,7 +645,8 @@ class TestRunFormation:
             cfg = RunConfig(seed=3, stale_timeout_s=stale, base_loss=0.0, loss_slope=0.0, duration_s=20.0)
             run = FormationRun(cfg)
             assert run.max_age == round(stale * 15)
-            records, _ = run.run()
+            records = []
+            run.run(records.append)
             followers = [r for r in records if r["node_id"] != 0 and r["t"] > 0]
             assert all(any(e["dst"] == 0 for e in r["estimates"]) for r in followers)
             counts.append(sum(len(r["estimates"]) for r in followers))

@@ -163,19 +163,17 @@ def fuse(
     return BevGrid(np.clip(fused, FUSE_CLAMP, 1.0 - FUSE_CLAMP), ego.extent, ego.resolution)
 
 
-def coverage_gain(
-    truth: BevGrid, ego_only: BevGrid, fused: BevGrid, bin_threshold: float = 0.5
-) -> tuple[float, float]:
+def coverage_gain(truth: BevGrid, ego_only: BevGrid, fused: BevGrid) -> tuple[float, float]:
     """Dice of the ego-only and fused grids against truth.
 
     Scored on the navigable mask, matching how BEV agreement is reported for
     navigability grids. A cell counts as navigable only when its occupancy is
-    strictly below the threshold, so unknown cells (0.5) are not credited as
+    strictly below ``UNKNOWN`` (0.5), so unknown cells are not credited as
     confirmed-free; the score rewards coverage revealed by neighbors.
     """
     if ego_only.cells.shape != truth.cells.shape or fused.cells.shape != truth.cells.shape:
         raise ValueError("grid shapes differ")
-    t_free = truth.cells < bin_threshold
-    dice_ego, _ = mask_dice_iou(t_free, ego_only.cells < bin_threshold)
-    dice_fused, _ = mask_dice_iou(t_free, fused.cells < bin_threshold)
+    t_free = truth.cells < UNKNOWN
+    dice_ego, _ = mask_dice_iou(t_free, ego_only.cells < UNKNOWN)
+    dice_fused, _ = mask_dice_iou(t_free, fused.cells < UNKNOWN)
     return dice_ego, dice_fused

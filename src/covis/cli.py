@@ -93,19 +93,15 @@ def _text_lines(path) -> Iterator[str]:
     text is stripped at both ends, and a blank line in between is kept.
     """
     with open(path) as file:
-        last, blank = None, []  # the latest text line, and the blank lines read after it
+        held: list[str] = []  # the latest text line, then the blank lines read after it
         for line in file:
             line = line.removesuffix("\n")
-            if not line.strip():
-                if last is not None:
-                    blank.append(line)
-            elif last is None:
-                last = line.lstrip()
-            else:
-                yield last
-                yield from blank
-                last, blank = line, []
-        yield "" if last is None else last.rstrip()
+            if line.strip():
+                yield from held
+                held = [line if held else line.lstrip()]
+            elif held:
+                held.append(line)
+        yield held[0].rstrip() if held else ""
 
 
 def _read_input(args) -> tuple[RunConfig, str, Iterator[str]]:
@@ -151,9 +147,10 @@ def _removed_on_failure(out: Path, *names: str):
 
 
 def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
-    """Rows as CSV (header row carries the column names) or JSONL."""
+    """Rows as CSV (header row carries the column names) or JSONL, where a non-finite number is null."""
     if fmt == "jsonl":
         path = path.with_suffix(".jsonl")
+        rows = ({k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in r.items()} for r in rows)
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
         return
     path = path.with_suffix(".csv")
@@ -356,22 +353,22 @@ def _fusion_scores(nodes, ends, rows, cfg) -> list[tuple[float, float]]:
 class _RunlogReader(_EdgeReader):
     """One pass over a runlog's record lines, with the poses checked.
 
-    A line keeps its pose numbers, ``t`` and ``gated``, and each of its
-    estimates its numbers and the (peer_tick, dst) key of its peer pose; the
-    decoded line is not kept. A line whose estimates fail to parse still
-    offers its pose, so its failure waits in ``pending`` until
-    ``resolve_peers`` has looked up the peers of the estimates before it.
+    A line keeps its pose row, ``t`` and ``gated``, its estimates' numbers,
+    the (peer_tick, dst) keys of the estimates that parsed, in one flat array,
+    and the failure of its estimates' parse, if any; the decoded line is not
+    kept. A line whose estimates fail to parse still offers its pose.
+    ``resolve_peers`` pairs the estimates with their peers' poses once every
+    pose is read.
     """
 
     def __init__(self, lines: Iterable[str], cfg: RunConfig):
         super().__init__()
         period = 1.0 / cfg.superframe_hz
-        keys = []  # (tick, node id) per pose row
+        self.keys = []  # (tick, node id) per pose row
         self.t, self.gated = array("d"), bytearray()  # per pose row
         self.bad_gated: dict[int, str] = {}  # line -> message, for traces alone
-        self.own, self.peer = array("q"), array("q")  # per estimate: its line's pose row, its peer key
-        self.peer_keys: dict[tuple[int, int], int] = {}  # (peer_tick, dst) -> peer key
-        self.pending: dict[int, tuple[list[int], str]] = {}  # line -> (peer keys before the failure, failure)
+        self.peers, self.ends = array("q"), array("q")  # peer_tick, dst per key; per pose row, its keys' end
+        self.failed: dict[int, str] = {}  # line -> the failure of its estimates' parse
         for no, line in enumerate(lines, start=2):  # header was line 1
             try:
                 rec = json.loads(line)
@@ -380,50 +377,51 @@ class _RunlogReader(_EdgeReader):
             except Exception as exc:
                 self.errors[no] = str(exc)
                 continue
-            row = len(keys)
-            keys.append(key)
+            self.keys.append(key)
             self.t.append(rec["t"])
             gated = rec.get("gated")
             if type(gated) is not bool:
                 self.bad_gated[no] = f"gated {gated!r} is not a bool"
             self.gated.append(gated is True)
-            values, peers = array("d"), []
+            values = array("d")
             try:
                 for d in rec["estimates"]:
                     src, dst, numbers = _estimate_numbers(d)
                     if src != rec["node_id"]:
                         raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
                     peer = (_typed(d, "peer_tick"), dst)
-                    peers.append(self.peer_keys.setdefault(peer, len(self.peer_keys)))
+                    try:
+                        self.peers += array("q", peer)
+                    except OverflowError:  # beyond int64: the keys go on as Python ints
+                        self.peers = [*self.peers, *peer]
                     values += numbers
                     values.append(cfg.fov_deg)
             except Exception as exc:
-                self.pending[no] = (peers, str(exc))
-                values, peers = array("d"), []
+                self.failed[no] = str(exc)
+                values = array("d")
             self.add(no, pose, values)
-            self.own += array("q", [row] * len(peers))
-            self.peer += array("q", peers)
+            self.ends.append(len(self.peers) // 2)
         ok = self.check_poses()
         # A later line of the same tick and node wins.
-        self.pose_at = {key: row for row, key in enumerate(keys) if ok[row]}
+        self.pose_at = {key: row for row, key in enumerate(self.keys) if ok[row]}
 
     def resolve_peers(self) -> None:
-        """Pair each estimate with its peer's pose row. A line's first failure is
-        its pose's, then its first estimate's whose peer has no pose, then its pending one."""
-        keys = list(self.peer_keys)
-        row_of = np.array([self.pose_at.get(key, -1) for key in keys], dtype=np.int64)
-        peer = row_of[np.frombuffer(self.peer, dtype=np.int64)]
-
-        def missing(k: int) -> str:
-            tick, dst = keys[k]
-            return f"no pose of peer node {dst} at tick {tick}"
-
-        for e in np.flatnonzero(peer < 0):
-            self.errors.setdefault(self.est_line[e], missing(self.peer[e]))
-        for no, (peers, message) in self.pending.items():
-            first = next((k for k in peers if row_of[k] < 0), None)
-            self.errors.setdefault(no, message if first is None else missing(first))
-        self.pairs = np.column_stack([np.frombuffer(self.own, dtype=np.int64), peer])
+        """Pair each estimate with its peer's pose row, line by line. A line's first failure
+        is its pose's, then its first estimate's whose peer has no pose, then its parse
+        failure; a line whose estimates parsed adds an (own row, peer row) pair per estimate."""
+        peers = self.peers
+        found = array("q", map(self.pose_at.get, zip(peers[::2], peers[1::2]), itertools.repeat(-1)))
+        own_rows, peer_rows = array("q"), array("q")
+        for row, (no, start, end) in enumerate(zip(self.pose_line, [0, *self.ends], self.ends)):
+            if -1 in found[start:end]:
+                k = 2 * found.index(-1, start, end)
+                self.errors.setdefault(no, f"no pose of peer node {peers[k + 1]} at tick {peers[k]}")
+            elif no in self.failed:
+                self.errors.setdefault(no, self.failed[no])
+            if no not in self.failed:
+                own_rows += array("q", [row]) * (end - start)
+                peer_rows += found[start:end]
+        self.pairs = np.column_stack([own_rows, peer_rows])
 
 
 def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
@@ -585,9 +583,7 @@ def cmd_traces(args) -> int:
     if reader.errors:  # the first bad line ends the command
         log.error("line %d: %s", *min(reader.errors.items()))
         return EXIT_VALIDATION
-    keys = sorted(reader.pose_at)
-    rows = [reader.pose_at[key] for key in keys]
-    pos_err, rot_err = follower_error_rows(keys, reader.p[rows], reader.q[rows], follower_offsets(cfg))
+    keys, rows, pos_err, rot_err = follower_error_rows(reader.keys, reader.p, reader.q, follower_offsets(cfg))
     xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
     errors = zip(pos_err.tolist(), rot_err.tolist())
     traces = [

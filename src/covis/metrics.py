@@ -273,15 +273,12 @@ def uncertainty_scores(
 
 
 def evaluate_records(
-    recs: Sequence[EdgeRecord] | EdgeColumns,
-    auc_thresholds_deg: Sequence[float] = (20.0, 45.0, 90.0),
-    labeling: str = "invisible",
-    error_threshold: float = 0.5,
+    recs: Sequence[EdgeRecord] | EdgeColumns, labeling: str = "invisible", error_threshold: float = 0.5
 ) -> MetricsReport:
-    """Full pipeline on records or columns: Youden threshold, category medians and AUC."""
+    """Full pipeline on records or columns: Youden threshold, category medians and AUC at 20/45/90 deg."""
     if not isinstance(recs, EdgeColumns):
         recs = EdgeColumns.from_records(recs)
-    return _defined_auc(evaluate_columns(recs, auc_thresholds_deg, labeling, error_threshold))
+    return _defined_auc(evaluate_columns(recs, labeling=labeling, error_threshold=error_threshold))
 
 
 def mask_dice_iou(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:

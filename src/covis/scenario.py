@@ -8,9 +8,9 @@ on the leader estimate. The leader teleports along its reference trajectory.
 ``FormationRun`` refuses a config whose frames cannot carry the embedding
 header or never arrive fresh. ``network_from_config`` is the one network a
 config builds, for formation runs and ``netbench`` alike, and
-``follower_error_rows`` is the one follower tracking error, pairing each
-follower pose with the leader pose of the same time. Everything is a pure
-function of (config, seed).
+``follower_error_rows`` is the one follower tracking table, keeping the last
+pose of each (time, node) and pairing each follower pose with the leader pose
+of the same time. Everything is a pure function of (config, seed).
 
 The world floor is a ``bev.BevGrid`` in world coordinates: BEV crops,
 visibility rays and the free-space test of ``sample_groups`` read it through
@@ -589,24 +589,31 @@ def runlog_header(cfg: RunConfig) -> dict:
     return {"schema": RUNLOG_SCHEMA, "seed": cfg.seed, "config": cfg.to_dict()}
 
 
-def runlog_line(record: dict) -> str:
-    """A tick record's runlog line, without its newline."""
-    return json.dumps(record, sort_keys=True)
+# A tick record's runlog line, without its newline: one encoder for every record.
+runlog_line = json.JSONEncoder(sort_keys=True, check_circular=False).encode
 
 
 def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
     return jsonl(runlog_header(cfg), map(runlog_line, records))
 
 
-def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarray, np.ndarray]:
-    """Position (m) and rotation (deg) tracking error of each pose row.
+def follower_error_rows(
+    keys, p, q, offsets: dict[int, Pose]
+) -> tuple[list, list[int], np.ndarray, np.ndarray]:
+    """The follower tracking table of a run's pose rows: its keys and rows, with their errors.
 
-    ``keys[k]`` is the unique (time, node id) of row k of ``p`` and ``q``
-    (unit quaternion rows). A follower row compares the true leader pose of
-    the same time, in the follower's frame, with the follower's offset. Rows
-    of the leader or any node without an offset, and follower rows whose time
-    has no leader row, are NaN.
+    ``keys[k]`` is the (time, node id) of row k of ``p`` and ``q`` (unit
+    quaternion rows). The table keeps the last row of each key, in key order,
+    and gives each its position (m) and rotation (deg) tracking error. A
+    follower row compares the true leader pose of the same time, in the
+    follower's frame, with the follower's offset. Rows of the leader or any
+    node without an offset, and follower rows whose time has no leader row,
+    are NaN.
     """
+    row_at = {key: k for k, key in enumerate(keys)}
+    keys = sorted(row_at)
+    rows = [row_at[key] for key in keys]
+    p, q = p[rows], q[rows]
     leader_at = {t: k for k, (t, node) in enumerate(keys) if node == FormationRun.LEADER}
     scored = [k for k, (t, node) in enumerate(keys) if node in offsets and t in leader_at]
     lead = [leader_at[keys[k][0]] for k in scored]
@@ -616,7 +623,7 @@ def follower_error_rows(keys, p, q, offsets: dict[int, Pose]) -> tuple[np.ndarra
     rel_pos, rel_quat = relative_pose_rows(p[scored], q[scored], p[lead], q[lead])
     pos_err, rot_err = np.full(len(keys), math.nan), np.full(len(keys), math.nan)
     pos_err[scored], rot_err[scored] = norm_rows(rel_pos - p_o), quat_angle_deg_rows(rel_quat, q_o)
-    return pos_err, rot_err
+    return keys, rows, pos_err, rot_err
 
 
 def tracking_errors(
@@ -634,18 +641,15 @@ def tracking_stats(
     """Per-follower tracking statistics from a run's (time, node id) keys and pose rows.
 
     Row k of ``poses`` is position xyz and unit quaternion wxyz of ``keys[k]``,
-    as a run writes them; a later row of the same time and node replaces an
-    earlier one. Position error is the distance between the true relative
-    leader pose and the reference offset; rotation error is their geodesic yaw
-    gap. ``Vel`` is the mean realized speed.
+    as a run writes them; ``follower_error_rows`` keeps the last row of each
+    key. Position error is the distance between the true relative leader pose
+    and the reference offset; rotation error is their geodesic yaw gap.
+    ``Vel`` is the mean realized speed.
     """
-    row_at = {key: k for k, key in enumerate(keys)}
-    keys = sorted(row_at)
+    keys, table, pos_err, rot_err = follower_error_rows(keys, poses[:, :3], poses[:, 3:], offsets)
     times = sorted({t for t, _ in keys})
     dt = times[1] - times[0] if len(times) > 1 else 1.0
-    poses = poses[[row_at[key] for key in keys]]
-    p, q = poses[:, :3], poses[:, 3:]
-    pos_err, rot_err = follower_error_rows(keys, p, q, offsets)
+    p = poses[table, :3]
     t_row = np.array([t for t, _ in keys], dtype=float)
     node_row = np.array([node for _, node in keys], dtype=np.int64)
     out: dict[int, dict[str, float]] = {}

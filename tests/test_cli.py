@@ -790,6 +790,41 @@ class TestJsonlFormat:
             assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
             assert (out / f"summary.{fmt}").read_text() == ""
 
+    def test_every_table_is_strict_json(self, tmp_path):
+        # 5 s is inside the summary's 10 s skip, every formation edge is visible
+        # and the leader has no offset: NaN, inf and NaN in the three tables.
+        cfg = write_config(tmp_path, duration_s=5.0, n_groups=2, world_extent_m=12.0, world_rooms=1)
+        runs = [("simulate", "sim", None), ("datagen", "data", None), ("netbench", "net", None),
+                ("homing", "home", None), ("metrics", "met_sim", "sim/runlog.jsonl"),
+                ("metrics", "met_data", "data/dataset.jsonl"), ("traces", "tr", "sim/runlog.jsonl")]
+
+        def constant(name):
+            raise ValueError(f"{name} is not JSON")
+
+        nulls = set()
+        for command, name, source in runs:
+            for fmt in ("jsonl", "csv"):
+                argv = [command, "--config", cfg, "--out", str(tmp_path / fmt / name), "--format", fmt]
+                if source is not None:
+                    argv += ["--input", str(tmp_path / fmt / source)]
+                assert main(argv) == EXIT_OK, argv
+            tables = [p for p in (tmp_path / "csv" / name).glob("*.csv")]
+            assert tables or command == "datagen"
+            for table in tables:
+                lines = (tmp_path / "jsonl" / name / table.name).with_suffix(".jsonl").read_text().splitlines()
+                rows = [json.loads(line, parse_constant=constant) for line in lines]
+                # The CSV keeps its nan and inf; the JSONL row has null there and the same value elsewhere.
+                assert len(rows) == len(read_csv(table))
+                for row, want in zip(rows, read_csv(table)):
+                    for key, value in row.items():
+                        if value is None:
+                            assert not math.isfinite(float(want[key]))
+                            nulls.add((name, table.stem, key))
+                        else:
+                            assert str(value) == want[key]
+        assert {("sim", "summary", "median_pos_m"), ("met_sim", "summary", "youden_threshold"),
+                ("tr", "traces", "pos_err_m")} <= nulls
+
 
 # ---------------------------------------------------------------------------
 # Reference metrics: the object reader and scalar scoring that the column
@@ -1151,6 +1186,76 @@ class TestTracesMatchReference:
         for r in followers:
             errors = [float(r["pos_err_m"]), float(r["rot_err_deg"])]
             assert [math.isnan(e) for e in errors] == [in_gap(r["t"])] * 2
+
+
+class TestLaterRecordWins:
+    def test_traces_and_metrics_match_reference(self, tmp_path, metrics_inputs):
+        # A follower and a leader record repeated later with a moved pose: the
+        # later pose is every reader's pose of that tick and node, while each
+        # line still scores its own estimates from its own pose.
+        source = metrics_inputs("runlog-formation", 101)
+        header, *lines = source.read_text().strip().split("\n")
+        records = [json.loads(line) for line in lines]
+        read = {(e["peer_tick"], e["dst"]) for r in records for e in r["estimates"]}
+        period = 1.0 / RunConfig().superframe_hz
+
+        def repeat(node):
+            k, rec = next((k, r) for k, r in enumerate(records) if r["node_id"] == node and r["t"] > 2.0
+                          and len(r["estimates"]) >= 2 and (round(r["t"] / period), node) in read)
+            rec["pose_truth"]["p"][0] += 0.5
+            lines.insert(k + 40, json.dumps(rec))
+
+        repeat(FormationRun.LEADER)
+        repeat(3)
+        runlog = tmp_path / "runlog.jsonl"
+        runlog.write_text("\n".join([header] + lines) + "\n")
+        assert main(["traces", "--input", str(runlog), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _traces_reference(runlog, tmp_path / "want")
+        got = (tmp_path / "got" / "traces.csv").read_bytes()
+        assert got == (tmp_path / "want" / "traces.csv").read_bytes()
+        assert main(["metrics", "--input", str(runlog), "--out", str(tmp_path / "got")]) == EXIT_OK
+        _metrics_reference(runlog, tmp_path / "want")
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+        # The repeats reach both outputs.
+        for command in ("traces", "metrics"):
+            assert main([command, "--input", str(source), "--out", str(tmp_path / "clean")]) == EXIT_OK
+        assert (tmp_path / "clean" / "traces.csv").read_bytes() != got
+        assert _metrics_files(tmp_path / "clean") != _metrics_files(tmp_path / "got")
+
+    @pytest.mark.parametrize("part", ["peer_tick", "dst"])
+    def test_key_beyond_int64_has_no_pose(self, tmp_path, metrics_inputs, caplog, part):
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        no = next(no for no, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 2)
+        rec = json.loads(lines[no - 1])
+        rec["estimates"][1][part] = 10**30
+        lines[no - 1] = json.dumps(rec)
+        broken = tmp_path / "runlog.jsonl"
+        broken.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "got")]) == EXIT_OK
+        est = rec["estimates"][1]
+        assert f"line {no}: no pose of peer node {est['dst']} at tick {est['peer_tick']}" in caplog.text
+        _metrics_reference(broken, tmp_path / "want")
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
+
+    def test_key_beyond_int64_finds_its_pose(self, tmp_path, metrics_inputs):
+        # A node id beyond int64 is still a JSON integer, and an estimate of it is scored.
+        source = metrics_inputs("runlog-formation", 101)
+        lines = source.read_text().splitlines()
+        no = next(no for no, line in enumerate(lines[1:], start=2) if len(json.loads(line)["estimates"]) >= 2)
+        rec = json.loads(lines[no - 1])
+        est = rec["estimates"][1]
+        peer = next(json.loads(line) for line in lines[1:] if json.loads(line)["node_id"] == est["dst"])
+        peer.update(node_id=10**30, estimates=[])
+        est.update(dst=10**30, peer_tick=round(peer["t"] * RunConfig().superframe_hz))
+        lines[no - 1] = json.dumps(rec)
+        lines.append(json.dumps(peer))
+        runlog = tmp_path / "runlog.jsonl"
+        runlog.write_text("\n".join(lines) + "\n")
+        assert main(["metrics", "--input", str(runlog), "--out", str(tmp_path / "got")]) == EXIT_OK
+        assert read_csv(tmp_path / "got" / "summary.csv")[0]["malformed_lines"] == "0"
+        _metrics_reference(runlog, tmp_path / "want")
+        assert _metrics_files(tmp_path / "got") == _metrics_files(tmp_path / "want")
 
 
 class TestMalformedLineKeepsNoEdge:

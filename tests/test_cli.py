@@ -808,7 +808,7 @@ class TestJsonlFormat:
                 if source is not None:
                     argv += ["--input", str(tmp_path / fmt / source)]
                 assert main(argv) == EXIT_OK, argv
-            tables = [p for p in (tmp_path / "csv" / name).glob("*.csv")]
+            tables = list((tmp_path / "csv" / name).glob("*.csv"))
             assert tables or command == "datagen"
             for table in tables:
                 lines = (tmp_path / "jsonl" / name / table.name).with_suffix(".jsonl").read_text().splitlines()
@@ -1188,8 +1188,8 @@ class TestTracesMatchReference:
             assert [math.isnan(e) for e in errors] == [in_gap(r["t"])] * 2
 
 
-class TestLaterRecordWins:
-    def test_traces_and_metrics_match_reference(self, tmp_path, metrics_inputs):
+class TestRunlogKeys:
+    def test_later_record_wins_as_in_the_references(self, tmp_path, metrics_inputs):
         # A follower and a leader record repeated later with a moved pose: the
         # later pose is every reader's pose of that tick and node, while each
         # line still scores its own estimates from its own pose.

@@ -12,10 +12,11 @@ Subcommands::
 Inputs are read one line at a time. On a runlog, ``metrics`` and ``traces``
 share one pass (``_RunlogReader``) that keeps each line's numbers and never its
 decoded object; ``metrics`` skips a bad line, ``traces`` exits on the first.
-``simulate`` and ``netbench`` write their logs as the run goes, and a failed
-run removes every file its command writes.
+``simulate`` and ``netbench`` write their logs as the run goes. A run that
+fails, whatever its exit code, removes every file its command writes.
 
 Exit codes: 0 success, 2 configuration error, 3 I/O error, 4 validation error.
+A command raises on failure, and ``main`` alone maps the error to its code.
 Log level comes from the COVIS_LOG_LEVEL environment variable
 (error|warn|info|debug).
 """
@@ -31,7 +32,6 @@ import os
 import sys
 import time
 from array import array
-from contextlib import contextmanager
 from pathlib import Path
 from typing import Iterable, Iterator
 
@@ -134,26 +134,13 @@ def _out_dir(args) -> Path:
     return out
 
 
-@contextmanager
-def _removed_on_failure(out: Path, *names: str):
-    """Remove every named file of ``out`` if the block fails, so that a failed run
-    leaves neither a partial log nor an earlier run's file beside it."""
-    try:
-        yield
-    except BaseException:
-        for name in names:
-            (out / name).unlink(missing_ok=True)
-        raise
-
-
 def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
     """Rows as CSV (header row carries the column names) or JSONL, where a non-finite number is null."""
+    path = path.with_suffix(f".{fmt}")
     if fmt == "jsonl":
-        path = path.with_suffix(".jsonl")
         rows = ({k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in r.items()} for r in rows)
         path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
         return
-    path = path.with_suffix(".csv")
     if not rows:
         path.write_text("")
         return
@@ -168,30 +155,28 @@ def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
 # simulate
 
 
-def cmd_simulate(args) -> int:
+def cmd_simulate(args) -> None:
     cfg = _load_config(args)
     run = FormationRun(cfg)  # refuses a config that cannot run before any output exists
     out = _out_dir(args)
     keys, poses = [], array("d")  # (t, node id) and pose numbers of each record, for the summary
-    with _removed_on_failure(out, "runlog.jsonl", f"summary.{args.format}"):
-        with (out / "runlog.jsonl").open("w") as runlog:  # a record's line is written as it is made
-            runlog.write(jsonl(runlog_header(cfg), ()))
+    with (out / "runlog.jsonl").open("w") as runlog:  # a record's line is written as it is made
+        runlog.write(jsonl(runlog_header(cfg), ()))
 
-            def write(rec: dict) -> None:
-                runlog.write(runlog_line(rec) + "\n")
-                keys.append((rec["t"], rec["node_id"]))
-                poses.extend(rec["pose_truth"]["p"])
-                poses.extend(rec["pose_truth"]["q"])
+        def write(rec: dict) -> None:
+            runlog.write(runlog_line(rec) + "\n")
+            keys.append((rec["t"], rec["node_id"]))
+            poses.extend(rec["pose_truth"]["p"])
+            poses.extend(rec["pose_truth"]["q"])
 
-            events = run.run(write)
-        stats = tracking_stats(keys, np.frombuffer(poses).reshape(-1, 7), run.offsets, skip_s=10.0)
-        rows = [
-            {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
-            for f, s in sorted(stats.items())
-        ]
-        _write_rows(out / "summary", rows, args.format)
+        events = run.run(write)
+    stats = tracking_stats(keys, np.frombuffer(poses).reshape(-1, 7), run.offsets, skip_s=10.0)
+    rows = [
+        {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
+        for f, s in sorted(stats.items())
+    ]
+    _write_rows(out / "summary", rows, args.format)
     log.info("simulate: %d tick records, %d network events", len(keys), len(events))
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +416,7 @@ def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
     return *reader.columns(), []
 
 
-def cmd_metrics(args) -> int:
+def cmd_metrics(args) -> None:
     started = time.perf_counter()
     cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
@@ -442,17 +427,14 @@ def cmd_metrics(args) -> int:
     elif schema == RUNLOG_SCHEMA:
         edges, errors, grid_scores = _edges_from_runlog(lines, cfg)
     else:
-        log.error("unknown schema %r", schema)
-        return EXIT_VALIDATION
+        raise ValueError(f"unknown schema {schema!r}")
     for no, msg in errors:
         log.error("line %d: %s", no, msg)
     read = next(counter)
     if len(errors) > 0.01 * max(1, read):
-        log.error("%d malformed lines out of %d", len(errors), read)
-        return EXIT_VALIDATION
+        raise ValueError(f"{len(errors)} malformed lines out of {read}")
     if not len(edges):
-        log.error("no usable edge records")
-        return EXIT_VALIDATION
+        raise ValueError("no usable edge records")
 
     parsed = time.perf_counter()
     report = evaluate_records(
@@ -500,14 +482,13 @@ def cmd_metrics(args) -> int:
         "metrics: %d edges scored, %d malformed lines; read %.3f s, score %.3f s, write %.3f s",
         len(edges), len(errors), parsed - started, scored - parsed, time.perf_counter() - scored,
     )
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
 # datagen / netbench / homing / traces
 
 
-def cmd_datagen(args) -> int:
+def cmd_datagen(args) -> None:
     cfg = _load_config(args)
     out = _out_dir(args)
     world = gen_world(cfg.seed, cfg.world_extent_m, cfg.world_rooms, cfg.world_resolution_m)
@@ -522,29 +503,25 @@ def cmd_datagen(args) -> int:
         bev_resolution=cfg.bev_resolution_m,
     )
     (out / "dataset.jsonl").write_text(dataset_jsonl(cfg, groups))
-    return EXIT_OK
 
 
-def cmd_netbench(args) -> int:
+def cmd_netbench(args) -> None:
     cfg = _load_config(args)
     out = _out_dir(args)
     sim = network_from_config(cfg)
-    written = ("capture.jsonl", "events.jsonl", "trace.jsonl", f"summary.{args.format}")
-    with _removed_on_failure(out, *written):
-        with (out / "capture.jsonl").open("w") as capture:  # a frame's line is written as it goes on the air
-            capture.write(jsonl({"schema": "covis.capture@1"}, ()))
-            sim.capture_sink = lambda t, wire: capture.write(capture_line(t, wire) + "\n")
-            events = sim.run(cfg.duration_s)
-        trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
-        for name, lines in (("events", map(SimEvent.line, events)), ("trace", trace)):
-            with (out / f"{name}.jsonl").open("w") as file:
-                file.write(jsonl({"schema": f"covis.{name}@1"}, lines))
-        rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
-        _write_rows(out / "summary", rows, args.format)
-    return EXIT_OK
+    with (out / "capture.jsonl").open("w") as capture:  # a frame's line is written as it goes on the air
+        capture.write(jsonl({"schema": "covis.capture@1"}, ()))
+        sim.capture_sink = lambda t, wire: capture.write(capture_line(t, wire) + "\n")
+        events = sim.run(cfg.duration_s)
+    trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
+    for name, lines in (("events", map(SimEvent.line, events)), ("trace", trace)):
+        with (out / f"{name}.jsonl").open("w") as file:
+            file.write(jsonl({"schema": f"covis.{name}@1"}, lines))
+    rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
+    _write_rows(out / "summary", rows, args.format)
 
 
-def cmd_homing(args) -> int:
+def cmd_homing(args) -> None:
     cfg = _load_config(args)
     out = _out_dir(args)
     result = run_homing(cfg)
@@ -568,21 +545,18 @@ def cmd_homing(args) -> int:
         }
     ]
     _write_rows(out / "summary", summary, args.format)
-    return EXIT_OK
 
 
-def cmd_traces(args) -> int:
+def cmd_traces(args) -> None:
     cfg, schema, lines = _read_input(args)
     out = _out_dir(args)
     if schema != RUNLOG_SCHEMA:
-        log.error("traces needs a runlog input")
-        return EXIT_VALIDATION
+        raise ValueError("traces needs a runlog input")
     reader = _RunlogReader(lines, cfg)
     for no, message in reader.bad_gated.items():
         reader.errors.setdefault(no, message)
     if reader.errors:  # the first bad line ends the command
-        log.error("line %d: %s", *min(reader.errors.items()))
-        return EXIT_VALIDATION
+        raise ValueError("line %d: %s" % min(reader.errors.items()))
     keys, rows, pos_err, rot_err = follower_error_rows(reader.keys, reader.p, reader.q, follower_offsets(cfg))
     xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
     errors = zip(pos_err.tolist(), rot_err.tolist())
@@ -592,7 +566,6 @@ def cmd_traces(args) -> int:
         for (_, node), row, (x, y, _), a, (pos, rot) in zip(keys, rows, xyz, yaw, errors)
     ]
     _write_rows(out / "traces", traces, args.format)
-    return EXIT_OK
 
 
 # ---------------------------------------------------------------------------
@@ -628,21 +601,40 @@ _COMMANDS = {
     "traces": cmd_traces,
 }
 
+# The files each command writes to --out, in the order it writes them; a name
+# without a suffix is a table, whose file takes the --format suffix.
+_OUTPUTS = {
+    "simulate": ("runlog.jsonl", "summary"),
+    "metrics": ("categories", "auc", "summary"),
+    "datagen": ("dataset.jsonl",),
+    "netbench": ("capture.jsonl", "events.jsonl", "trace.jsonl", "summary"),
+    "homing": ("keyframes", "summary"),
+    "traces": ("traces",),
+}
+
 
 def main(argv=None) -> int:
     _setup_logging()
     args = build_parser().parse_args(argv)
     try:
-        return _COMMANDS[args.command](args)
-    except ConfigError as exc:
-        log.error("config: %s", exc)
-        return EXIT_CONFIG
-    except OSError as exc:
-        log.error("i/o: %s", exc)
-        return EXIT_IO
-    except (ValueError, RuntimeError) as exc:
-        log.error("validation: %s", exc)
-        return EXIT_VALIDATION
+        _COMMANDS[args.command](args)
+        return EXIT_OK
+    except BaseException as exc:
+        for name in _OUTPUTS[args.command]:
+            path = Path(args.out, name)
+            path = path.with_suffix(path.suffix or f".{args.format}")
+            if path.is_file():  # not where --out names a file, nor a directory at the name
+                path.unlink()
+        if isinstance(exc, ConfigError):
+            log.error("config: %s", exc)
+            return EXIT_CONFIG
+        if isinstance(exc, OSError):
+            log.error("i/o: %s", exc)
+            return EXIT_IO
+        if isinstance(exc, (ValueError, RuntimeError)):
+            log.error("validation: %s", exc)
+            return EXIT_VALIDATION
+        raise
 
 
 if __name__ == "__main__":

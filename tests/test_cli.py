@@ -20,6 +20,7 @@ from covis.cli import (
     EXIT_IO,
     EXIT_OK,
     EXIT_VALIDATION,
+    _OUTPUTS,
     _edges_from_dataset,
     _read_input,
     _text_lines,
@@ -824,6 +825,116 @@ class TestJsonlFormat:
                             assert str(value) == want[key]
         assert {("sim", "summary", "median_pos_m"), ("met_sim", "summary", "youden_threshold"),
                 ("tr", "traces", "pos_err_m")} <= nulls
+
+
+COMMANDS = ("simulate", "metrics", "datagen", "netbench", "homing", "traces")
+
+
+@pytest.fixture(scope="module")
+def short_argv(tmp_path_factory):
+    """argv of a short run of a command into ``out`` in ``fmt``; metrics and traces read a short runlog."""
+    root = tmp_path_factory.mktemp("short")
+    config = root / "config.json"
+    config.write_text(json.dumps({**FAST, "duration_s": 2.0, "n_groups": 1, "n_max": 3}))
+    runlog = root / "sim" / "runlog.jsonl"
+    assert main(["simulate", "--config", str(config), "--out", str(runlog.parent)]) == EXIT_OK
+
+    def argv(command, out, fmt="csv", config=config):
+        argv = [command, "--config", str(config), "--out", str(out), "--format", fmt]
+        return argv + ["--input", str(runlog)] if command in ("metrics", "traces") else argv
+
+    return argv
+
+
+def output_names(command, fmt):
+    """The file names of ``_OUTPUTS[command]``: a table's name takes the ``fmt`` suffix."""
+    return [name if "." in name else f"{name}.{fmt}" for name in _OUTPUTS[command]]
+
+
+def fail_last_write(monkeypatch, command, error):
+    """Make the command's last write raise ``error``; a table is written before it raises."""
+    if command == "datagen":
+
+        def fails(*args):
+            raise error("last write")
+
+        monkeypatch.setattr("covis.cli.dataset_jsonl", fails)
+        return
+    write = _write_rows
+
+    def written_then_fails(path, rows, fmt):
+        write(path, rows, fmt)
+        if path.name in ("summary", "traces"):  # the last table of every command that writes tables
+            raise error("last write")
+
+    monkeypatch.setattr("covis.cli._write_rows", written_then_fails)
+
+
+class TestFailurePath:
+    """A failed run, whatever its exit code, leaves none of its command's files in --out,
+    not even an earlier run's; ``main`` alone maps the failure to the exit code."""
+
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_outputs_are_what_the_command_writes(self, tmp_path, short_argv, command, fmt):
+        out = tmp_path / "out"
+        assert main(short_argv(command, out, fmt)) == EXIT_OK
+        assert sorted(p.name for p in out.iterdir()) == sorted(output_names(command, fmt))
+
+    @pytest.mark.parametrize("error, code", [(ConfigError, EXIT_CONFIG), (OSError, EXIT_IO), (ValueError, EXIT_VALIDATION)])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_failed_last_write_leaves_no_output(self, tmp_path, monkeypatch, short_argv, command, fmt, error, code):
+        out = tmp_path / "out"
+        assert main(short_argv(command, out, fmt)) == EXIT_OK
+        assert list(out.iterdir())
+        fail_last_write(monkeypatch, command, error)
+        assert main(short_argv(command, out, fmt)) == code
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_refused_config_leaves_no_output(self, tmp_path, short_argv, command):
+        out, refused = tmp_path / "out", tmp_path / "refused.json"
+        refused.write_text(json.dumps({"frobnicate": True}))
+        assert main(short_argv(command, out)) == EXIT_OK
+        assert main(short_argv(command, out, config=refused)) == EXIT_CONFIG
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize(
+        "command, message",
+        [("metrics", "validation: unknown schema 'covis.other@1'"), ("traces", "validation: traces needs a runlog input")],
+    )
+    def test_unknown_schema_leaves_no_output(self, tmp_path, short_argv, caplog, command, message):
+        out, other = tmp_path / "out", tmp_path / "other.jsonl"
+        other.write_text(json.dumps({"schema": "covis.other@1"}) + "\n{}\n")
+        argv = short_argv(command, out)
+        assert main(argv) == EXIT_OK
+        argv[argv.index("--input") + 1] = str(other)
+        assert main(argv) == EXIT_VALIDATION
+        assert message in caplog.text
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_cleanup_keeps_the_io_exit_code(self, tmp_path, short_argv, command):
+        # --out names a file; then a directory stands where the command's last file goes.
+        out = tmp_path / "out"
+        out.write_text("not a directory")
+        assert main(short_argv(command, out)) == EXIT_IO
+        assert out.read_text() == "not a directory"
+        out.unlink()
+        last = output_names(command, "csv")[-1]
+        (out / last).mkdir(parents=True)
+        assert main(short_argv(command, out)) == EXIT_IO
+        assert [p.name for p in out.iterdir()] == [last]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_unmapped_error_propagates_after_removal(self, tmp_path, monkeypatch, short_argv, command):
+        out = tmp_path / "out"
+        assert main(short_argv(command, out)) == EXIT_OK
+        fail_last_write(monkeypatch, command, KeyError)
+        with pytest.raises(KeyError, match="last write"):
+            main(short_argv(command, out))
+        assert list(out.iterdir()) == []
 
 
 # ---------------------------------------------------------------------------

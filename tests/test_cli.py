@@ -860,10 +860,9 @@ def fail_last_write(monkeypatch, command, error):
 
         monkeypatch.setattr("covis.cli.dataset_jsonl", fails)
         return
-    write = _write_rows
 
     def written_then_fails(path, rows, fmt):
-        write(path, rows, fmt)
+        _write_rows(path, rows, fmt)
         if path.name in ("summary", "traces"):  # the last table of every command that writes tables
             raise error("last write")
 
@@ -881,7 +880,9 @@ class TestFailurePath:
         assert main(short_argv(command, out, fmt)) == EXIT_OK
         assert sorted(p.name for p in out.iterdir()) == sorted(output_names(command, fmt))
 
-    @pytest.mark.parametrize("error, code", [(ConfigError, EXIT_CONFIG), (OSError, EXIT_IO), (ValueError, EXIT_VALIDATION)])
+    @pytest.mark.parametrize(
+        "error, code", [(ConfigError, EXIT_CONFIG), (OSError, EXIT_IO), (ValueError, EXIT_VALIDATION)]
+    )
     @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
     @pytest.mark.parametrize("command", COMMANDS)
     def test_failed_last_write_leaves_no_output(self, tmp_path, monkeypatch, short_argv, command, fmt, error, code):
@@ -902,7 +903,10 @@ class TestFailurePath:
 
     @pytest.mark.parametrize(
         "command, message",
-        [("metrics", "validation: unknown schema 'covis.other@1'"), ("traces", "validation: traces needs a runlog input")],
+        [
+            ("metrics", "validation: unknown schema 'covis.other@1'"),
+            ("traces", "validation: traces needs a runlog input"),
+        ],
     )
     def test_unknown_schema_leaves_no_output(self, tmp_path, short_argv, caplog, command, message):
         out, other = tmp_path / "out", tmp_path / "other.jsonl"

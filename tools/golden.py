@@ -40,7 +40,8 @@ _TRAJECTORY_STEPS = (
 # (name, config, seeds, steps). formation, dataset and netstorm are the
 # perfbench workload configs; world16 is a floor that is not a whole number of
 # cells at the default resolution; rect_dynamic and fig8_static cover the
-# trajectory kinds that the default (fig8_dynamic) does not.
+# trajectory kinds that the default (fig8_dynamic) does not; contended shares
+# slots, so frames collide, with a propagation delay and heavy random loss.
 CASES = (
     (
         "default",
@@ -66,6 +67,12 @@ CASES = (
     ("world16", {"n_groups": 4, "world_extent_m": 16.0}, (101, 202), _DATASET_STEPS),
     ("rect_dynamic", {"trajectory": "rect_dynamic", "duration_s": 30.0}, (101,), _TRAJECTORY_STEPS),
     ("fig8_static", {"trajectory": "fig8_static", "duration_s": 30.0}, (101,), _TRAJECTORY_STEPS),
+    (
+        "contended",
+        {"n_nodes": 6, "n_slots": 3, "propagation_s": 0.0005, "base_loss": 0.2, "duration_s": 20.0},
+        (101,),
+        (("netbench", "netbench", None), ("simulate", "simulate", None)),
+    ),
 )
 
 

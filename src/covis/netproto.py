@@ -125,30 +125,47 @@ class PeerTracker:
     must come in non-decreasing ``now`` (the simulator clock): eviction pops
     expired entries from the front only. One peer's seqs must arrive in
     increasing order (the medium delivers a sender's frames in the order it
-    sent them), so the window's ends span its seqs."""
+    sent them), so the window's ends span its seqs.
+
+    The window's gap fraction is kept as a number, updated only when an entry
+    enters or leaves the window, so each entry is pushed and popped once and
+    ``loss_estimate`` reads in O(1): one check of the oldest entry, then the
+    number."""
 
     window: float
-    entries: deque[tuple[float, int]] = field(default_factory=deque)
+    entries: deque[tuple[float, int]] = field(default_factory=deque, init=False)
     registered_at: float = 0.0
     last_seen: Optional[float] = None
+    _missing: int = field(default=0, init=False, repr=False)  # seqs the window spans but lacks
+    _loss: float = field(default=0.0, init=False, repr=False)  # _missing over the seqs spanned
 
     def record(self, now: float, seq: int) -> None:
-        self.entries.append((now, seq))
+        entries = self.entries
+        if entries:
+            self._missing += seq - entries[-1][1] - 1
+        entries.append((now, seq))
         self.last_seen = now
         self._evict(now)
 
     def _evict(self, now: float) -> None:
-        while self.entries and self.entries[0][0] < now - self.window:
-            self.entries.popleft()
+        """Pop the expired entries, then refresh the gap fraction of those left."""
+        entries, horizon = self.entries, now - self.window
+        while entries and entries[0][0] < horizon:
+            gone = entries.popleft()[1]
+            if entries:  # a lone entry spans no gap: _missing is 0 already
+                self._missing -= entries[0][1] - gone - 1
+        if entries:
+            self._loss = self._missing / (self._missing + len(entries))
 
     def loss_estimate(self, now: float) -> float:
         """Gap fraction over the window; silence from a known peer counts as 1."""
-        self._evict(now)
-        if not self.entries:
-            reference = self.last_seen if self.last_seen is not None else self.registered_at
-            return 1.0 if now - reference >= self.window else 0.0
-        expected = self.entries[-1][1] - self.entries[0][1] + 1
-        return (expected - len(self.entries)) / expected
+        entries = self.entries
+        if entries and entries[0][0] < now - self.window:
+            self._evict(now)
+        if entries:
+            return self._loss
+        reference = self.last_seen if self.last_seen is not None else self.registered_at
+        return 1.0 if now - reference >= self.window else 0.0
 
 
 @dataclass
@@ -225,7 +242,11 @@ def adapt_rate(state: SchedulerState, now: float) -> float:
     rate-limited to one per loss window, decreases to one per two windows so
     the estimator can catch up with the new schedule.
     """
-    loss = max((tr.loss_estimate(now) for tr in state.peers.values()), default=0.0)
+    loss = 0.0
+    for tracker in state.peers.values():
+        estimate = tracker.loss_estimate(now)
+        if estimate > loss:
+            loss = estimate
     since = now - state.last_adapt_action
     if loss > state.high_watermark:
         if since >= state.loss_window:

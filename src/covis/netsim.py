@@ -10,6 +10,13 @@ overlap destroy each other at every receiver; otherwise each receiver
 independently drops the frame with the medium's loss probability.
 Transmission intervals are half-open, so a frame ending exactly when another
 starts does not collide.
+
+A frame that survives its airtime draws every receiver's loss at once, in id
+order, and takes one delivery entry that hands it to the kept receivers in id
+order. That is the order one entry per receiver would give, pushed in id
+order: two frames that did not collide cannot end at the same instant, so no
+other delivery shares the entry's instant, and no ``on_receive`` or
+``handle_frame`` schedules anything at ``now``.
 """
 
 from __future__ import annotations
@@ -122,6 +129,8 @@ class Simulator:
         self._heap: list = []
         self._counter = 0
         self._active: list[_Transmission] = []
+        self._nodes: list[BroadcastNode] = []  # the behaviors in id order, set by ``run``
+        self._receivers: dict[int, list[BroadcastNode]] = {}  # per sender, the others in id order
         self._rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0515]))
 
     # -- behaviors ---------------------------------------------------------
@@ -169,18 +178,17 @@ class Simulator:
         if tx.collided:
             return
         p = loss_probability(self.medium, len(self.behaviors))
-        for peer_id in sorted(self.behaviors):
-            if peer_id == frame.node_id:
-                continue
-            if self._rng.random() < p:
-                continue
-            self.schedule(tx.t_end + self.medium.propagation, _RANK_DELIVER, self._deliver, peer_id, frame)
+        receivers = self._receivers[frame.node_id]
+        # One draw per receiver, in id order: the doubles n - 1 scalar draws give.
+        kept = [node for node, u in zip(receivers, self._rng.random(len(receivers)).tolist()) if not u < p]
+        if kept:
+            self.schedule(tx.t_end + self.medium.propagation, _RANK_DELIVER, self._deliver, frame, kept)
 
-    def _deliver(self, peer_id: int, frame: Frame) -> None:
-        self.events.append(
-            SimEvent(self.now, KIND_DELIVER, peer_id, frame.node_id, frame.seq, frame.superframe_idx)
-        )
-        self.behaviors[peer_id].on_receive(self, frame, self.now)
+    def _deliver(self, frame: Frame, receivers: list["BroadcastNode"]) -> None:
+        now, events = self.now, self.events
+        for node in receivers:
+            events.append(SimEvent(now, KIND_DELIVER, node.node_id, frame.node_id, frame.seq, frame.superframe_idx))
+            node.on_receive(self, frame, now)
 
     def _tick(self, superframe_idx: int, last: int) -> None:
         """Superframe boundary ``superframe_idx``; it schedules the next one up to ``last``."""
@@ -188,8 +196,8 @@ class Simulator:
         if superframe_idx < last:
             k = superframe_idx + 1
             self.schedule(k * self.superframe_period, _RANK_TICK, self._tick, k, last)
-        for node_id in sorted(self.behaviors):
-            self.behaviors[node_id].on_tick(self, superframe_idx, self.now)
+        for node in self._nodes:
+            node.on_tick(self, superframe_idx, self.now)
 
     # -- run loop ----------------------------------------------------------
 
@@ -197,12 +205,15 @@ class Simulator:
         if duration <= 0.0:
             raise ValueError("duration must be positive")
         last = int(math.floor(duration / self.superframe_period + 1e-9))
+        self._nodes = [self.behaviors[i] for i in sorted(self.behaviors)]
+        self._receivers = {b.node_id: [o for o in self._nodes if o is not b] for b in self._nodes}
         self.schedule(0.0, _RANK_TICK, self._tick, 0, last)
-        for behavior in [self.behaviors[i] for i in sorted(self.behaviors)]:
+        for behavior in self._nodes:
             behavior.on_start(self, 0.0)
-        while self._heap:
-            t, _rank, _c, fn, args = heapq.heappop(self._heap)
-            if t > duration + 1e-12:
+        heap, pop, end = self._heap, heapq.heappop, duration + 1e-12
+        while heap:
+            t, _rank, _c, fn, args = pop(heap)
+            if t > end:
                 break
             self.now = t
             fn(*args)

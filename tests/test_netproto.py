@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from covis.netproto import (
     MAX_PAYLOAD,
@@ -24,6 +26,22 @@ PERIOD = 1.0 / 15.0
 
 def heartbeat(node=1, seq=0, sf=0):
     return Frame(node_id=node, seq=seq, superframe_idx=sf, payload=b"", msg_type=1)
+
+
+def brute_loss(pairs, now, window, registered_at):
+    """The gap fraction over the recorded (time, seq) pairs still in the window
+    at ``now``, or the silence rule when none is, recomputed from scratch."""
+    kept = [seq for t, seq in pairs if not t < now - window]
+    if not kept:
+        reference = pairs[-1][0] if pairs else registered_at
+        return 1.0 if now - reference >= window else 0.0
+    expected = kept[-1] - kept[0] + 1
+    return (expected - len(kept)) / expected
+
+
+# One peer's history: steps that record a frame or query the loss, each
+# (is_query, time step, seq step), at non-decreasing times and increasing seqs.
+STEPS = st.lists(st.tuples(st.booleans(), st.floats(0.0, 1.5), st.integers(1, 4)), max_size=40)
 
 
 class TestCodec:
@@ -183,6 +201,42 @@ class TestLossEstimator:
         assert s.peers[7].loss_estimate(0.7) == pytest.approx(0.25)
         # After the window slides past the gap, only recent history counts.
         assert s.peers[7].loss_estimate(1.2) == 0.0
+
+    @given(
+        window=st.sampled_from([0.5, 1.0, 2.0]),
+        registered_at=st.floats(0.0, 3.0),
+        steps=STEPS,
+    )
+    @example(window=2.0, registered_at=0.0, steps=[(True, 1.0, 1), (True, 1.5, 1)])  # never heard from
+    @example(window=1.0, registered_at=0.0, steps=[(False, 0.1, 1), (False, 0.2, 3), (True, 1.5, 1)])  # all evicted
+    def test_loss_estimate_is_the_windowed_gap_fraction(self, window, registered_at, steps):
+        tracker = PeerTracker(window=window, registered_at=registered_at)
+        pairs, now, seq = [], registered_at, 0
+        for is_query, dt, dseq in steps:
+            now += dt
+            if is_query:
+                assert tracker.loss_estimate(now) == brute_loss(pairs, now, window, registered_at)
+            else:
+                seq += dseq
+                tracker.record(now, seq)
+                pairs.append((now, seq))
+        assert tracker.loss_estimate(now + window) == brute_loss(pairs, now + window, window, registered_at)
+
+    @given(histories=st.lists(STEPS, max_size=5), later=st.floats(0.0, 3.0))
+    def test_adapt_rate_acts_on_the_largest_peer_loss(self, histories, later):
+        state = SchedulerState(node_id=0, loss_window=1.0)
+        recorded, end = {}, 0.0
+        for peer, steps in enumerate(histories, start=1):
+            state.register_peer(peer, 0.0)
+            now, seq = 0.0, 0
+            for _, dt, dseq in steps:
+                now, seq = now + dt, seq + dseq
+                state.peers[peer].record(now, seq)
+                recorded.setdefault(peer, []).append((now, seq))
+            end = max(end, now)
+        now = end + later
+        want = max((brute_loss(recorded.get(p, []), now, 1.0, 0.0) for p in state.peers), default=0.0)
+        assert adapt_rate(state, now) == want
 
     def test_record_alone_bounds_memory(self):
         # Nobody asks for the loss, yet 1,000 s at 15 Hz keeps at most one

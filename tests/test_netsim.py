@@ -18,6 +18,7 @@ from covis.netsim import (
     Medium,
     SimEvent,
     Simulator,
+    _RANK_DELIVER,
     _RANK_TICK,
     capture_line,
     loss_probability,
@@ -89,6 +90,31 @@ class TestMediumMechanics:
         delivers = [e for e in events if e.kind == KIND_DELIVER]
         assert delivers, "expected deliveries on a lossless medium"
         assert not any(e.collided for e in events if e.kind == KIND_TX_END)
+
+    def test_one_delivery_entry_per_frame(self):
+        # Each frame that reaches a receiver pushes one delivery entry, which
+        # hands the frame to its receivers in id order, one after another.
+        sim = Simulator(Medium(base_loss=0.3, loss_slope=0.0), seed=2)
+        for i in range(5):
+            sim.add_node(BroadcastNode(i, n_slots=4, payload_bytes=64))
+        ranks, schedule = [], sim.schedule
+
+        def counted(t, rank, fn, *args):
+            ranks.append(rank)
+            schedule(t, rank, fn, *args)
+
+        sim.schedule = counted
+        events = sim.run(3.0)
+        frames = []  # (sender, seq) of each run of deliveries
+        receivers = {}
+        for e in events:
+            if e.kind == KIND_DELIVER:
+                if not frames or frames[-1] != (e.peer, e.seq):
+                    frames.append((e.peer, e.seq))
+                receivers.setdefault((e.peer, e.seq), []).append(e.node)
+        assert any(len(r) < 4 for r in receivers.values())  # some copies were lost
+        assert len(frames) == len(set(frames)) == ranks.count(_RANK_DELIVER)
+        assert all(r == sorted(r) for r in receivers.values())
 
     def test_overlapping_frames_all_lost(self):
         # Two nodes forced into the same slot (ids 0 and 2 with 2 slots).

@@ -419,15 +419,13 @@ def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
 def cmd_metrics(args) -> None:
     started = time.perf_counter()
     cfg, schema, lines = _read_input(args)
+    read_edges = {DATASET_SCHEMA: _edges_from_dataset, RUNLOG_SCHEMA: _edges_from_runlog}.get(schema)
+    if read_edges is None:
+        raise ValueError(f"unknown schema {schema!r}")
     out = _out_dir(args)
     counter = itertools.count()
     lines = (line for line, _ in zip(lines, counter))  # counts the lines the reader takes
-    if schema == DATASET_SCHEMA:
-        edges, errors, grid_scores = _edges_from_dataset(lines, cfg)
-    elif schema == RUNLOG_SCHEMA:
-        edges, errors, grid_scores = _edges_from_runlog(lines, cfg)
-    else:
-        raise ValueError(f"unknown schema {schema!r}")
+    edges, errors, grid_scores = read_edges(lines, cfg)
     for no, msg in errors:
         log.error("line %d: %s", no, msg)
     read = next(counter)
@@ -549,9 +547,9 @@ def cmd_homing(args) -> None:
 
 def cmd_traces(args) -> None:
     cfg, schema, lines = _read_input(args)
-    out = _out_dir(args)
     if schema != RUNLOG_SCHEMA:
         raise ValueError("traces needs a runlog input")
+    out = _out_dir(args)
     reader = _RunlogReader(lines, cfg)
     for no, message in reader.bad_gated.items():
         reader.errors.setdefault(no, message)

@@ -901,13 +901,15 @@ class TestFailurePath:
         assert main(short_argv(command, out, config=refused)) == EXIT_CONFIG
         assert list(out.iterdir()) == []
 
-    @pytest.mark.parametrize(
+    UNKNOWN_SCHEMA = pytest.mark.parametrize(
         "command, message",
         [
             ("metrics", "validation: unknown schema 'covis.other@1'"),
             ("traces", "validation: traces needs a runlog input"),
         ],
     )
+
+    @UNKNOWN_SCHEMA
     def test_unknown_schema_leaves_no_output(self, tmp_path, short_argv, caplog, command, message):
         out, other = tmp_path / "out", tmp_path / "other.jsonl"
         other.write_text(json.dumps({"schema": "covis.other@1"}) + "\n{}\n")
@@ -917,6 +919,17 @@ class TestFailurePath:
         assert main(argv) == EXIT_VALIDATION
         assert message in caplog.text
         assert list(out.iterdir()) == []
+
+    @UNKNOWN_SCHEMA
+    def test_unknown_schema_creates_no_out(self, tmp_path, short_argv, caplog, command, message):
+        # The header is checked before --out exists, as a config is.
+        out, other = tmp_path / "out", tmp_path / "other.jsonl"
+        other.write_text(json.dumps({"schema": "covis.other@1"}) + "\n{}\n")
+        argv = short_argv(command, out)
+        argv[argv.index("--input") + 1] = str(other)
+        assert main(argv) == EXIT_VALIDATION
+        assert message in caplog.text
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", COMMANDS)
     def test_cleanup_keeps_the_io_exit_code(self, tmp_path, short_argv, command):

@@ -23,9 +23,27 @@ def _cpu_features() -> tuple[list, dict]:
     return __cpu_dispatch__, __cpu_features__
 
 
-# Loads this module from argv[2], reruns every golden case and writes its
-# digests, with the dispatch features it was asked to switch off that numpy
-# still reports on, to the file argv[1].
+# Every command once, at a small config: 4 nodes, 3 s, 2 groups.
+SMALL = (
+    (
+        "small",
+        {"n_nodes": 4, "duration_s": 3.0, "n_groups": 2},
+        (5,),
+        (
+            ("simulate", "simulate", None),
+            ("metrics_runlog", "metrics", "simulate/runlog.jsonl"),
+            ("traces", "traces", "simulate/runlog.jsonl"),
+            *golden._DATASET_STEPS,
+            ("netbench", "netbench", None),
+            ("homing", "homing", None),
+        ),
+    ),
+)
+CASE_SETS = {"golden": golden.CASES, "small": SMALL}
+
+# Loads this module from argv[2], reruns the cases CASE_SETS[argv[3]] and
+# writes their digests, with the dispatch features it was asked to switch off
+# that numpy still reports on, to the file argv[1].
 _CHILD = """
 import importlib.util, json, os, sys, tempfile
 from pathlib import Path
@@ -33,11 +51,21 @@ spec = importlib.util.spec_from_file_location("test_golden", sys.argv[2])
 here = importlib.util.module_from_spec(spec)
 spec.loader.exec_module(here)
 on = here._cpu_features()[1]
-still_on = [f for f in os.environ["NPY_DISABLE_CPU_FEATURES"].split() if on.get(f)]
+still_on = [f for f in os.environ.get("NPY_DISABLE_CPU_FEATURES", "").split() if on.get(f)]
 with tempfile.TemporaryDirectory() as tmp:
-    found = here.golden.digests(Path(tmp))
+    found = here.golden.digests(Path(tmp), here.CASE_SETS[sys.argv[3]])
 Path(sys.argv[1]).write_text(json.dumps({"still_on": still_on, "digests": found}))
 """
+
+
+def _child(out: Path, cases: str, **env: str) -> dict:
+    """The ``_CHILD`` result of a fresh interpreter that runs ``cases`` with ``env`` added."""
+    done = subprocess.run(
+        [sys.executable, "-c", _CHILD, str(out), __file__, cases],
+        env={**os.environ, **env}, capture_output=True, text=True, timeout=600,
+    )
+    assert done.returncode == 0, done.stderr
+    return json.loads(out.read_text())
 
 
 def _assert_match(got: dict) -> None:
@@ -61,16 +89,16 @@ def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
     # baseline loops; on a CPU with nothing above the baseline both runs match.
     dispatch, on = _cpu_features()
     off = [f for f in dispatch if on.get(f)]
-    env = {**os.environ, "NPY_DISABLE_CPU_FEATURES": " ".join(off)}
-    out = tmp_path / "child.json"
-    done = subprocess.run(
-        [sys.executable, "-c", _CHILD, str(out), __file__],
-        env=env, capture_output=True, text=True, timeout=600,
-    )
-    assert done.returncode == 0, done.stderr
-    child = json.loads(out.read_text())
+    child = _child(tmp_path / "child.json", "golden", NPY_DISABLE_CPU_FEATURES=" ".join(off))
     assert child["still_on"] == [], f"NPY_DISABLE_CPU_FEATURES={off} left {child['still_on']} on"
     _assert_match(child["digests"])
+
+
+def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
+    # Set and dict order of strings follows PYTHONHASHSEED; no output may.
+    one, two = (_child(tmp_path / f"seed{h}.json", "small", PYTHONHASHSEED=h)["digests"] for h in ("1", "2"))
+    assert len(one) == sum(len(golden.cli._OUTPUTS[command]) for _, command, _ in SMALL[0][3])
+    assert one == two
 
 
 def test_changes_name_each_added_changed_and_removed_key():

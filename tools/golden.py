@@ -80,10 +80,10 @@ def versions() -> dict:
     return {"python": platform.python_version(), "numpy": np.__version__}
 
 
-def digests(work: Path) -> dict[str, str]:
+def digests(work: Path, cases=CASES) -> dict[str, str]:
     """Run every case under ``work``; sha256 per output file, keyed case/seed/step/file."""
     out: dict[str, str] = {}
-    for name, config, seeds, steps in CASES:
+    for name, config, seeds, steps in cases:
         cfg_path = work / f"{name}.json"
         cfg_path.write_text(json.dumps(config))
         for seed in seeds:

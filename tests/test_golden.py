@@ -24,21 +24,7 @@ def _cpu_features() -> tuple[list, dict]:
 
 
 # Every command once, at a small config: 4 nodes, 3 s, 2 groups.
-SMALL = (
-    (
-        "small",
-        {"n_nodes": 4, "duration_s": 3.0, "n_groups": 2},
-        (5,),
-        (
-            ("simulate", "simulate", None),
-            ("metrics_runlog", "metrics", "simulate/runlog.jsonl"),
-            ("traces", "traces", "simulate/runlog.jsonl"),
-            *golden._DATASET_STEPS,
-            ("netbench", "netbench", None),
-            ("homing", "homing", None),
-        ),
-    ),
-)
+SMALL = (("small", {"n_nodes": 4, "duration_s": 3.0, "n_groups": 2}, (5,), golden._ALL_STEPS),)
 CASE_SETS = {"golden": golden.CASES, "small": SMALL}
 
 # Loads this module from argv[2], reruns the cases CASE_SETS[argv[3]] and
@@ -97,7 +83,7 @@ def test_outputs_do_not_depend_on_simd_dispatch(tmp_path):
 def test_outputs_do_not_depend_on_the_string_hash_seed(tmp_path):
     # Set and dict order of strings follows PYTHONHASHSEED; no output may.
     one, two = (_child(tmp_path / f"seed{h}.json", "small", PYTHONHASHSEED=h)["digests"] for h in ("1", "2"))
-    assert len(one) == sum(len(golden.cli._OUTPUTS[command]) for _, command, _ in SMALL[0][3])
+    assert len(one) == sum(len(golden.cli._OUTPUTS[command]) for _, command, _ in golden._ALL_STEPS)
     assert one == two
 
 

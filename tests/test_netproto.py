@@ -30,7 +30,7 @@ def heartbeat(node=1, seq=0, sf=0):
 
 def brute_loss(pairs, now, window, registered_at):
     """The gap fraction over the recorded (time, seq) pairs still in the window
-    at ``now``, or the silence rule when none is, recomputed from scratch."""
+    at ``now``, or the silence rule when none is, recomputed from all the pairs."""
     kept = [seq for t, seq in pairs if not t < now - window]
     if not kept:
         reference = pairs[-1][0] if pairs else registered_at

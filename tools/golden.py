@@ -31,6 +31,15 @@ from covis import cli  # noqa: E402
 
 # A step is (output directory, subcommand, input file written by an earlier step).
 _DATASET_STEPS = (("datagen", "datagen", None), ("metrics", "metrics", "datagen/dataset.jsonl"))
+# Every command once; metrics reads both the runlog and the dataset.
+_ALL_STEPS = (
+    ("simulate", "simulate", None),
+    ("metrics_runlog", "metrics", "simulate/runlog.jsonl"),
+    ("traces", "traces", "simulate/runlog.jsonl"),
+    *_DATASET_STEPS,
+    ("netbench", "netbench", None),
+    ("homing", "homing", None),
+)
 # The closed-loop steps, run for each leader trajectory kind.
 _TRAJECTORY_STEPS = (
     ("simulate", "simulate", None),
@@ -43,19 +52,7 @@ _TRAJECTORY_STEPS = (
 # trajectory kinds that the default (fig8_dynamic) does not; contended shares
 # slots, so frames collide, with a propagation delay and heavy random loss.
 CASES = (
-    (
-        "default",
-        {},
-        (101,),
-        (
-            ("simulate", "simulate", None),
-            ("metrics_runlog", "metrics", "simulate/runlog.jsonl"),
-            ("traces", "traces", "simulate/runlog.jsonl"),
-            *_DATASET_STEPS,
-            ("netbench", "netbench", None),
-            ("homing", "homing", None),
-        ),
-    ),
+    ("default", {}, (101,), _ALL_STEPS),
     (
         "formation",
         {"n_nodes": 8, "duration_s": 10.0},

@@ -176,6 +176,7 @@ class Simulator:
             SimEvent(tx.t_end, KIND_TX_END, frame.node_id, -1, frame.seq, frame.superframe_idx, tx.collided)
         )
         if tx.collided:
+            self.behaviors[frame.node_id].collisions += 1
             return
         p = loss_probability(self.medium, len(self.behaviors))
         receivers = self._receivers[frame.node_id]
@@ -186,8 +187,10 @@ class Simulator:
 
     def _deliver(self, frame: Frame, receivers: list["BroadcastNode"]) -> None:
         now, events = self.now, self.events
+        self.behaviors[frame.node_id].delivered += len(receivers)
         for node in receivers:
             events.append(SimEvent(now, KIND_DELIVER, node.node_id, frame.node_id, frame.seq, frame.superframe_idx))
+            node.frames_rx += 1
             node.on_receive(self, frame, now)
 
     def _tick(self, superframe_idx: int, last: int) -> None:
@@ -243,6 +246,10 @@ class BroadcastNode:
         self.payload_bytes = payload_bytes
         self.roster = tuple(roster)
         self.trace: list[dict] = []  # per-superframe (t, divisor, loss) samples
+        # Its summary row's counts, each kept where it happens.
+        self.frames_tx = self.frames_rx = self.collisions = 0
+        self.delivered = 0  # copies of its frames handed to a receiver
+        self.wakeups = self.divisor_sum = 0
         self._payload = b""
 
     # A trace sample and its node id in sorted key order.
@@ -281,6 +288,8 @@ class BroadcastNode:
         state = self.scheduler
         loss = adapt_rate(state, now)
         self.trace.append({"t": now, "divisor": state.tx_divisor, "loss": loss})
+        self.wakeups += 1
+        self.divisor_sum += state.tx_divisor
         if state.eligible(k):
             frame = Frame(
                 node_id=self.node_id,
@@ -289,6 +298,7 @@ class BroadcastNode:
                 payload=self.payload_for(k),
             )
             sim.transmit(frame)
+            self.frames_tx += 1
         sim.schedule((k + 1) * state.superframe_period + state.slot_index * state.slot_width,
                      _RANK_WAKE, self._slot_callback, sim, k + 1)
 
@@ -312,36 +322,21 @@ def run(
 
 def summarize(sim: Simulator) -> list[dict]:
     """Per-node frames_tx, frames_rx, collisions, loss_rate and mean_divisor of a
-    run: one row per node of ``sim.behaviors``. A node's first wake-up is at
-    superframe 0; a run that ends before it leaves a NaN mean_divisor."""
-    tx: dict[int, int] = {}
-    rx: dict[int, int] = {}
-    collided: dict[int, int] = {}
-    received_of: dict[int, int] = {}  # deliveries of this sender's frames
-    for e in sim.events:
-        if e.kind == KIND_TX_START:
-            tx[e.node] = tx.get(e.node, 0) + 1
-        elif e.kind == KIND_TX_END and e.collided:
-            collided[e.node] = collided.get(e.node, 0) + 1
-        elif e.kind == KIND_DELIVER:
-            rx[e.node] = rx.get(e.node, 0) + 1
-            received_of[e.peer] = received_of.get(e.peer, 0) + 1
-    n = len(sim.behaviors)
+    run: one row per node of ``sim.behaviors``, from the counts each node keeps
+    as its frames are sent, collide and land and as it wakes. A node's first
+    wake-up is at superframe 0; a run that ends before it leaves a NaN
+    mean_divisor, an exact integer sum over one correctly rounded division."""
     rows = []
-    for node in sorted(sim.behaviors):
-        sent = tx.get(node, 0)
-        # Copies that could have been delivered vs copies actually delivered.
-        potential = sent * max(0, n - 1)
-        delivered = received_of.get(node, 0)
-        trace = sim.behaviors[node].trace
+    for node_id, node in sorted(sim.behaviors.items()):
+        potential = node.frames_tx * (len(sim.behaviors) - 1)  # copies that could have been delivered
         rows.append(
             {
-                "node_id": node,
-                "frames_tx": sent,
-                "frames_rx": rx.get(node, 0),
-                "collisions": collided.get(node, 0),
-                "loss_rate": 1.0 - delivered / potential if potential else 0.0,
-                "mean_divisor": float(np.mean([s["divisor"] for s in trace])) if trace else math.nan,
+                "node_id": node_id,
+                "frames_tx": node.frames_tx,
+                "frames_rx": node.frames_rx,
+                "collisions": node.collisions,
+                "loss_rate": 1.0 - node.delivered / potential if potential else 0.0,
+                "mean_divisor": node.divisor_sum / node.wakeups if node.wakeups else math.nan,
             }
         )
     return rows

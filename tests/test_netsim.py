@@ -376,6 +376,56 @@ class TestBlackout:
         assert not any(e.kind == KIND_DELIVER for e in events)
 
 
+class TestSummaryCounts:
+    """Each node keeps its summary counts as its frames are sent, collide and
+    land and as it wakes; the event log and its trace are the reference."""
+
+    @staticmethod
+    def logged_counts(sim, node_id):
+        """The node's counts as ``sim.events`` and its ``trace`` record them."""
+        events, trace = sim.events, sim.behaviors[node_id].trace
+        return {
+            "frames_tx": sum(e.kind == KIND_TX_START and e.node == node_id for e in events),
+            "frames_rx": sum(e.kind == KIND_DELIVER and e.node == node_id for e in events),
+            "collisions": sum(e.kind == KIND_TX_END and e.collided and e.node == node_id for e in events),
+            "delivered": sum(e.kind == KIND_DELIVER and e.peer == node_id for e in events),
+            "wakeups": len(trace),
+            "divisor_sum": sum(s["divisor"] for s in trace),
+        }
+
+    # At 2 Hz a node in slot 1 of 2 first wakes at 0.25 s, so the shortest
+    # runs end before some nodes' first wake-up.
+    @settings(max_examples=80, derandomize=True, database=None, deadline=None)
+    @given(
+        st.integers(1, 6),
+        st.integers(1, 4),
+        st.floats(0.0, 0.5),
+        st.floats(0.0, 1e-3),
+        st.integers(0, 2048),
+        st.floats(0.05, 4.0),
+        st.sampled_from((2.0, 15.0)),
+        st.integers(0, 2**32 - 1),
+    )
+    @example(2, 2, 0.0, 0.0, 64, 0.05, 2.0, 1)  # node 1 never wakes: a NaN mean divisor
+    @example(6, 3, 0.2, 5e-4, 2048, 4.0, 15.0, 101)  # two nodes in each slot: collisions
+    @example(2, 2, 0.0, 1e-3, 2048, 0.9366, 15.0, 1)  # the last frame ends on air but lands after the run
+    @example(1, 1, 0.5, 1e-3, 0, 0.05, 15.0, 0)  # a lone node sends to nobody
+    def test_counts_match_the_logs(self, n_nodes, n_slots, base_loss, propagation, payload, duration, hz, seed):
+        sim = Simulator(Medium(base_loss=base_loss, propagation=propagation), seed=seed, superframe_hz=hz)
+        for i in range(n_nodes):
+            sim.add_node(BroadcastNode(i, n_slots, payload_bytes=payload, roster=range(n_nodes)))
+        sim.run(duration)
+        for node_id, node in sim.behaviors.items():
+            logged = self.logged_counts(sim, node_id)
+            assert {key: getattr(node, key) for key in logged} == logged
+        # summarize reads the counts alone: emptying the logs changes no row.
+        rows = repr(summarize(sim))
+        sim.events.clear()
+        for node in sim.behaviors.values():
+            node.trace.clear()
+        assert repr(summarize(sim)) == rows
+
+
 # Finite floats, with the values whose repr is easiest to get wrong pinned as examples.
 FINITE = st.floats(allow_nan=False, allow_infinity=False)
 UINT16 = st.integers(0, 2**16 - 1)

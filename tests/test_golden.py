@@ -92,3 +92,20 @@ def test_changes_name_each_added_changed_and_removed_key():
     new = {"a/1/x.csv": "0", "b/1/y.csv": "9", "d/1/w.csv": "3"}
     assert golden.changes(old, new) == ["changed b/1/y.csv", "removed c/1/z.csv", "added d/1/w.csv"]
     assert golden.changes(new, new) == []
+
+
+def test_changes_name_a_digest_moved_to_one_new_key_a_rename():
+    old = {"a/1/summary.csv": "5", "b/1/y.csv": "1", "c/1/z.csv": "2", "e/1/p.csv": "7", "e/1/q.csv": "7"}
+    new = {"a/1/tracking.csv": "5", "b/1/y.csv": "9", "d/1/v.csv": "2", "d/1/w.csv": "2", "f/1/p.csv": "7"}
+    # c's digest went to two new keys, and e's two keys share the digest of f's one.
+    assert golden.changes(old, new) == [
+        "renamed a/1/summary.csv -> a/1/tracking.csv",
+        "changed b/1/y.csv",
+        "removed c/1/z.csv",
+        "added d/1/v.csv",
+        "added d/1/w.csv",
+        "removed e/1/p.csv",
+        "removed e/1/q.csv",
+        "added f/1/p.csv",
+    ]
+    assert golden.changes(new, old)[0] == "renamed a/1/tracking.csv -> a/1/summary.csv"

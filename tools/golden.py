@@ -6,8 +6,8 @@ file from the repository root with
 
     python3 tools/golden.py
 
-which prints each key it adds, changes or removes, and names every changed
-digest. The digests depend on the Python and numpy
+which prints each key it adds, changes, removes or renames, and names every
+changed digest. The digests depend on the Python and numpy
 builds (and the platform libm), so ``golden.json`` records the versions it was
 made with.
 """
@@ -19,6 +19,7 @@ import json
 import platform
 import sys
 import tempfile
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -99,12 +100,22 @@ def digests(work: Path, cases=CASES) -> dict[str, str]:
 
 
 def changes(old: dict[str, str], new: dict[str, str]) -> list[str]:
-    """One line per key added, changed or removed from ``old`` to ``new``."""
-    return [
-        f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}"
-        for key in sorted(old.keys() | new.keys())
-        if old.get(key) != new.get(key)
-    ]
+    """One line per key added, changed, removed or renamed from ``old`` to ``new``.
+
+    A removed key is renamed when its digest is that of no other removed key
+    and of exactly one added key, which is then not reported as added.
+    """
+    removed, added = old.keys() - new.keys(), new.keys() - old.keys()
+    gone, came = Counter(old[k] for k in removed), Counter(new[k] for k in added)
+    key_of = {new[k]: k for k in added}
+    renamed = {k: key_of[old[k]] for k in removed if gone[old[k]] == came[old[k]] == 1}
+    lines = []
+    for key in sorted(old.keys() | new.keys()):
+        if key in renamed:
+            lines.append(f"renamed {key} -> {renamed[key]}")
+        elif old.get(key) != new.get(key) and key not in renamed.values():
+            lines.append(f"{'added' if key not in old else 'removed' if key not in new else 'changed'} {key}")
+    return lines
 
 
 def main() -> int:

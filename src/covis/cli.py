@@ -2,7 +2,7 @@
 
 Subcommands::
 
-    simulate   closed-loop formation run -> runlog.jsonl + summary.csv
+    simulate   closed-loop formation run -> runlog.jsonl + tracking.csv
     metrics    evaluate a dataset or runlog -> categories.csv, auc.csv, summary.csv
     datagen    sample synthetic groups -> dataset.jsonl
     netbench   pure network stress run -> events.jsonl, trace.jsonl, capture.jsonl, summary.csv
@@ -159,7 +159,7 @@ def cmd_simulate(args) -> None:
     cfg = _load_config(args)
     run = FormationRun(cfg)  # refuses a config that cannot run before any output exists
     out = _out_dir(args)
-    keys, poses = [], array("d")  # (t, node id) and pose numbers of each record, for the summary
+    keys, poses = [], array("d")  # (t, node id) and pose numbers of each record, for the tracking table
     with (out / "runlog.jsonl").open("w") as runlog:  # a record's line is written as it is made
         runlog.write(jsonl(runlog_header(cfg), ()))
 
@@ -175,7 +175,7 @@ def cmd_simulate(args) -> None:
         {"schema": "covis.summary@1", "node_id": f, "role": "follower", **s}
         for f, s in sorted(stats.items())
     ]
-    _write_rows(out / "summary", rows, args.format)
+    _write_rows(out / "tracking", rows, args.format)
     log.info("simulate: %d tick records, %d network events", len(keys), len(events))
 
 
@@ -602,7 +602,7 @@ _COMMANDS = {
 # The files each command writes to --out, in the order it writes them; a name
 # without a suffix is a table, whose file takes the --format suffix.
 _OUTPUTS = {
-    "simulate": ("runlog.jsonl", "summary"),
+    "simulate": ("runlog.jsonl", "tracking"),
     "metrics": ("categories", "auc", "summary"),
     "datagen": ("dataset.jsonl",),
     "netbench": ("capture.jsonl", "events.jsonl", "trace.jsonl", "summary"),

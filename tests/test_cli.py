@@ -280,7 +280,7 @@ class TestSimulate:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        rows = read_csv(out / "summary.csv")
+        rows = read_csv(out / "tracking.csv")
         assert len(rows) == 2  # two followers
         for col in ("schema", "mean_abs_pos_m", "median_pos_m", "mean_vel_mps"):
             assert col in rows[0]
@@ -317,7 +317,7 @@ class TestSimulate:
         )
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out)]) == EXIT_OK
-        rows = read_csv(out / "summary.csv")
+        rows = read_csv(out / "tracking.csv")
         v1, v2 = (float(r["mean_vel_mps"]) for r in rows)
         assert abs(v1 - v2) > 0.02  # inner vs outer follower
 
@@ -332,9 +332,9 @@ class TestSimulate:
         records = run_formation(cfg)[0]
         assert len(records) == 3 * 226
         assert (out / "runlog.jsonl").read_text() == runlog_jsonl(cfg, records)
-        # The summary is the library's statistics of the same records.
+        # The tracking table is the library's statistics of the same records.
         stats = tracking_errors(records, follower_offsets(cfg), skip_s=10.0)
-        rows = read_csv(out / "summary.csv")
+        rows = read_csv(out / "tracking.csv")
         assert [int(row["node_id"]) for row in rows] == sorted(stats) == [1, 2]
         for row in rows:
             assert {key: float(row[key]) for key in stats[1]} == stats[int(row["node_id"])]
@@ -347,7 +347,7 @@ class TestSimulate:
         cfg = write_config(tmp_path, duration_s=2.0)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
-        assert sorted(p.name for p in out.iterdir()) == ["runlog.jsonl", f"summary.{fmt}"]
+        assert sorted(p.name for p in out.iterdir()) == ["runlog.jsonl", f"tracking.{fmt}"]
         if stage == "run":  # four record lines are already written to the open file
             made = []
 
@@ -714,7 +714,7 @@ class TestTraces:
         assert "follower_offset_m" in caplog.text
         assert (tmp_path / "tr2" / "traces.csv").read_bytes() == (tr_dir / "traces.csv").read_bytes()
         rows = read_csv(tr_dir / "traces.csv")
-        for summary in read_csv(sim_dir / "summary.csv"):
+        for summary in read_csv(sim_dir / "tracking.csv"):
             errs = [
                 float(r["pos_err_m"])
                 for r in rows
@@ -780,7 +780,7 @@ class TestJsonlFormat:
         cfg = write_config(tmp_path)
         out = tmp_path / "out"
         assert main(["simulate", "--config", cfg, "--out", str(out), "--format", "jsonl"]) == EXIT_OK
-        lines = (out / "summary.jsonl").read_text().strip().split("\n")
+        lines = (out / "tracking.jsonl").read_text().strip().split("\n")
         assert all(json.loads(line)["schema"] == "covis.summary@1" for line in lines)
 
     def test_no_rows_is_an_empty_file(self, tmp_path):
@@ -789,7 +789,7 @@ class TestJsonlFormat:
         for fmt in ("jsonl", "csv"):
             out = tmp_path / fmt
             assert main(["simulate", "--config", cfg, "--out", str(out), "--format", fmt]) == EXIT_OK
-            assert (out / f"summary.{fmt}").read_text() == ""
+            assert (out / f"tracking.{fmt}").read_text() == ""
 
     def test_every_table_is_strict_json(self, tmp_path):
         # 5 s is inside the summary's 10 s skip, every formation edge is visible
@@ -823,7 +823,7 @@ class TestJsonlFormat:
                             nulls.add((name, table.stem, key))
                         else:
                             assert str(value) == want[key]
-        assert {("sim", "summary", "median_pos_m"), ("met_sim", "summary", "youden_threshold"),
+        assert {("sim", "tracking", "median_pos_m"), ("met_sim", "summary", "youden_threshold"),
                 ("tr", "traces", "pos_err_m")} <= nulls
 
 
@@ -863,7 +863,7 @@ def fail_last_write(monkeypatch, command, error):
 
     def written_then_fails(path, rows, fmt):
         _write_rows(path, rows, fmt)
-        if path.name in ("summary", "traces"):  # the last table of every command that writes tables
+        if path.name in ("tracking", "summary", "traces"):  # the last table of every command that writes tables
             raise error("last write")
 
     monkeypatch.setattr("covis.cli._write_rows", written_then_fails)
@@ -900,6 +900,24 @@ class TestFailurePath:
         assert main(short_argv(command, out)) == EXIT_OK
         assert main(short_argv(command, out, config=refused)) == EXIT_CONFIG
         assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("fails", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "jsonl"])
+    def test_metrics_into_the_simulate_out_keeps_its_files(self, tmp_path, monkeypatch, short_argv, fmt, fails):
+        # metrics reads the runlog where simulate wrote it and writes beside it:
+        # it shares no file name with simulate, so it neither replaces nor removes one.
+        out = tmp_path / "out"
+        assert main(short_argv("simulate", out, fmt)) == EXIT_OK
+        kept = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(kept) == ["runlog.jsonl", f"tracking.{fmt}"]
+        argv = short_argv("metrics", out, fmt)
+        argv[argv.index("--input") + 1] = str(out / "runlog.jsonl")
+        if fails:
+            fail_last_write(monkeypatch, "metrics", ValueError)
+        assert main(argv) == (EXIT_VALIDATION if fails else EXIT_OK)
+        written = [] if fails else output_names("metrics", fmt)
+        assert sorted(p.name for p in out.iterdir()) == sorted([*kept, *written])
+        assert {name: (out / name).read_bytes() for name in kept} == kept
 
     UNKNOWN_SCHEMA = pytest.mark.parametrize(
         "command, message",

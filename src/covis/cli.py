@@ -280,7 +280,10 @@ def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
-            nodes = {_typed(n, "id"): n for n in rec["nodes"]}
+            nodes = {}
+            for n in rec["nodes"]:
+                if nodes.setdefault(_typed(n, "id"), n) is not n:
+                    raise ValueError(f"node id {n['id']} is listed twice")
             first = len(reader.pose_line)
             row_of = {node_id: first + k for k, node_id in enumerate(nodes)}
             poses = array("d")

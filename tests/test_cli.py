@@ -1450,7 +1450,7 @@ class TestMalformedLineKeepsNoEdge:
     @pytest.mark.parametrize(
         "defect",
         ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan", "fov_bool",
-         "fov_string", "bev_nan"],
+         "fov_string", "bev_nan", "id_repeated"],
     )
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
@@ -1476,6 +1476,10 @@ class TestMalformedLineKeepsNoEdge:
             rec["nodes"][-1]["fov_deg"] = True
         elif defect == "fov_string":
             rec["nodes"][-1]["fov_deg"] = "120"
+        elif defect == "id_repeated":  # once read as the last node listed, here 5 m away
+            again = json.loads(json.dumps(rec["nodes"][0]))
+            again["pose"]["p"][0] += 5.0
+            rec["nodes"].append(again)
         else:  # NaN cells fail no "< 0" or "> 1" guard
             raw = base64.b64decode(rec["nodes"][-1]["bev_obs_b64"])
             cells = np.full((len(raw) - 16) // 4, np.nan, dtype="<f4")
@@ -1490,6 +1494,8 @@ class TestMalformedLineKeepsNoEdge:
         assert int(cut["edges"]) == int(whole["edges"]) - len(rec["estimates"])
         assert cut["malformed_lines"] == "1"
         assert "line 2:" in caplog.text
+        if defect == "id_repeated":
+            assert f"line 2: node id {rec['nodes'][0]['id']} is listed twice" in caplog.text
 
 
 class TestInputLines:

@@ -10,8 +10,9 @@ for y. "Occupied" is the complement of navigable space.
 floor of ``scenario`` (a ``BevGrid`` in world coordinates) included: a point
 off the grid reads unknown. ``cell_centres`` gives the centre of every cell.
 
-The wire form is a 16-byte header (H, W as uint32, resolution as float32,
-4 reserved bytes) followed by row-major little-endian float32 cells.
+``to_base64`` writes and ``from_base64`` reads the wire form as base64 text:
+a 16-byte header (H, W as uint32, resolution as float32, 4 reserved bytes)
+followed by row-major little-endian float32 cells.
 """
 
 from __future__ import annotations
@@ -84,12 +85,14 @@ class BevGrid:
         i += n + 3
         return self._ringed.take(i)
 
-    def to_bytes(self) -> bytes:
+    def to_base64(self) -> str:
         h, w = self.cells.shape
-        return _HEADER.pack(h, w, self.resolution) + self.cells.astype("<f4").tobytes(order="C")
+        data = _HEADER.pack(h, w, self.resolution) + self.cells.astype("<f4").tobytes(order="C")
+        return base64.b64encode(data).decode("ascii")
 
     @staticmethod
-    def from_bytes(data: bytes) -> "BevGrid":
+    def from_base64(text: str) -> "BevGrid":
+        data = base64.b64decode(text)
         if len(data) < _HEADER.size:
             raise ValueError("grid blob shorter than header")
         h, w, res = _HEADER.unpack_from(data)
@@ -98,13 +101,6 @@ class BevGrid:
             raise ValueError(f"grid blob length {len(data)} != expected {expected}")
         cells = np.frombuffer(data, dtype="<f4", offset=_HEADER.size).reshape(h, w)
         return BevGrid(cells, extent=h * float(res), resolution=float(res))
-
-    def to_base64(self) -> str:
-        return base64.b64encode(self.to_bytes()).decode("ascii")
-
-    @staticmethod
-    def from_base64(text: str) -> "BevGrid":
-        return BevGrid.from_bytes(base64.b64decode(text))
 
 
 def cell_centres(extent: float, resolution: float) -> tuple[np.ndarray, np.ndarray]:

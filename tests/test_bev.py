@@ -1,3 +1,4 @@
+import base64
 import math
 
 import numpy as np
@@ -42,9 +43,9 @@ class TestBevGrid:
     def test_bytes_roundtrip(self):
         rng = np.random.default_rng(0)
         g = BevGrid(rng.uniform(size=(64, 64)).astype(np.float32).astype(float))
-        blob = g.to_bytes()
-        assert len(blob) == 16 + 4 * 64 * 64
-        back = BevGrid.from_bytes(blob)
+        text = g.to_base64()
+        assert len(base64.b64decode(text)) == 16 + 4 * 64 * 64
+        back = BevGrid.from_base64(text)
         assert back.cells.shape == g.cells.shape
         assert back.resolution == pytest.approx(g.resolution)
         assert np.array_equal(back.cells, g.cells)
@@ -66,11 +67,11 @@ class TestBevGrid:
         assert np.array_equal(BevGrid.from_base64(g.to_base64()).cells, g.cells)
 
     def test_bad_blob(self):
-        with pytest.raises(ValueError):
-            BevGrid.from_bytes(b"short")
-        g = BevGrid(np.full((64, 64), 0.5))
-        with pytest.raises(ValueError):
-            BevGrid.from_bytes(g.to_bytes()[:-5])
+        with pytest.raises(ValueError, match="shorter than header"):
+            BevGrid.from_base64(base64.b64encode(b"short"))
+        blob = base64.b64decode(BevGrid(np.full((64, 64), 0.5)).to_base64())
+        with pytest.raises(ValueError, match="16395 != expected 16400"):
+            BevGrid.from_base64(base64.b64encode(blob[:-5]))
 
 
 class TestTransformGrid:

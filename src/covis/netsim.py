@@ -323,9 +323,9 @@ def run(
 def summarize(sim: Simulator) -> list[dict]:
     """Per-node frames_tx, frames_rx, collisions, loss_rate and mean_divisor of a
     run: one row per node of ``sim.behaviors``, from the counts each node keeps
-    as its frames are sent, collide and land and as it wakes. A node's first
-    wake-up is at superframe 0; a run that ends before it leaves a NaN
-    mean_divisor, an exact integer sum over one correctly rounded division."""
+    as its frames are sent, collide and land and as it wakes. mean_divisor is
+    the exact sum of the wake-ups' divisors over one rounded division; a node's
+    first wake-up is at superframe 0, and a run that ends before it leaves NaN."""
     rows = []
     for node_id, node in sorted(sim.behaviors.items()):
         potential = node.frames_tx * (len(sim.behaviors) - 1)  # copies that could have been delivered

@@ -792,7 +792,7 @@ class TestJsonlFormat:
             assert (out / f"tracking.{fmt}").read_text() == ""
 
     def test_every_table_is_strict_json(self, tmp_path):
-        # 5 s is inside the summary's 10 s skip, every formation edge is visible
+        # 5 s is inside the tracking table's 10 s skip, every formation edge is visible
         # and the leader has no offset: NaN, inf and NaN in the three tables.
         cfg = write_config(tmp_path, duration_s=5.0, n_groups=2, world_extent_m=12.0, world_rooms=1)
         runs = [("simulate", "sim", None), ("datagen", "data", None), ("netbench", "net", None),

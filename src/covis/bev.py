@@ -55,13 +55,17 @@ class BevGrid:
         c = np.asarray(self.cells)
         if c.ndim != 2 or c.shape[0] != c.shape[1]:
             raise ValueError(f"grid must be square, got shape {c.shape}")
+        if not c.size:
+            raise ValueError("grid has no cells")
+        if not 0.0 < self.resolution < math.inf:  # NaN fails too
+            raise ValueError(f"resolution {self.resolution!r} must be positive and finite")
         if not math.isclose(c.shape[0] * self.resolution, self.extent, rel_tol=1e-9):
             raise ValueError("grid shape * resolution must equal extent")
         ringed = np.full((c.shape[0] + 2, c.shape[1] + 2), UNKNOWN)
         ringed[1:-1, 1:-1] = c
         ringed.flags.writeable = False
         cells = ringed[1:-1, 1:-1]
-        if cells.size and not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails too
+        if not (cells.min() >= 0.0 and cells.max() <= 1.0):  # NaN fails too
             raise ValueError("cells must lie in [0, 1]")
         object.__setattr__(self, "_ringed", ringed)
         object.__setattr__(self, "cells", cells)

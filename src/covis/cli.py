@@ -9,9 +9,13 @@ Subcommands::
     homing     record-then-replay run -> keyframes.csv, summary.csv
     traces     plot-ready per-tick columns from a runlog -> traces.csv
 
-Inputs are read one line at a time. On a runlog, ``metrics`` and ``traces``
-share one pass (``_RunlogReader``) that keeps each line's numbers and never its
-decoded object; ``metrics`` skips a bad line, ``traces`` exits on the first.
+Inputs are read one line at a time. On a dataset, ``metrics`` builds each
+line's poses and estimates with the library constructors, whose checks are the
+line's checks, and fuses the line's grids before it reads the next line, so
+only the numbers scoring needs outlive a line. On a runlog, ``metrics`` and
+``traces`` share one pass (``_RunlogReader``) that keeps each line's numbers and
+never its decoded object, and checks them as whole columns at the end;
+``metrics`` skips a bad line, ``traces`` exits on the first.
 ``simulate`` and ``netbench`` write their logs as the run goes. A run that
 fails, whatever its exit code, removes every file its command writes.
 
@@ -134,12 +138,20 @@ def _out_dir(args) -> Path:
     return out
 
 
+def _write_lines(file, lines: Iterable[str]) -> None:
+    """Each line and its newline, 2,048 lines to a write, so no more than that is ever joined."""
+    lines = iter(lines)
+    while chunk := list(itertools.islice(lines, 2048)):
+        file.write("\n".join([*chunk, ""]))
+
+
 def _write_rows(path: Path, rows: list[dict], fmt: str) -> None:
     """Rows as CSV (header row carries the column names) or JSONL, where a non-finite number is null."""
     path = path.with_suffix(f".{fmt}")
     if fmt == "jsonl":
         rows = ({k: None if isinstance(v, float) and not np.isfinite(v) else v for k, v in r.items()} for r in rows)
-        path.write_text("".join(json.dumps(r, sort_keys=True) + "\n" for r in rows))
+        with path.open("w") as file:
+            _write_lines(file, (json.dumps(r, sort_keys=True) for r in rows))
         return
     if not rows:
         path.write_text("")
@@ -183,75 +195,6 @@ def cmd_simulate(args) -> None:
 # metrics
 
 
-class _EdgeReader:
-    """Pose and estimate rows of a JSONL input, each tagged with its line.
-
-    A line's rows are added only once the whole line has parsed. The checks
-    of the Vec3, UnitQuat, PoseEstimate and EdgeRecord constructors then run
-    on all rows at once, and a line with any failing row keeps no edge.
-    """
-
-    def __init__(self):
-        self.errors: dict[int, str] = {}  # line number -> first failure
-        self.pose_values, self.pose_line = array("d"), []
-        # Per estimate: p_hat, sigma_p, q_hat, sigma_q, fov, and its two pose rows.
-        self.est_values, self.est_line, self.pairs = array("d"), [], array("q")
-
-    def add(self, no: int, poses: array, estimates: array) -> None:
-        """Rows of one line that parsed whole: 7 numbers per pose, 12 per estimate."""
-        self.pose_values += poses
-        self.pose_line += [no] * (len(poses) // 7)
-        self.est_values += estimates
-        self.est_line += [no] * (len(estimates) // 12)
-
-    def _charge(self, line_of: list[int], checks) -> np.ndarray:
-        failed = np.zeros(len(line_of), dtype=bool)
-        for mask, message in checks:
-            for row in np.flatnonzero(mask):
-                self.errors.setdefault(line_of[row], message)
-            failed |= mask
-        return failed
-
-    def check_poses(self) -> np.ndarray:
-        """Check every pose row; returns the rows that pass."""
-        rows = np.frombuffer(self.pose_values, dtype=float).reshape(-1, 7)
-        self.q, q_ok = unit_quat_rows(rows[:, 3:])
-        self.p = rows[:, :3]
-        return ~self._charge(self.pose_line, [
-            (~np.isfinite(self.p).all(axis=1), "non-finite position component"),
-            (~q_ok, "quaternion norm outside unit tolerance"),
-        ])
-
-    def check_estimates(self) -> None:
-        self.est = np.frombuffer(self.est_values, dtype=float).reshape(-1, 12)
-        self.q_hat, q_ok = unit_quat_rows(self.est[:, 6:10])
-        fov = self.est[:, 11]
-        self._charge(self.est_line, [
-            (~np.isfinite(self.est[:, :6]).all(axis=1), "non-finite p_hat or sigma_p component"),
-            ((self.est[:, 3:6] <= 0.0).any(axis=1), "sigma_p components must be positive"),
-            (~q_ok, "q_hat norm outside unit tolerance"),
-            (~((0.0 < self.est[:, 10]) & (self.est[:, 10] < np.inf)), PoseEstimate.SIGMA_Q_RULE),
-            (~((0.0 < fov) & (fov <= 180.0)), "fov_deg must be in (0, 180]"),
-        ])
-
-    def columns(self) -> tuple[EdgeColumns, list[tuple[int, str]]]:
-        """Edges of the lines that passed, and (line, message) of those that did not."""
-        keep = np.array([no not in self.errors for no in self.est_line], dtype=bool)
-        i, j = np.frombuffer(self.pairs, dtype=np.int64).reshape(-1, 2)[keep].T
-        t_pos, t_quat = relative_pose_rows(self.p[i], self.q[i], self.p[j], self.q[j])
-        est = self.est[keep]
-        columns = EdgeColumns(t_pos, t_quat, est[:, :3], self.q_hat[keep], est[:, 3:6], est[:, 11])
-        return columns, sorted(self.errors.items())
-
-
-def _numbers(values, n: int, name: str) -> array:
-    """``values`` as n floats; anything but a number raises, as in Vec3 and UnitQuat."""
-    row = array("d", values)
-    if len(row) != n:
-        raise ValueError(f"{name} has {len(row)} components, expected {n}")
-    return row
-
-
 _KINDS = {"an integer": (int,), "a number": (int, float)}
 
 
@@ -262,21 +205,15 @@ def _typed(d: dict, key: str, kind: str = "an integer"):
     return d[key]
 
 
-def _pose_numbers(d: dict) -> array:
-    return _numbers(d["p"], 3, "position") + _numbers(d["q"], 4, "quaternion")
-
-
-def _estimate_numbers(d: dict) -> tuple[int, int, array]:
-    """src, dst and the p_hat, sigma_p, q_hat and sigma_q numbers of a logged estimate."""
-    row = _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
-    row += _numbers(d["q_hat"], 4, "q_hat")
-    row.append(_typed(d, "sigma_q", "a number"))
-    return _typed(d, "src"), _typed(d, "dst"), row
-
-
 def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
-    reader = _EdgeReader()
-    fusing = []  # (line, nodes, (src, dst) per estimate, first estimate row) of groups that carry grids
+    """Edges, (line, first failure) of each malformed line, and fused Dice/IoU per node.
+
+    Each line's poses and estimates are built with the library constructors,
+    whose checks are the line's checks, and a group that carries grids is
+    fused from those estimates as soon as its line passes. Only the numbers
+    scoring needs outlive the line.
+    """
+    rows, errors, grid_scores = array("d"), [], []  # rows: 25 numbers per edge, as unpacked below
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
             rec = json.loads(line)
@@ -284,74 +221,72 @@ def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
             for n in rec["nodes"]:
                 if nodes.setdefault(_typed(n, "id"), n) is not n:
                     raise ValueError(f"node id {n['id']} is listed twice")
-            first = len(reader.pose_line)
-            row_of = {node_id: first + k for k, node_id in enumerate(nodes)}
-            poses = array("d")
-            for node in nodes.values():
-                poses += _pose_numbers(node["pose"])
-            values, pairs, ends = array("d"), array("q"), []
+            poses = {
+                i: (*Vec3(*n["pose"]["p"]).as_tuple(), *UnitQuat(*n["pose"]["q"]).as_tuple())
+                for i, n in nodes.items()
+            }
+            ests, numbers = [], array("d")
             for d in rec.get("estimates", []):
-                src, dst, numbers = _estimate_numbers(d)
-                if src not in row_of or dst not in row_of:
-                    raise LookupError(f"estimate {src}->{dst} names a node the group lacks")
-                values += numbers
-                values.append(_typed(nodes[src], "fov_deg", "a number"))
-                pairs += array("q", (row_of[src], row_of[dst]))
-                ends.append((src, dst))
+                est = PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]),
+                                   _typed(d, "sigma_q", "a number"), _typed(d, "src"), _typed(d, "dst"))
+                if est.src not in poses or est.dst not in poses:
+                    raise LookupError(f"estimate {est.src}->{est.dst} names a node the group lacks")
+                fov = _typed(nodes[est.src], "fov_deg", "a number")
+                if not 0.0 < fov <= 180.0:
+                    raise ValueError("fov_deg must be in (0, 180]")
+                ests.append(est)
+                numbers += array("d", (*poses[est.src], *poses[est.dst], *est.p_hat.as_tuple(),
+                                       *est.q_hat.as_tuple(), *est.sigma_p.as_tuple(), fov))
+            if ests and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
+                grid_scores += _fusion_scores(nodes, ests, cfg)
         except Exception as exc:  # malformed line: report, keep going
-            reader.errors[no] = str(exc)
+            errors.append((no, str(exc)))
             continue
-        if ends and all("bev_obs_b64" in n and "bev_b64" in n for n in nodes.values()):
-            fusing.append((no, nodes, ends, len(reader.est_line)))
-        reader.add(no, poses, values)
-        reader.pairs += pairs
-    reader.check_poses()
-    reader.check_estimates()
-    grid_scores: list[tuple[float, float]] = []
-    for no, nodes, ends, first in fusing:
-        if no in reader.errors:
-            continue
-        try:
-            grid_scores.extend(_fusion_scores(nodes, ends, reader.est[first : first + len(ends)], cfg))
-        except Exception as exc:
-            reader.errors[no] = str(exc)
-    return *reader.columns(), grid_scores
+        rows += numbers
+    e = np.frombuffer(rows).reshape(-1, 25)
+    t_pos, t_quat = relative_pose_rows(e[:, 0:3], e[:, 3:7], e[:, 7:10], e[:, 10:14])
+    return EdgeColumns(t_pos, t_quat, e[:, 14:17], e[:, 17:21], e[:, 21:24], e[:, 24]), errors, grid_scores
 
 
-def _fusion_scores(nodes, ends, rows, cfg) -> list[tuple[float, float]]:
-    """Free-space Dice/IoU of fused observed grids against each node's truth, from checked rows."""
-    out = []
-    by_src: dict[int, list[PoseEstimate]] = {}
-    for (src, dst), r in zip(ends, rows.tolist()):
-        est = PoseEstimate(Vec3(*r[:3]), Vec3(*r[3:6]), UnitQuat(*r[6:10]), r[10], src, dst)
-        by_src.setdefault(src, []).append(est)
+def _fusion_scores(nodes: dict, ests: list[PoseEstimate], cfg: RunConfig) -> list[tuple[float, float]]:
+    """Free-space Dice/IoU of each node's observed grid, fused with its estimated peers', against its truth."""
     # Each node's grids are decoded once, then shared by all its in-edges.
-    grids = {
-        node_id: (BevGrid.from_base64(node["bev_b64"]), BevGrid.from_base64(node["bev_obs_b64"]))
-        for node_id, node in nodes.items()
-    }
+    grids = {i: (BevGrid.from_base64(n["bev_b64"]), BevGrid.from_base64(n["bev_obs_b64"])) for i, n in nodes.items()}
+    out = []
     for node_id, (truth, ego) in grids.items():
-        neighbors = [(grids[e.dst][1], e) for e in by_src.get(node_id, [])]
-        fused = fuse(ego, neighbors, gate_sigma=cfg.gate_sigma_m)
-        t_free = truth.cells < cfg.bin_threshold
-        out.append(mask_dice_iou(t_free, fused.cells < cfg.bin_threshold))
+        fused = fuse(ego, [(grids[e.dst][1], e) for e in ests if e.src == node_id], gate_sigma=cfg.gate_sigma_m)
+        out.append(mask_dice_iou(truth.cells < cfg.bin_threshold, fused.cells < cfg.bin_threshold))
     return out
 
 
-class _RunlogReader(_EdgeReader):
+def _numbers(values, n: int, name: str) -> array:
+    """``values`` as n floats; anything but a number raises, as in Vec3 and UnitQuat."""
+    row = array("d", values)
+    if len(row) != n:
+        raise ValueError(f"{name} has {len(row)} components, expected {n}")
+    return row
+
+
+class _RunlogReader:
     """One pass over a runlog's record lines, with the poses checked.
 
     A line keeps its pose row, ``t`` and ``gated``, its estimates' numbers,
     the (peer_tick, dst) keys of the estimates that parsed, in one flat array,
     and the failure of its estimates' parse, if any; the decoded line is not
     kept. A line whose estimates fail to parse still offers its pose.
-    ``resolve_peers`` pairs the estimates with their peers' poses once every
-    pose is read.
+    A runlog has thousands of short lines, so the checks of the Vec3, UnitQuat
+    and PoseEstimate constructors run on whole columns once every line is read,
+    and a line with any failing row keeps no edge. ``edges`` pairs the
+    estimates with their peers' poses.
     """
 
     def __init__(self, lines: Iterable[str], cfg: RunConfig):
-        super().__init__()
         period = 1.0 / cfg.superframe_hz
+        self.fov = cfg.fov_deg
+        self.errors: dict[int, str] = {}  # line number -> first failure
+        self.pose_line, self.est_line = [], []  # line number per pose row; per estimate row
+        # 7 numbers per pose; per estimate, its p_hat, sigma_p, q_hat and sigma_q.
+        poses, self.est_values = array("d"), array("d")
         self.keys = []  # (tick, node id) per pose row
         self.t, self.gated = array("d"), bytearray()  # per pose row
         self.bad_gated: dict[int, str] = {}  # line -> message, for traces alone
@@ -361,7 +296,8 @@ class _RunlogReader(_EdgeReader):
             try:
                 rec = json.loads(line)
                 key = (round(_typed(rec, "t", "a number") / period), _typed(rec, "node_id"))
-                pose = _pose_numbers(rec["pose_truth"])
+                pose = rec["pose_truth"]
+                pose = _numbers(pose["p"], 3, "position") + _numbers(pose["q"], 4, "quaternion")
             except Exception as exc:
                 self.errors[no] = str(exc)
                 continue
@@ -374,7 +310,10 @@ class _RunlogReader(_EdgeReader):
             values = array("d")
             try:
                 for d in rec["estimates"]:
-                    src, dst, numbers = _estimate_numbers(d)
+                    values += _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
+                    values += _numbers(d["q_hat"], 4, "q_hat")
+                    values.append(_typed(d, "sigma_q", "a number"))
+                    src, dst = _typed(d, "src"), _typed(d, "dst")
                     if src != rec["node_id"]:
                         raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
                     peer = (_typed(d, "peer_tick"), dst)
@@ -382,21 +321,38 @@ class _RunlogReader(_EdgeReader):
                         self.peers += array("q", peer)
                     except OverflowError:  # beyond int64: the keys go on as Python ints
                         self.peers = [*self.peers, *peer]
-                    values += numbers
-                    values.append(cfg.fov_deg)
             except Exception as exc:
                 self.failed[no] = str(exc)
                 values = array("d")
-            self.add(no, pose, values)
+            poses += pose
+            self.pose_line.append(no)
+            self.est_values += values
+            self.est_line += [no] * (len(values) // 11)
             self.ends.append(len(self.peers) // 2)
-        ok = self.check_poses()
+        rows = np.frombuffer(poses).reshape(-1, 7)
+        self.p, (self.q, q_ok) = rows[:, :3], unit_quat_rows(rows[:, 3:])
+        ok = ~self._charge(self.pose_line, [
+            (~np.isfinite(self.p).all(axis=1), "non-finite position component"),
+            (~q_ok, "quaternion norm outside unit tolerance"),
+        ])
         # A later line of the same tick and node wins.
         self.pose_at = {key: row for row, key in enumerate(self.keys) if ok[row]}
 
-    def resolve_peers(self) -> None:
-        """Pair each estimate with its peer's pose row, line by line. A line's first failure
-        is its pose's, then its first estimate's whose peer has no pose, then its parse
-        failure; a line whose estimates parsed adds an (own row, peer row) pair per estimate."""
+    def _charge(self, line_of: list[int], checks) -> np.ndarray:
+        failed = np.zeros(len(line_of), dtype=bool)
+        for mask, message in checks:
+            for row in np.flatnonzero(mask):
+                self.errors.setdefault(line_of[row], message)
+            failed |= mask
+        return failed
+
+    def edges(self) -> tuple[EdgeColumns, list[tuple[int, str]]]:
+        """Edges of the lines that pass every check, and (line, first failure) of those that do not.
+
+        Each estimate is paired with its peer's pose row, line by line. A line's first
+        failure is its pose's, then its first estimate's whose peer has no pose, then its
+        parse failure, then its estimates' value checks; a line whose estimates parsed
+        adds an (own row, peer row) pair per estimate."""
         peers = self.peers
         found = array("q", map(self.pose_at.get, zip(peers[::2], peers[1::2]), itertools.repeat(-1)))
         own_rows, peer_rows = array("q"), array("q")
@@ -409,14 +365,24 @@ class _RunlogReader(_EdgeReader):
             if no not in self.failed:
                 own_rows += array("q", [row]) * (end - start)
                 peer_rows += found[start:end]
-        self.pairs = np.column_stack([own_rows, peer_rows])
+        est = np.frombuffer(self.est_values).reshape(-1, 11)
+        q_hat, q_ok = unit_quat_rows(est[:, 6:10])
+        self._charge(self.est_line, [
+            (~np.isfinite(est[:, :6]).all(axis=1), "non-finite p_hat or sigma_p component"),
+            ((est[:, 3:6] <= 0.0).any(axis=1), "sigma_p components must be positive"),
+            (~q_ok, "q_hat norm outside unit tolerance"),
+            (~((0.0 < est[:, 10]) & (est[:, 10] < np.inf)), PoseEstimate.SIGMA_Q_RULE),
+        ])
+        keep = np.array([no not in self.errors for no in self.est_line], dtype=bool)
+        i, j = np.frombuffer(own_rows, dtype=np.int64)[keep], np.frombuffer(peer_rows, dtype=np.int64)[keep]
+        t_pos, t_quat = relative_pose_rows(self.p[i], self.q[i], self.p[j], self.q[j])
+        est = est[keep]
+        columns = EdgeColumns(t_pos, t_quat, est[:, :3], q_hat[keep], est[:, 3:6], np.full(len(est), self.fov))
+        return columns, sorted(self.errors.items())
 
 
 def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
-    reader = _RunlogReader(lines, cfg)
-    reader.resolve_peers()
-    reader.check_estimates()
-    return *reader.columns(), []
+    return *_RunlogReader(lines, cfg).edges(), []
 
 
 def cmd_metrics(args) -> None:
@@ -517,7 +483,8 @@ def cmd_netbench(args) -> None:
     trace = (line for b in sim.behaviors.values() for line in b.trace_lines())
     for name, lines in (("events", map(SimEvent.line, events)), ("trace", trace)):
         with (out / f"{name}.jsonl").open("w") as file:
-            file.write(jsonl({"schema": f"covis.{name}@1"}, lines))
+            file.write(jsonl({"schema": f"covis.{name}@1"}, ()))
+            _write_lines(file, lines)
     rows = [{"schema": "covis.netbench@1", **row} for row in summarize(sim)]
     _write_rows(out / "summary", rows, args.format)
 

@@ -40,6 +40,23 @@ class TestBevGrid:
         with pytest.raises(ValueError, match=r"cells must lie in \[0, 1\]"):
             BevGrid(np.full((40, 40), np.nan), 4.0, 0.1)
 
+    @pytest.mark.parametrize("resolution", [0.0, -0.25, math.inf, math.nan])
+    def test_resolution_must_be_positive_and_finite(self, resolution):
+        # A negated resolution with a negated extent passes the shape * resolution rule.
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            BevGrid(np.zeros((4, 4)), extent=4 * resolution, resolution=resolution)
+        blob = bytearray(base64.b64decode(BevGrid(np.zeros((4, 4)), 1.0, 0.25).to_base64()))
+        blob[8:12] = np.float32(resolution).tobytes()
+        with pytest.raises(ValueError, match="must be positive and finite"):
+            BevGrid.from_base64(base64.b64encode(blob))
+
+    def test_grid_without_cells_rejected(self):
+        with pytest.raises(ValueError, match="grid has no cells"):
+            BevGrid(np.zeros((0, 0)), extent=0.0, resolution=0.25)
+        blob = base64.b64decode(BevGrid(np.zeros((4, 4)), 1.0, 0.25).to_base64())
+        with pytest.raises(ValueError, match="grid has no cells"):
+            BevGrid.from_base64(base64.b64encode(bytes(8) + blob[8:16]))  # H = W = 0: the header alone
+
     def test_bytes_roundtrip(self):
         rng = np.random.default_rng(0)
         g = BevGrid(rng.uniform(size=(64, 64)).astype(np.float32).astype(float))

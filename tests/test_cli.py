@@ -449,6 +449,25 @@ class TestDatagenAndMetrics:
             cats["All"]["count"]
         )
 
+    def test_memory_does_not_grow_with_the_dataset(self, tmp_path):
+        # Each line's grids are fused as the line is read, so what grows with
+        # the groups is a few numbers per edge, not the base64 grids.
+        cfg = write_config(tmp_path, n_groups=40, seed=7)
+        assert main(["datagen", "--config", cfg, "--out", str(tmp_path / "data")]) == EXIT_OK
+        lines = (tmp_path / "data" / "dataset.jsonl").read_text().splitlines(keepends=True)
+        peaks = {}
+        for groups in (10, 40):
+            source = tmp_path / f"dataset{groups}.jsonl"
+            source.write_text("".join(lines[: 1 + groups]))
+            tracemalloc.start()
+            try:
+                assert main(["metrics", "--input", str(source), "--out", str(tmp_path / f"m{groups}")]) == EXIT_OK
+                peaks[groups] = tracemalloc.get_traced_memory()[1] / 1e6
+            finally:
+                tracemalloc.stop()
+        assert int(read_csv(tmp_path / "m40" / "summary.csv")[0]["edges"]) > 400
+        assert peaks[40] - peaks[10] <= 1.0
+
     def test_metrics_on_runlog(self, tmp_path):
         cfg = write_config(tmp_path, seed=3)
         sim_dir, met_dir = tmp_path / "sim", tmp_path / "met"
@@ -1450,12 +1469,20 @@ class TestMalformedLineKeepsNoEdge:
     @pytest.mark.parametrize(
         "defect",
         ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan", "fov_bool",
-         "fov_string", "bev_nan", "id_repeated"],
+         "fov_string", "bev_nan", "id_repeated", "q_off_unit", "p_inf", "sigma_p_zero", "q_hat_3", "p_hat_inf",
+         "bev_empty", "bev_negative_resolution"],
     )
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
         lines = source.read_text().splitlines()
         rec = json.loads(lines[1])
+
+        def every_grid(change):  # change(header, cells) of each grid blob in the group
+            for node in rec["nodes"]:
+                for key in ("bev_b64", "bev_obs_b64"):
+                    raw = base64.b64decode(node[key])
+                    node[key] = base64.b64encode(change(raw[:16], raw[16:])).decode("ascii")
+
         if defect == "pose_lookup":
             rec["estimates"][1]["dst"] = 99
         elif defect == "fov":
@@ -1480,6 +1507,22 @@ class TestMalformedLineKeepsNoEdge:
             again = json.loads(json.dumps(rec["nodes"][0]))
             again["pose"]["p"][0] += 5.0
             rec["nodes"].append(again)
+        elif defect == "q_off_unit":
+            rec["nodes"][-1]["pose"]["q"] = [c * (1.0 + 1e-3) for c in rec["nodes"][-1]["pose"]["q"]]
+        elif defect == "p_inf":
+            rec["nodes"][-1]["pose"]["p"][1] = math.inf
+        elif defect == "sigma_p_zero":
+            rec["estimates"][1]["sigma_p"][2] = 0.0
+        elif defect == "q_hat_3":
+            rec["estimates"][1]["q_hat"] = rec["estimates"][1]["q_hat"][:3]
+        elif defect == "p_hat_inf":
+            rec["estimates"][1]["p_hat"][0] = -math.inf
+        # Each of these was once fused and scored, an empty mask with a Dice of 1.
+        elif defect == "bev_empty":
+            every_grid(lambda header, cells: bytes(8) + header[8:])
+        elif defect == "bev_negative_resolution":
+            every_grid(lambda header, cells: header[:8] + (-np.frombuffer(header[8:12], "<f4")).tobytes()
+                       + header[12:] + cells)
         else:  # NaN cells fail no "< 0" or "> 1" guard
             raw = base64.b64decode(rec["nodes"][-1]["bev_obs_b64"])
             cells = np.full((len(raw) - 16) // 4, np.nan, dtype="<f4")

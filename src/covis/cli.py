@@ -9,13 +9,14 @@ Subcommands::
     homing     record-then-replay run -> keyframes.csv, summary.csv
     traces     plot-ready per-tick columns from a runlog -> traces.csv
 
-Inputs are read one line at a time. On a dataset, ``metrics`` builds each
-line's poses and estimates with the library constructors, whose checks are the
-line's checks, and fuses the line's grids before it reads the next line, so
-only the numbers scoring needs outlive a line. On a runlog, ``metrics`` and
-``traces`` share one pass (``_RunlogReader``) that keeps each line's numbers and
-never its decoded object, and checks them as whole columns at the end;
-``metrics`` skips a bad line, ``traces`` exits on the first.
+Inputs are read one line at a time, and each line is checked as it is read
+by the rules of ``Vec3``, ``UnitQuat`` and ``PoseEstimate``, so a defect gives
+the same message in either input. On a dataset, ``metrics`` builds each line's
+poses and estimates with those constructors and fuses the line's grids before
+it reads the next line, so only the numbers scoring needs outlive a line. On a
+runlog, ``metrics`` and ``traces`` share one pass (``_RunlogReader``) that calls
+the constructors' rule functions and keeps each line's numbers, never its
+decoded object; ``metrics`` skips a bad line, ``traces`` exits on the first.
 ``simulate`` and ``netbench`` write their logs as the run goes. A run that
 fails, whatever its exit code, removes every file its command writes.
 
@@ -43,8 +44,8 @@ import numpy as np
 
 from .bev import BevGrid, fuse
 from .config import ConfigError, RunConfig
-from .estimator import PoseEstimate
-from .geometry import UnitQuat, Vec3, relative_pose_rows, unit_quat_rows, yaw_rows
+from .estimator import PoseEstimate, check_sigmas
+from .geometry import UnitQuat, Vec3, relative_pose_rows, unit_quat_components, vec3_components, yaw_rows
 from .metrics import EdgeColumns, evaluate_records, mask_dice_iou
 from .netsim import SimEvent, capture_line, summarize
 from .scenario import (
@@ -195,7 +196,7 @@ def cmd_simulate(args) -> None:
 # metrics
 
 
-_KINDS = {"an integer": (int,), "a number": (int, float)}
+_KINDS = {"an integer": frozenset({int}), "a number": frozenset({int, float})}
 
 
 def _typed(d: dict, key: str, kind: str = "an integer"):
@@ -203,6 +204,19 @@ def _typed(d: dict, key: str, kind: str = "an integer"):
     if type(d[key]) not in _KINDS[kind]:
         raise ValueError(f"{key} {d[key]!r} is not {kind}")
     return d[key]
+
+
+def _vector(d: dict, key: str, n: int) -> list:
+    """``d[key]``, which must be a JSON array of n numbers: a bool is not one, though Vec3 reads it as 1 or 0."""
+    v = d[key]
+    if type(v) is not list or len(v) != n or not _KINDS["a number"].issuperset(map(type, v)):
+        raise ValueError(f"{key} {v!r} is not {n} numbers")
+    return v
+
+
+def _pose(pose: dict) -> tuple:
+    """A JSON pose's position and unit quaternion, under the Vec3 and UnitQuat rules, as 7 numbers."""
+    return (*vec3_components(_vector(pose, "p", 3)), *unit_quat_components(_vector(pose, "q", 4)))
 
 
 def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
@@ -221,14 +235,12 @@ def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
             for n in rec["nodes"]:
                 if nodes.setdefault(_typed(n, "id"), n) is not n:
                     raise ValueError(f"node id {n['id']} is listed twice")
-            poses = {
-                i: (*Vec3(*n["pose"]["p"]).as_tuple(), *UnitQuat(*n["pose"]["q"]).as_tuple())
-                for i, n in nodes.items()
-            }
+            poses = {i: _pose(n["pose"]) for i, n in nodes.items()}
             ests, numbers = [], array("d")
             for d in rec.get("estimates", []):
-                est = PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]),
-                                   _typed(d, "sigma_q", "a number"), _typed(d, "src"), _typed(d, "dst"))
+                est = PoseEstimate(Vec3(*_vector(d, "p_hat", 3)), Vec3(*_vector(d, "sigma_p", 3)),
+                                   UnitQuat(*_vector(d, "q_hat", 4)), _typed(d, "sigma_q", "a number"),
+                                   _typed(d, "src"), _typed(d, "dst"))
                 if est.src not in poses or est.dst not in poses:
                     raise LookupError(f"estimate {est.src}->{est.dst} names a node the group lacks")
                 fov = _typed(nodes[est.src], "fov_deg", "a number")
@@ -259,125 +271,93 @@ def _fusion_scores(nodes: dict, ests: list[PoseEstimate], cfg: RunConfig) -> lis
     return out
 
 
-def _numbers(values, n: int, name: str) -> array:
-    """``values`` as n floats; anything but a number raises, as in Vec3 and UnitQuat."""
-    row = array("d", values)
-    if len(row) != n:
-        raise ValueError(f"{name} has {len(row)} components, expected {n}")
-    return row
-
-
 class _RunlogReader:
-    """One pass over a runlog's record lines, with the poses checked.
+    """One pass over a runlog's record lines, each checked as it is read.
 
-    A line keeps its pose row, ``t`` and ``gated``, its estimates' numbers,
-    the (peer_tick, dst) keys of the estimates that parsed, in one flat array,
-    and the failure of its estimates' parse, if any; the decoded line is not
-    kept. A line whose estimates fail to parse still offers its pose.
-    A runlog has thousands of short lines, so the checks of the Vec3, UnitQuat
-    and PoseEstimate constructors run on whole columns once every line is read,
-    and a line with any failing row keeps no edge. ``edges`` pairs the
-    estimates with their peers' poses.
+    A line's pose and estimates go through the functions that the Vec3,
+    UnitQuat and PoseEstimate constructors call, without building those
+    objects, so a runlog line fails with the message a dataset line would.
+    A line keeps its pose row, ``t`` and ``gated``, and the numbers and
+    (peer_tick, dst) key of each estimate before its first failure, in flat
+    arrays, with that failure; the decoded line is not kept, and a line whose
+    estimates fail still offers its pose. ``edges`` pairs the estimates with
+    their peers' poses.
     """
 
     def __init__(self, lines: Iterable[str], cfg: RunConfig):
         period = 1.0 / cfg.superframe_hz
         self.fov = cfg.fov_deg
         self.errors: dict[int, str] = {}  # line number -> first failure
-        self.pose_line, self.est_line = [], []  # line number per pose row; per estimate row
-        # 7 numbers per pose; per estimate, its p_hat, sigma_p, q_hat and sigma_q.
+        self.line_nos = array("q")  # line number per pose row
+        # 7 numbers per pose; per estimate, its p_hat, q_hat and sigma_p.
         poses, self.est_values = array("d"), array("d")
         self.keys = []  # (tick, node id) per pose row
         self.t, self.gated = array("d"), bytearray()  # per pose row
         self.bad_gated: dict[int, str] = {}  # line -> message, for traces alone
-        self.peers, self.ends = array("q"), array("q")  # peer_tick, dst per key; per pose row, its keys' end
-        self.failed: dict[int, str] = {}  # line -> the failure of its estimates' parse
+        self.bad_estimates: dict[int, str] = {}  # line -> its estimates' first failure, for metrics alone
+        self.peers, self.ends = array("q"), array("q")  # peer_tick, dst per estimate; per pose row, its end
         for no, line in enumerate(lines, start=2):  # header was line 1
             try:
                 rec = json.loads(line)
-                key = (round(_typed(rec, "t", "a number") / period), _typed(rec, "node_id"))
-                pose = rec["pose_truth"]
-                pose = _numbers(pose["p"], 3, "position") + _numbers(pose["q"], 4, "quaternion")
+                tick = round(_typed(rec, "t", "a number") / period)
+                pose = _pose(rec["pose_truth"])
+                key = (tick, _typed(rec, "node_id"))
             except Exception as exc:
                 self.errors[no] = str(exc)
                 continue
             self.keys.append(key)
+            self.line_nos.append(no)
             self.t.append(rec["t"])
+            poses.extend(pose)
             gated = rec.get("gated")
             if type(gated) is not bool:
                 self.bad_gated[no] = f"gated {gated!r} is not a bool"
             self.gated.append(gated is True)
-            values = array("d")
-            try:
+            values, peers = [], []  # of the line's estimates before its first failure
+            try:  # in the order _edges_from_dataset builds a PoseEstimate
                 for d in rec["estimates"]:
-                    values += _numbers(d["p_hat"], 3, "p_hat") + _numbers(d["sigma_p"], 3, "sigma_p")
-                    values += _numbers(d["q_hat"], 4, "q_hat")
-                    values.append(_typed(d, "sigma_q", "a number"))
-                    src, dst = _typed(d, "src"), _typed(d, "dst")
+                    p_hat = vec3_components(_vector(d, "p_hat", 3))
+                    sigma_p = vec3_components(_vector(d, "sigma_p", 3))
+                    q_hat = unit_quat_components(_vector(d, "q_hat", 4))
+                    sigma_q, src, dst = _typed(d, "sigma_q", "a number"), _typed(d, "src"), _typed(d, "dst")
+                    check_sigmas(sigma_p, sigma_q)
                     if src != rec["node_id"]:
                         raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
-                    peer = (_typed(d, "peer_tick"), dst)
-                    try:
-                        self.peers += array("q", peer)
-                    except OverflowError:  # beyond int64: the keys go on as Python ints
-                        self.peers = [*self.peers, *peer]
+                    peers += (_typed(d, "peer_tick"), dst)
+                    values += (*p_hat, *q_hat, *sigma_p)
             except Exception as exc:
-                self.failed[no] = str(exc)
-                values = array("d")
-            poses += pose
-            self.pose_line.append(no)
-            self.est_values += values
-            self.est_line += [no] * (len(values) // 11)
+                self.bad_estimates[no] = str(exc)
+            self.est_values += array("d", values)
+            try:
+                self.peers += array("q", peers)
+            except OverflowError:  # beyond int64: the keys go on as Python ints
+                self.peers = [*self.peers, *peers]
             self.ends.append(len(self.peers) // 2)
         rows = np.frombuffer(poses).reshape(-1, 7)
-        self.p, (self.q, q_ok) = rows[:, :3], unit_quat_rows(rows[:, 3:])
-        ok = ~self._charge(self.pose_line, [
-            (~np.isfinite(self.p).all(axis=1), "non-finite position component"),
-            (~q_ok, "quaternion norm outside unit tolerance"),
-        ])
+        self.p, self.q = rows[:, :3], rows[:, 3:]
         # A later line of the same tick and node wins.
-        self.pose_at = {key: row for row, key in enumerate(self.keys) if ok[row]}
-
-    def _charge(self, line_of: list[int], checks) -> np.ndarray:
-        failed = np.zeros(len(line_of), dtype=bool)
-        for mask, message in checks:
-            for row in np.flatnonzero(mask):
-                self.errors.setdefault(line_of[row], message)
-            failed |= mask
-        return failed
+        self.pose_at = {key: row for row, key in enumerate(self.keys)}
 
     def edges(self) -> tuple[EdgeColumns, list[tuple[int, str]]]:
         """Edges of the lines that pass every check, and (line, first failure) of those that do not.
 
-        Each estimate is paired with its peer's pose row, line by line. A line's first
-        failure is its pose's, then its first estimate's whose peer has no pose, then its
-        parse failure, then its estimates' value checks; a line whose estimates parsed
-        adds an (own row, peer row) pair per estimate."""
+        Each estimate is paired with its peer's pose row. A line's first failure is its
+        pose's; else, taking its estimates in order, the first that fails a check or
+        whose peer has no pose."""
         peers = self.peers
         found = array("q", map(self.pose_at.get, zip(peers[::2], peers[1::2]), itertools.repeat(-1)))
-        own_rows, peer_rows = array("q"), array("q")
-        for row, (no, start, end) in enumerate(zip(self.pose_line, [0, *self.ends], self.ends)):
-            if -1 in found[start:end]:
+        for no, start, end in zip(self.line_nos, [0, *self.ends], self.ends):
+            if -1 in found[start:end]:  # an estimate before the line's failure, if any
                 k = 2 * found.index(-1, start, end)
-                self.errors.setdefault(no, f"no pose of peer node {peers[k + 1]} at tick {peers[k]}")
-            elif no in self.failed:
-                self.errors.setdefault(no, self.failed[no])
-            if no not in self.failed:
-                own_rows += array("q", [row]) * (end - start)
-                peer_rows += found[start:end]
-        est = np.frombuffer(self.est_values).reshape(-1, 11)
-        q_hat, q_ok = unit_quat_rows(est[:, 6:10])
-        self._charge(self.est_line, [
-            (~np.isfinite(est[:, :6]).all(axis=1), "non-finite p_hat or sigma_p component"),
-            ((est[:, 3:6] <= 0.0).any(axis=1), "sigma_p components must be positive"),
-            (~q_ok, "q_hat norm outside unit tolerance"),
-            (~((0.0 < est[:, 10]) & (est[:, 10] < np.inf)), PoseEstimate.SIGMA_Q_RULE),
-        ])
-        keep = np.array([no not in self.errors for no in self.est_line], dtype=bool)
-        i, j = np.frombuffer(own_rows, dtype=np.int64)[keep], np.frombuffer(peer_rows, dtype=np.int64)[keep]
+                self.errors[no] = f"no pose of peer node {peers[k + 1]} at tick {peers[k]}"
+            elif no in self.bad_estimates:
+                self.errors[no] = self.bad_estimates[no]
+        counts = np.diff(np.frombuffer(self.ends, dtype=np.int64), prepend=0)  # estimates per pose row
+        keep = np.repeat(np.array([no not in self.errors for no in self.line_nos], dtype=bool), counts)
+        i, j = np.repeat(np.arange(len(counts)), counts)[keep], np.frombuffer(found, dtype=np.int64)[keep]
         t_pos, t_quat = relative_pose_rows(self.p[i], self.q[i], self.p[j], self.q[j])
-        est = est[keep]
-        columns = EdgeColumns(t_pos, t_quat, est[:, :3], q_hat[keep], est[:, 3:6], np.full(len(est), self.fov))
+        est = np.frombuffer(self.est_values).reshape(-1, 10)[keep]
+        columns = EdgeColumns(t_pos, t_quat, est[:, :3], est[:, 3:7], est[:, 7:], np.full(len(est), self.fov))
         return columns, sorted(self.errors.items())
 
 

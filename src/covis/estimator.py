@@ -89,6 +89,14 @@ class Observation:
         return Observation(node_id, pose, fov, payload, tick)
 
 
+def check_sigmas(sigma_p, sigma_q: float) -> None:
+    """PoseEstimate's rule: each of the 3 ``sigma_p`` components is positive, and ``sigma_q`` positive and finite."""
+    if not min(sigma_p) > 0.0:
+        raise ValueError("sigma_p components must be positive")
+    if not 0.0 < sigma_q < math.inf:
+        raise ValueError("sigma_q must be positive and finite")
+
+
 @dataclass(frozen=True)
 class PoseEstimate:
     """Relative pose of dst in src's ego frame, with aleatoric uncertainties."""
@@ -100,13 +108,8 @@ class PoseEstimate:
     src: int
     dst: int
 
-    SIGMA_Q_RULE = "sigma_q must be positive and finite"
-
     def __post_init__(self):
-        if not min(self.sigma_p.x, self.sigma_p.y, self.sigma_p.z) > 0.0:
-            raise ValueError("sigma_p components must be positive")
-        if not 0.0 < self.sigma_q < math.inf:
-            raise ValueError(self.SIGMA_Q_RULE)
+        check_sigmas((self.sigma_p.x, self.sigma_p.y, self.sigma_p.z), self.sigma_q)
 
     def sigma_p_norm(self) -> float:
         """Scalar uncertainty score used for filtering and gating."""

@@ -59,6 +59,38 @@ def quat_rotate(q: tuple, v: tuple) -> tuple[float, float, float]:
     return (vx + 2.0 * (w * ux + uux), vy + 2.0 * (w * uy + uuy), vz + 2.0 * (w * uz + uuz))
 
 
+def vec3_components(v):
+    """Vec3's rule: the 3 components ``v``, which must all be finite."""
+    x, y, z = v
+    if not (math.isfinite(x) and math.isfinite(y) and math.isfinite(z)):
+        bad = next(c for c in v if not math.isfinite(c))
+        raise ValueError(f"non-finite Vec3 component: {bad!r}")
+    return v
+
+
+def unit_quat_components(q):
+    """UnitQuat's rule: scalar-first ``q`` as a unit quaternion of canonical sign, as in the class docstring.
+
+    ``q`` itself comes back if it is kept unchanged, else a tuple of its components over the signed norm.
+    """
+    w, x, y, z = q
+    sq = w * w + x * x + y * y + z * z
+    n = 1.0 if abs(sq - 1.0) <= _UNIT_SQ_TOL else math.sqrt(sq)
+    if not abs(n - 1.0) <= _NORM_TOL:  # also refuses NaN and inf
+        raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
+    # Canonical sign: w > 0, or first nonzero of (x, y, z) positive when w == 0.
+    flip = w < 0.0
+    if w == 0.0:
+        for c in (x, y, z):
+            if c != 0.0:
+                flip = c < 0.0
+                break
+    if n == 1.0 and not flip:
+        return q
+    n = -n if flip else n
+    return (w / n, x / n, y / n, z / n)
+
+
 @dataclass(frozen=True)
 class Vec3:
     """3-vector in meters. All components must be finite."""
@@ -68,9 +100,7 @@ class Vec3:
     z: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and math.isfinite(self.z)):
-            bad = next(c for c in (self.x, self.y, self.z) if not math.isfinite(c))
-            raise ValueError(f"non-finite Vec3 component: {bad!r}")
+        vec3_components((self.x, self.y, self.z))
 
     def __add__(self, other: "Vec3") -> "Vec3":
         return Vec3(self.x + other.x, self.y + other.y, self.z + other.z)
@@ -114,24 +144,10 @@ class UnitQuat:
     z: float
 
     def __post_init__(self):
-        w, x, y, z = self.w, self.x, self.y, self.z
-        sq = w * w + x * x + y * y + z * z
-        n = 1.0 if abs(sq - 1.0) <= _UNIT_SQ_TOL else math.sqrt(sq)
-        if not abs(n - 1.0) <= _NORM_TOL:  # also refuses NaN and inf
-            raise ValueError(f"quaternion norm {n!r} outside unit tolerance")
-        # Canonical sign: w > 0, or first nonzero of (x, y, z) positive when w == 0.
-        flip = w < 0.0
-        if w == 0.0:
-            for c in (x, y, z):
-                if c != 0.0:
-                    flip = c < 0.0
-                    break
-        if n != 1.0 or flip:
-            n = -n if flip else n
-            object.__setattr__(self, "w", w / n)
-            object.__setattr__(self, "x", x / n)
-            object.__setattr__(self, "y", y / n)
-            object.__setattr__(self, "z", z / n)
+        given = (self.w, self.x, self.y, self.z)
+        q = unit_quat_components(given)
+        if q is not given:  # normalized or flipped
+            vars(self).update(zip("wxyz", q))
 
     @staticmethod
     def identity() -> "UnitQuat":
@@ -249,21 +265,20 @@ def pos_dist(p: Vec3, p_hat: Vec3) -> float:
 # Row kernels: the functions above on (n, 3) positions and (n, 4) quaternions
 
 
-def unit_quat_rows(q: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """UnitQuat construction per row: (normalized canonical rows, rows it would accept)."""
+def unit_quat_rows(q: np.ndarray) -> np.ndarray:
+    """unit_quat_components per row of quaternions within its tolerance: the normalized canonical rows."""
     w, x, y, z = q.T
     first = np.where(x != 0.0, x < 0.0, np.where(y != 0.0, y < 0.0, z < 0.0))
     flip = np.where(w == 0.0, first, w < 0.0)
-    with np.errstate(all="ignore"):  # rejected rows may hold nan, inf or huge components
-        sq = w * w + x * x + y * y + z * z
-        n = np.where(np.abs(sq - 1.0) <= _UNIT_SQ_TOL, 1.0, np.sqrt(sq))
-        return q / np.where(flip, -n, n)[:, None], np.abs(n - 1.0) <= _NORM_TOL
+    sq = w * w + x * x + y * y + z * z
+    n = np.where(np.abs(sq - 1.0) <= _UNIT_SQ_TOL, 1.0, np.sqrt(sq))
+    return q / np.where(flip, -n, n)[:, None]
 
 
 def relative_pose_rows(p_i, q_i, p_j, q_j) -> tuple[np.ndarray, np.ndarray]:
     """relative_pose per row of unit quaternions: (positions, quaternions) of j in i's frame."""
-    inv, _ = unit_quat_rows(q_i * np.array([1.0, -1.0, -1.0, -1.0]))
-    rel, _ = unit_quat_rows(np.stack(quat_mul(inv.T, q_j.T), axis=1))
+    inv = unit_quat_rows(q_i * np.array([1.0, -1.0, -1.0, -1.0]))
+    rel = unit_quat_rows(np.stack(quat_mul(inv.T, q_j.T), axis=1))
     return np.stack(quat_rotate(inv.T, (p_j - p_i).T), axis=1), rel
 
 

@@ -2,9 +2,11 @@ import argparse
 import base64
 import csv
 import gc
+import itertools
 import json
 import logging
 import math
+import sys
 import tempfile
 import tracemalloc
 import typing
@@ -22,6 +24,7 @@ from covis.cli import (
     EXIT_VALIDATION,
     _OUTPUTS,
     _edges_from_dataset,
+    _edges_from_runlog,
     _read_input,
     _text_lines,
     _write_rows,
@@ -31,7 +34,7 @@ from covis.bev import BevGrid, fuse
 from covis.config import ConfigError, RunConfig
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
-from covis.metrics import MIN_TRANSLATION, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
+from covis.metrics import MIN_TRANSLATION, EdgeColumns, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
 from covis.netsim import BroadcastNode, Simulator, capture_line
 from covis.scenario import (
     DATASET_SCHEMA,
@@ -1007,9 +1010,21 @@ def _reference_integer(value, types=(int,)):
     return value
 
 
+def _reference_vector(values):
+    """A JSON vector's components: ``true`` and ``false`` are no numbers, though Vec3 and UnitQuat take them."""
+    if any(isinstance(c, bool) for c in values):
+        raise ValueError(f"{values!r} holds a bool")
+    return values
+
+
+def _reference_pose(d):
+    return Pose(Vec3(*_reference_vector(d["p"])), UnitQuat(*_reference_vector(d["q"])))
+
+
 def _reference_estimate(d):
     sigma_q = _reference_integer(d["sigma_q"], (int, float))
-    return PoseEstimate(Vec3(*d["p_hat"]), Vec3(*d["sigma_p"]), UnitQuat(*d["q_hat"]), sigma_q,
+    return PoseEstimate(Vec3(*_reference_vector(d["p_hat"])), Vec3(*_reference_vector(d["sigma_p"])),
+                        UnitQuat(*_reference_vector(d["q_hat"])), sigma_q,
                         _reference_integer(d["src"]), _reference_integer(d["dst"]))
 
 
@@ -1030,7 +1045,7 @@ def _reference_dataset_records(lines, cfg):
         try:
             rec = json.loads(line)
             nodes = {_reference_integer(n["id"]): n for n in rec["nodes"]}
-            poses = {i: Pose(Vec3(*n["pose"]["p"]), UnitQuat(*n["pose"]["q"])) for i, n in nodes.items()}
+            poses = {i: _reference_pose(n["pose"]) for i, n in nodes.items()}
             ests = [_reference_estimate(d) for d in rec.get("estimates", [])]
             edges = []
             for e in ests:
@@ -1051,7 +1066,7 @@ def _reference_runlog_records(lines, cfg):
         try:
             rec = json.loads(line)
             tick = round(_reference_integer(rec["t"], (int, float)) / period)
-            pose = Pose(Vec3(*rec["pose_truth"]["p"]), UnitQuat(*rec["pose_truth"]["q"]))
+            pose = _reference_pose(rec["pose_truth"])
             pose_at[(tick, _reference_integer(rec["node_id"]))] = pose
             parsed.append((no, rec, pose))
         except Exception as exc:
@@ -1196,6 +1211,41 @@ def _metrics_files(out):
     return {name: (out / name).read_bytes() for name in ("categories.csv", "auc.csv", "summary.csv")}
 
 
+# What a JSON vector component may hold: numbers inside and beyond the rules' bounds, and no number.
+_COMPONENTS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.sampled_from([0.0, -0.0, 1, 0, math.inf, -math.inf, math.nan]),
+    st.booleans(),
+    st.text(max_size=2),
+)
+
+
+@st.composite
+def _edge_quats(draw):
+    """Quaternions at the UnitQuat rule's edges: off unit by about its 1e-6 tolerance, or by a
+    few eps about the 4-eps keep band, and with w == 0 and either sign."""
+    v = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=4, max_size=4)))
+    if draw(st.booleans()):
+        v[0] = draw(st.sampled_from([0.0, -0.0]))
+        v[1 + draw(st.integers(0, 2))] = 0.0
+    n = float(np.linalg.norm(v))
+    v = v / n if n > 1e-3 else np.array([0.0, 0.0, -1.0, 0.0])
+    scale = draw(st.one_of(
+        st.floats(1.0 - 1.5e-6, 1.0 + 1.5e-6),
+        st.integers(-6, 6).map(lambda k: 1.0 + k * sys.float_info.epsilon / 2.0),
+    ))
+    return [float(c) * scale * draw(st.sampled_from([1.0, -1.0])) for c in v]
+
+
+def _vectors(n, good):
+    """JSON vectors for a field of n components: ``good`` ones, ones of any component, and ones of any length."""
+    return st.one_of(
+        good,
+        st.lists(_COMPONENTS, min_size=n, max_size=n),
+        st.lists(st.floats(-1.0, 1.0), min_size=n - 1, max_size=n + 1),
+    )
+
+
 class TestMetricsMatchReference:
     @pytest.mark.parametrize("seed", [101, 202])
     @pytest.mark.parametrize("name", sorted(METRICS_INPUTS))
@@ -1268,6 +1318,37 @@ class TestMetricsMatchReference:
             assert set(busy[::40][: len(some)]) | set(bad_pose) <= errors
             assert not errors & set(busy[::40][len(some) : len(some) + len(accepted)])
             assert _metrics_files(got) == _metrics_files(want)
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(st.data())
+    def test_runlog_keeps_what_the_reference_keeps(self, metrics_inputs, data):
+        # The first 30 records of a default runlog, with one line's pose and one of its
+        # estimates given values at and beyond the edges of the constructors' rules.
+        # From the fourth record on, each has an estimate.
+        cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None,
+                                                       input=str(metrics_inputs("runlog-default", 101))))
+        lines = list(itertools.islice(lines, 30))
+        k = data.draw(st.integers(3, len(lines) - 1), label="line")
+        rec = json.loads(lines[k])
+        d = rec["estimates"][data.draw(st.integers(0, len(rec["estimates"]) - 1), label="estimate")]
+        for target, key, values in (
+            (rec["pose_truth"], "p", _vectors(3, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))),
+            (rec["pose_truth"], "q", _vectors(4, _edge_quats())),
+            (d, "p_hat", _vectors(3, st.lists(st.floats(-10.0, 10.0), min_size=3, max_size=3))),
+            (d, "sigma_p", _vectors(3, st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))),
+            (d, "q_hat", _vectors(4, _edge_quats())),
+            (d, "sigma_q", _COMPONENTS),
+        ):
+            if data.draw(st.booleans(), label=f"change {key}"):
+                target[key] = data.draw(values, label=key)
+        lines[k] = json.dumps(rec)
+        edges, errors, _ = _edges_from_runlog(lines, cfg)
+        records, _, want_errors = _reference_runlog_records(lines, cfg)
+        assert [no for no, _ in errors] == sorted(no for no, _ in want_errors)
+        want = EdgeColumns.from_records(records)
+        for name in ("t_pos", "t_quat", "p_hat", "q_hat", "sigma_p", "fov"):
+            assert getattr(edges, name).tobytes() == getattr(want, name).tobytes(), name
 
     def test_runlog_estimate_of_another_source_is_malformed(self, tmp_path, metrics_inputs):
         # A runlog line logs its own node's estimates. One relabelled to another
@@ -1425,7 +1506,8 @@ class TestRunlogKeys:
 
 class TestMalformedLineKeepsNoEdge:
     @pytest.mark.parametrize(
-        "defect", ["peer_lookup", "peer_tick_float", "src_float", "dst_string", "node_id_bool", "t_bool"]
+        "defect",
+        ["peer_lookup", "peer_tick_float", "src_float", "dst_string", "node_id_bool", "t_bool", "p_bool", "p_hat_bool"],
     )
     def test_runlog(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("runlog-formation", 101)
@@ -1452,6 +1534,13 @@ class TestMalformedLineKeepsNoEdge:
         elif defect == "node_id_bool":
             rec["node_id"] = True
             message = "node_id True is not an integer"
+        # Each of these once read as 1.0.
+        elif defect == "p_bool":
+            rec["pose_truth"]["p"] = [True, 0, 0]
+            message = "p [True, 0, 0] is not 3 numbers"
+        elif defect == "p_hat_bool":
+            est["p_hat"] = [True, 0, 0]
+            message = "p_hat [True, 0, 0] is not 3 numbers"
         else:  # once read as 1.0 s, which put this pose at tick 15
             rec["t"] = True
             message = "t True is not a number"
@@ -1470,7 +1559,7 @@ class TestMalformedLineKeepsNoEdge:
         "defect",
         ["pose_lookup", "fov", "fusion", "src_float", "dst_string", "id_bool", "sigma_q_nan", "fov_bool",
          "fov_string", "bev_nan", "id_repeated", "q_off_unit", "p_inf", "sigma_p_zero", "q_hat_3", "p_hat_inf",
-         "bev_empty", "bev_negative_resolution"],
+         "bev_empty", "bev_negative_resolution", "p_bool", "p_hat_bool"],
     )
     def test_dataset(self, tmp_path, metrics_inputs, caplog, defect):
         source = metrics_inputs("dataset-default", 101)
@@ -1517,6 +1606,11 @@ class TestMalformedLineKeepsNoEdge:
             rec["estimates"][1]["q_hat"] = rec["estimates"][1]["q_hat"][:3]
         elif defect == "p_hat_inf":
             rec["estimates"][1]["p_hat"][0] = -math.inf
+        # Each of these once read as 1.0 and 0.0.
+        elif defect == "p_bool":
+            rec["nodes"][-1]["pose"]["p"] = [True, False, 0]
+        elif defect == "p_hat_bool":
+            rec["estimates"][1]["p_hat"] = [True, 0, 0]
         # Each of these was once fused and scored, an empty mask with a Dice of 1.
         elif defect == "bev_empty":
             every_grid(lambda header, cells: bytes(8) + header[8:])
@@ -1539,6 +1633,31 @@ class TestMalformedLineKeepsNoEdge:
         assert "line 2:" in caplog.text
         if defect == "id_repeated":
             assert f"line 2: node id {rec['nodes'][0]['id']} is listed twice" in caplog.text
+
+
+class TestReadersShareMessages:
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("p_hat", [0.1, math.inf, 0.3], "non-finite Vec3 component: inf"),
+            ("q_hat", [1.001, 0.0, 0.0, 0.0], "quaternion norm 1.001 outside unit tolerance"),
+            ("sigma_p", [0.1, 0.0, 0.3], "sigma_p components must be positive"),
+            ("sigma_q", math.nan, "sigma_q must be positive and finite"),
+        ],
+    )
+    def test_one_defect_one_message(self, metrics_inputs, key, value, message):
+        # The same defect in an estimate of a runlog line and of a dataset line.
+        logged = []
+        for name, read in (("runlog-formation", _edges_from_runlog), ("dataset-default", _edges_from_dataset)):
+            cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(metrics_inputs(name, 101))))
+            lines = list(lines)
+            no = next(no for no, line in enumerate(lines, start=2) if json.loads(line)["estimates"])
+            rec = json.loads(lines[no - 2])
+            rec["estimates"][0][key] = value
+            lines[no - 2] = json.dumps(rec)
+            _, errors, _ = read(lines, cfg)
+            logged.append(errors)
+        assert [message] == [m for _, m in logged[0]] == [m for _, m in logged[1]]
 
 
 class TestInputLines:

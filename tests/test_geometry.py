@@ -284,25 +284,29 @@ def bits(values):
     return [float(c).hex() for c in np.ravel(values)]
 
 
+def accepted(raw):
+    """The rows of ``raw`` that UnitQuat accepts."""
+    def ok(row):
+        try:
+            UnitQuat(*row)
+        except ValueError:
+            return False
+        return True
+
+    return raw[[ok(row) for row in raw.tolist()]]
+
+
 class TestRowKernels:
     """Each row kernel gives the bits of its scalar function."""
 
     def test_unit_quat_rows(self):
-        raw = awkward_quats(np.random.default_rng(31), 3000)
-        unit, ok = unit_quat_rows(raw)
-        for row, got, accepted in zip(raw.tolist(), unit, ok):
-            try:
-                want = UnitQuat(*row).as_tuple()
-            except ValueError:
-                assert not accepted, row
-                continue
-            assert accepted and bits(got) == bits(want), row
+        raw = accepted(awkward_quats(np.random.default_rng(31), 3000))
+        assert bits(unit_quat_rows(raw)) == bits([UnitQuat(*row).as_tuple() for row in raw.tolist()])
 
     def test_relative_pose_and_angles(self):
         rng = np.random.default_rng(32)
         raw = awkward_quats(rng, 4000)
-        raw = raw[unit_quat_rows(raw)[1]]
-        q = [UnitQuat(*row) for row in raw.tolist()]
+        q = [UnitQuat(*row) for row in accepted(raw).tolist()]
         q_rows = np.array([r.as_tuple() for r in q])
         p_rows = 5.0 * rng.standard_normal((len(q), 3))
         p = [Vec3(*row) for row in p_rows.tolist()]
@@ -322,8 +326,8 @@ class TestRowKernels:
         v = rng.standard_normal((600, 3))
         v[::3, int(rng.integers(3))] = 0.0
         raw = np.hstack([np.zeros((600, 1)), v / np.linalg.norm(v, axis=1)[:, None]])
-        unit, ok = unit_quat_rows(raw)
-        assert ok.all() and (unit[:, 0] == 0.0).all()
+        unit = unit_quat_rows(raw)
+        assert (unit[:, 0] == 0.0).all()
         q = [UnitQuat(*row) for row in unit.tolist()]
         p_rows = rng.standard_normal((600, 3))
         t_pos, t_quat = relative_pose_rows(p_rows[:300], unit[:300], p_rows[300:], unit[300:])
@@ -341,7 +345,7 @@ class TestRowKernels:
     def test_quat_dist_is_the_smaller_signed_norm(self):
         rng = np.random.default_rng(35)
         raw = awkward_quats(rng, 2000)
-        q = [UnitQuat(*row) for row in raw[unit_quat_rows(raw)[1]].tolist()]
+        q = [UnitQuat(*row) for row in accepted(raw).tolist()]
         for a, b in zip(q, q[1:] + q[:1]):
             d = [u - v for u, v in zip(a.as_tuple(), b.as_tuple())]
             s = [u + v for u, v in zip(a.as_tuple(), b.as_tuple())]
@@ -351,6 +355,6 @@ class TestRowKernels:
 
     def test_yaw_rows(self):
         raw = awkward_quats(np.random.default_rng(33), 3000)
-        unit, ok = unit_quat_rows(raw)
-        unit = np.vstack([unit[ok], [UnitQuat.from_yaw(a).as_tuple() for a in (0.0, math.pi, -math.pi / 2)]])
+        unit = unit_quat_rows(accepted(raw))
+        unit = np.vstack([unit, [UnitQuat.from_yaw(a).as_tuple() for a in (0.0, math.pi, -math.pi / 2)]])
         assert bits(yaw_rows(unit)) == bits([UnitQuat(*row).yaw() for row in unit.tolist()])

@@ -48,7 +48,8 @@ _TRAJECTORY_STEPS = (
     ("homing", "homing", None),
 )
 # (name, config, seeds, steps). formation, dataset and netstorm are the
-# perfbench workload configs; world16 is a floor that is not a whole number of
+# perfbench workload configs, and formation's 8-node runlog also feeds
+# traces; world16 is a floor that is not a whole number of
 # cells at the default resolution; rect_dynamic and fig8_static cover the
 # trajectory kinds that the default (fig8_dynamic) does not; contended shares
 # slots, so frames collide, with a propagation delay and heavy random loss.
@@ -58,7 +59,11 @@ CASES = (
         "formation",
         {"n_nodes": 8, "duration_s": 10.0},
         (101, 202),
-        (("simulate", "simulate", None), ("metrics", "metrics", "simulate/runlog.jsonl")),
+        (
+            ("simulate", "simulate", None),
+            ("metrics", "metrics", "simulate/runlog.jsonl"),
+            ("traces", "traces", "simulate/runlog.jsonl"),
+        ),
     ),
     ("dataset", {"n_groups": 4}, (101, 202), _DATASET_STEPS),
     ("netstorm", {"n_nodes": 8, "n_slots": 8, "duration_s": 60.0}, (101, 202), (("netbench", "netbench", None),)),

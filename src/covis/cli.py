@@ -14,9 +14,10 @@ by the rules of ``Vec3``, ``UnitQuat`` and ``PoseEstimate``, so a defect gives
 the same message in either input. On a dataset, ``metrics`` builds each line's
 poses and estimates with those constructors and fuses the line's grids before
 it reads the next line, so only the numbers scoring needs outlive a line. On a
-runlog, ``metrics`` and ``traces`` share one pass (``_RunlogReader``) that calls
-the constructors' rule functions and keeps each line's numbers, never its
-decoded object; ``metrics`` skips a bad line, ``traces`` exits on the first.
+runlog, ``metrics`` and ``traces`` take each line's checked pose from one
+generator (``_runlog_lines``) and keep only the numbers they use, never the
+decoded line; ``metrics`` also checks the estimates and skips a bad line, and
+``traces`` reads no estimate and stops at its first bad line.
 ``simulate`` and ``netbench`` write their logs as the run goes. A run that
 fails, whatever its exit code, removes every file its command writes.
 
@@ -271,98 +272,80 @@ def _fusion_scores(nodes: dict, ests: list[PoseEstimate], cfg: RunConfig) -> lis
     return out
 
 
-class _RunlogReader:
-    """One pass over a runlog's record lines, each checked as it is read.
+def _runlog_lines(lines: Iterable[str], cfg: RunConfig, errors: dict[int, str]):
+    """(line number, decoded line, (tick, node id), 7 pose numbers) of each runlog line that passes.
 
-    A line's pose and estimates go through the functions that the Vec3,
-    UnitQuat and PoseEstimate constructors call, without building those
-    objects, so a runlog line fails with the message a dataset line would.
-    A line keeps its pose row, ``t`` and ``gated``, and the numbers and
-    (peer_tick, dst) key of each estimate before its first failure, in flat
-    arrays, with that failure; the decoded line is not kept, and a line whose
-    estimates fail still offers its pose. ``edges`` pairs the estimates with
-    their peers' poses.
+    A line's JSON, ``t``, pose and ``node_id`` are checked in that order, the
+    pose by the rules of Vec3 and UnitQuat; ``errors`` gets each failed line's
+    first failure.
     """
-
-    def __init__(self, lines: Iterable[str], cfg: RunConfig):
-        period = 1.0 / cfg.superframe_hz
-        self.fov = cfg.fov_deg
-        self.errors: dict[int, str] = {}  # line number -> first failure
-        self.line_nos = array("q")  # line number per pose row
-        # 7 numbers per pose; per estimate, its p_hat, q_hat and sigma_p.
-        poses, self.est_values = array("d"), array("d")
-        self.keys = []  # (tick, node id) per pose row
-        self.t, self.gated = array("d"), bytearray()  # per pose row
-        self.bad_gated: dict[int, str] = {}  # line -> message, for traces alone
-        self.bad_estimates: dict[int, str] = {}  # line -> its estimates' first failure, for metrics alone
-        self.peers, self.ends = array("q"), array("q")  # peer_tick, dst per estimate; per pose row, its end
-        for no, line in enumerate(lines, start=2):  # header was line 1
-            try:
-                rec = json.loads(line)
-                tick = round(_typed(rec, "t", "a number") / period)
-                pose = _pose(rec["pose_truth"])
-                key = (tick, _typed(rec, "node_id"))
-            except Exception as exc:
-                self.errors[no] = str(exc)
-                continue
-            self.keys.append(key)
-            self.line_nos.append(no)
-            self.t.append(rec["t"])
-            poses.extend(pose)
-            gated = rec.get("gated")
-            if type(gated) is not bool:
-                self.bad_gated[no] = f"gated {gated!r} is not a bool"
-            self.gated.append(gated is True)
-            values, peers = [], []  # of the line's estimates before its first failure
-            try:  # in the order _edges_from_dataset builds a PoseEstimate
-                for d in rec["estimates"]:
-                    p_hat = vec3_components(_vector(d, "p_hat", 3))
-                    sigma_p = vec3_components(_vector(d, "sigma_p", 3))
-                    q_hat = unit_quat_components(_vector(d, "q_hat", 4))
-                    sigma_q, src, dst = _typed(d, "sigma_q", "a number"), _typed(d, "src"), _typed(d, "dst")
-                    check_sigmas(sigma_p, sigma_q)
-                    if src != rec["node_id"]:
-                        raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
-                    peers += (_typed(d, "peer_tick"), dst)
-                    values += (*p_hat, *q_hat, *sigma_p)
-            except Exception as exc:
-                self.bad_estimates[no] = str(exc)
-            self.est_values += array("d", values)
-            try:
-                self.peers += array("q", peers)
-            except OverflowError:  # beyond int64: the keys go on as Python ints
-                self.peers = [*self.peers, *peers]
-            self.ends.append(len(self.peers) // 2)
-        rows = np.frombuffer(poses).reshape(-1, 7)
-        self.p, self.q = rows[:, :3], rows[:, 3:]
-        # A later line of the same tick and node wins.
-        self.pose_at = {key: row for row, key in enumerate(self.keys)}
-
-    def edges(self) -> tuple[EdgeColumns, list[tuple[int, str]]]:
-        """Edges of the lines that pass every check, and (line, first failure) of those that do not.
-
-        Each estimate is paired with its peer's pose row. A line's first failure is its
-        pose's; else, taking its estimates in order, the first that fails a check or
-        whose peer has no pose."""
-        peers = self.peers
-        found = array("q", map(self.pose_at.get, zip(peers[::2], peers[1::2]), itertools.repeat(-1)))
-        for no, start, end in zip(self.line_nos, [0, *self.ends], self.ends):
-            if -1 in found[start:end]:  # an estimate before the line's failure, if any
-                k = 2 * found.index(-1, start, end)
-                self.errors[no] = f"no pose of peer node {peers[k + 1]} at tick {peers[k]}"
-            elif no in self.bad_estimates:
-                self.errors[no] = self.bad_estimates[no]
-        counts = np.diff(np.frombuffer(self.ends, dtype=np.int64), prepend=0)  # estimates per pose row
-        keep = np.repeat(np.array([no not in self.errors for no in self.line_nos], dtype=bool), counts)
-        i, j = np.repeat(np.arange(len(counts)), counts)[keep], np.frombuffer(found, dtype=np.int64)[keep]
-        t_pos, t_quat = relative_pose_rows(self.p[i], self.q[i], self.p[j], self.q[j])
-        est = np.frombuffer(self.est_values).reshape(-1, 10)[keep]
-        columns = EdgeColumns(t_pos, t_quat, est[:, :3], est[:, 3:7], est[:, 7:], np.full(len(est), self.fov))
-        return columns, sorted(self.errors.items())
+    period = 1.0 / cfg.superframe_hz
+    for no, line in enumerate(lines, start=2):  # header was line 1
+        try:
+            rec = json.loads(line)
+            tick = round(_typed(rec, "t", "a number") / period)
+            pose = _pose(rec["pose_truth"])
+            key = (tick, _typed(rec, "node_id"))
+        except Exception as exc:
+            errors[no] = str(exc)
+            continue
+        yield no, rec, key, pose
 
 
 def _edges_from_runlog(lines: Iterable[str], cfg: RunConfig):
-    return *_RunlogReader(lines, cfg).edges(), []
+    """Edges of the lines that pass every check, and (line, first failure) of those that do not.
+
+    Estimates are checked by the functions that the Vec3, UnitQuat and
+    PoseEstimate constructors call, so a runlog line fails with a dataset
+    line's message. A line keeps its pose row, and the numbers and (peer_tick,
+    dst) key of each estimate before its first failure, in flat arrays; its
+    pose is offered to its peers even if an estimate fails. A line's first
+    failure is its pose's; else, taking its estimates in order, the first
+    that fails a check or whose peer has no pose.
+    """
+    errors: dict[int, str] = {}  # line number -> first failure
+    line_nos, keys = array("q"), []  # per pose row
+    # 7 numbers per pose; per estimate, its p_hat, q_hat and sigma_p.
+    poses, values = array("d"), array("d")
+    peers, ends = array("q"), array("q")  # peer_tick, dst per estimate; per pose row, its end
+    for no, rec, key, pose in _runlog_lines(lines, cfg, errors):
+        line_nos.append(no)
+        keys.append(key)
+        poses.extend(pose)
+        line_values, line_peers = [], []  # of the line's estimates before its first failure
+        try:  # in the order _edges_from_dataset builds a PoseEstimate
+            for d in rec["estimates"]:
+                p_hat = vec3_components(_vector(d, "p_hat", 3))
+                sigma_p = vec3_components(_vector(d, "sigma_p", 3))
+                q_hat = unit_quat_components(_vector(d, "q_hat", 4))
+                sigma_q, src, dst = _typed(d, "sigma_q", "a number"), _typed(d, "src"), _typed(d, "dst")
+                check_sigmas(sigma_p, sigma_q)
+                if src != rec["node_id"]:
+                    raise LookupError(f"estimate {src}->{dst} logged by node {rec['node_id']}")
+                line_peers += (_typed(d, "peer_tick"), dst)
+                line_values += (*p_hat, *q_hat, *sigma_p)
+        except Exception as exc:
+            errors[no] = str(exc)  # unless an estimate before it has no peer pose
+        values += array("d", line_values)
+        try:
+            peers += array("q", line_peers)
+        except OverflowError:  # beyond int64: the keys go on as Python ints
+            peers = [*peers, *line_peers]
+        ends.append(len(peers) // 2)
+    pose_at = {key: row for row, key in enumerate(keys)}  # a later line of the same tick and node wins
+    found = array("q", map(pose_at.get, zip(peers[::2], peers[1::2]), itertools.repeat(-1)))
+    for no, start, end in zip(line_nos, [0, *ends], ends):
+        if -1 in found[start:end]:  # an estimate before the line's failure, if any
+            k = 2 * found.index(-1, start, end)
+            errors[no] = f"no pose of peer node {peers[k + 1]} at tick {peers[k]}"
+    counts = np.diff(np.frombuffer(ends, dtype=np.int64), prepend=0)  # estimates per pose row
+    keep = np.repeat(np.array([no not in errors for no in line_nos], dtype=bool), counts)
+    i, j = np.repeat(np.arange(len(counts)), counts)[keep], np.frombuffer(found, dtype=np.int64)[keep]
+    rows = np.frombuffer(poses).reshape(-1, 7)
+    t_pos, t_quat = relative_pose_rows(rows[i, :3], rows[i, 3:], rows[j, :3], rows[j, 3:])
+    est = np.frombuffer(values).reshape(-1, 10)[keep]
+    columns = EdgeColumns(t_pos, t_quat, est[:, :3], est[:, 3:7], est[:, 7:], np.full(len(est), cfg.fov_deg))
+    return columns, sorted(errors.items()), []
 
 
 def cmd_metrics(args) -> None:
@@ -500,18 +483,25 @@ def cmd_traces(args) -> None:
     if schema != RUNLOG_SCHEMA:
         raise ValueError("traces needs a runlog input")
     out = _out_dir(args)
-    reader = _RunlogReader(lines, cfg)
-    for no, message in reader.bad_gated.items():
-        reader.errors.setdefault(no, message)
-    if reader.errors:  # the first bad line ends the command
-        raise ValueError("line %d: %s" % min(reader.errors.items()))
-    keys, rows, pos_err, rot_err = follower_error_rows(reader.keys, reader.p, reader.q, follower_offsets(cfg))
-    xyz, yaw = reader.p[rows].tolist(), yaw_rows(reader.q[rows]).tolist()
-    errors = zip(pos_err.tolist(), rot_err.tolist())
+    errors: dict[int, str] = {}
+    keys, poses, t, gated = [], array("d"), array("d"), []  # per pose row
+    for no, rec, key, pose in _runlog_lines(itertools.takewhile(lambda _: not errors, lines), cfg, errors):
+        if type(rec.get("gated")) is not bool:
+            errors[no] = f"gated {rec.get('gated')!r} is not a bool"
+            break
+        keys.append(key)
+        poses.extend(pose)
+        t.append(rec["t"])
+        gated.append(rec["gated"])
+    if errors:
+        raise ValueError("line %d: %s" % min(errors.items()))
+    poses = np.frombuffer(poses).reshape(-1, 7)
+    keys, rows, pos_err, rot_err = follower_error_rows(keys, poses, follower_offsets(cfg))
+    xyz, yaw = poses[rows, :3].tolist(), yaw_rows(poses[rows, 3:]).tolist()
     traces = [
-        {"schema": "covis.traces@1", "t": reader.t[row], "node_id": node, "x_m": x, "y_m": y,
-         "yaw_rad": a, "gated": bool(reader.gated[row]), "pos_err_m": pos, "rot_err_deg": rot}
-        for (_, node), row, (x, y, _), a, (pos, rot) in zip(keys, rows, xyz, yaw, errors)
+        {"schema": "covis.traces@1", "t": t[row], "node_id": node, "x_m": x, "y_m": y,
+         "yaw_rad": a, "gated": gated[row], "pos_err_m": pos, "rot_err_deg": rot}
+        for (_, node), row, (x, y, _), a, pos, rot in zip(keys, rows, xyz, yaw, pos_err.tolist(), rot_err.tolist())
     ]
     _write_rows(out / "traces", traces, args.format)
 

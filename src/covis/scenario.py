@@ -598,22 +598,22 @@ def runlog_jsonl(cfg: RunConfig, records: list[dict]) -> str:
 
 
 def follower_error_rows(
-    keys, p, q, offsets: dict[int, Pose]
+    keys, poses: np.ndarray, offsets: dict[int, Pose]
 ) -> tuple[list, list[int], np.ndarray, np.ndarray]:
     """The follower tracking table of a run's pose rows: its keys and rows, with their errors.
 
-    ``keys[k]`` is the (time, node id) of row k of ``p`` and ``q`` (unit
-    quaternion rows). The table keeps the last row of each key, in key order,
-    and gives each its position (m) and rotation (deg) tracking error. A
-    follower row compares the true leader pose of the same time, in the
-    follower's frame, with the follower's offset. Rows of the leader or any
-    node without an offset, and follower rows whose time has no leader row,
-    are NaN.
+    ``keys[k]`` is the (time, node id) of row k of ``poses``, an (n, 7) array
+    of position xyz and unit quaternion wxyz, as a run writes them. The table
+    keeps the last row of each key, in key order, and gives each its position
+    (m) and rotation (deg) tracking error. A follower row compares the true
+    leader pose of the same time, in the follower's frame, with the
+    follower's offset. Rows of the leader or any node without an offset, and
+    follower rows whose time has no leader row, are NaN.
     """
     row_at = {key: k for k, key in enumerate(keys)}
     keys = sorted(row_at)
     rows = [row_at[key] for key in keys]
-    p, q = p[rows], q[rows]
+    p, q = poses[rows, :3], poses[rows, 3:]
     leader_at = {t: k for k, (t, node) in enumerate(keys) if node == FormationRun.LEADER}
     scored = [k for k, (t, node) in enumerate(keys) if node in offsets and t in leader_at]
     lead = [leader_at[keys[k][0]] for k in scored]
@@ -640,13 +640,12 @@ def tracking_stats(
 ) -> dict[int, dict[str, float]]:
     """Per-follower tracking statistics from a run's (time, node id) keys and pose rows.
 
-    Row k of ``poses`` is position xyz and unit quaternion wxyz of ``keys[k]``,
-    as a run writes them; ``follower_error_rows`` keeps the last row of each
-    key. Position error is the distance between the true relative leader pose
-    and the reference offset; rotation error is their geodesic yaw gap.
-    ``Vel`` is the mean realized speed.
+    ``keys`` and ``poses`` are as ``follower_error_rows`` reads them, and it
+    keeps the last row of each key. Position error is the distance between
+    the true relative leader pose and the reference offset; rotation error is
+    their geodesic yaw gap. ``Vel`` is the mean realized speed.
     """
-    keys, table, pos_err, rot_err = follower_error_rows(keys, poses[:, :3], poses[:, 3:], offsets)
+    keys, table, pos_err, rot_err = follower_error_rows(keys, poses, offsets)
     times = sorted({t for t, _ in keys})
     dt = times[1] - times[0] if len(times) > 1 else 1.0
     p = poses[table, :3]

@@ -19,12 +19,12 @@ def test_this_tree_against_itself(tmp_path, capsys):
     assert alternate.main(argv) == 0
     title, header, *rows = capsys.readouterr().out.splitlines()
     assert title == f"covis homing --config {config}: 2 rounds"
-    assert header.split() == ["tree", "min_s", "median_s", "won"]
+    assert header.split() == ["tree", "min_s", "median_s", "iqr_s", "won"]
     assert [row.split()[0] for row in rows] == [str(ROOT)] * 2
     for row in rows:
-        low, median, won = row.split()[1:]
-        assert 0.0 < float(low) <= float(median) and won in "012"
-    assert sum(int(row.split()[3]) for row in rows) <= 2
+        low, median, spread, won = row.split()[1:]
+        assert 0.0 < float(low) <= float(median) and float(spread) >= 0.0 and won in "012"
+    assert sum(int(row.split()[4]) for row in rows) <= 2
 
 
 def test_rounds_alternate_which_tree_runs_first(monkeypatch):
@@ -33,6 +33,11 @@ def test_rounds_alternate_which_tree_runs_first(monkeypatch):
     times = alternate.alternate((Path("a"), Path("b")), ["homing"], 3)
     assert calls == [Path(t) for t in "abbaab"]
     assert times == [[1.0, 4.0, 5.0], [2.0, 3.0, 6.0]]
+
+
+def test_iqr_is_the_inclusive_quartile_distance():
+    assert alternate.iqr([0.5]) == 0.0
+    assert alternate.iqr([4.0, 1.0, 3.0, 2.0]) == 1.5  # quartiles 1.75 and 3.25
 
 
 def test_a_failed_command_is_reported(tmp_path):

@@ -14,7 +14,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from covis.cli import (
@@ -32,7 +32,7 @@ from covis.cli import (
 )
 from covis.bev import BevGrid, fuse
 from covis.config import ConfigError, RunConfig
-from covis.estimator import PoseEstimate
+from covis.estimator import PoseEstimate, check_sigmas
 from covis.geometry import Pose, UnitQuat, Vec3, relative_pose, rot_geodesic_deg
 from covis.metrics import MIN_TRANSLATION, EdgeColumns, EdgeRecord, is_invisible, mask_dice_iou, pos_error, rot_error_deg
 from covis.netsim import BroadcastNode, Simulator, capture_line
@@ -796,6 +796,17 @@ class TestTraces:
         assert rc == EXIT_VALIDATION
         assert f"line {len(records) + 1}:" in caplog.text
 
+    def test_traces_checks_no_estimate(self, tmp_path, metrics_inputs, monkeypatch):
+        # traces reads each line's pose, t and gated; metrics checks each estimate once.
+        source = metrics_inputs("runlog-formation", 101)
+        calls = []
+        monkeypatch.setattr("covis.cli.check_sigmas", lambda *args: calls.append(args) or check_sigmas(*args))
+        assert main(["traces", "--input", str(source), "--out", str(tmp_path / "tr")]) == EXIT_OK
+        assert calls == []
+        assert main(["metrics", "--input", str(source), "--out", str(tmp_path / "m")]) == EXIT_OK
+        estimates = sum(len(json.loads(line)["estimates"]) for line in source.read_text().splitlines()[1:])
+        assert len(calls) == estimates > 0
+
 
 class TestJsonlFormat:
     def test_summary_jsonl(self, tmp_path):
@@ -1246,6 +1257,12 @@ def _vectors(n, good):
     )
 
 
+def _float_vectors(n, good):
+    """``_vectors`` with each integer a float, as a run writes it: the traces reference writes
+    a position as it reads it, where traces writes every number as a float."""
+    return _vectors(n, good).map(lambda v: [float(c) if type(c) is int else c for c in v])
+
+
 class TestMetricsMatchReference:
     @pytest.mark.parametrize("seed", [101, 202])
     @pytest.mark.parametrize("name", sorted(METRICS_INPUTS))
@@ -1408,6 +1425,87 @@ class TestTracesMatchReference:
         _traces_reference(source, tmp_path / "want")
         got = (tmp_path / "got" / "traces.csv").read_bytes()
         assert got == (tmp_path / "want" / "traces.csv").read_bytes()
+
+    @staticmethod
+    def first_refused(lines, cfg):
+        """Number of the first line whose JSON, t, pose, node_id or gated traces refuses, else None."""
+        period = 1.0 / cfg.superframe_hz
+        for no, line in enumerate(lines, start=2):
+            try:
+                rec = json.loads(line)
+                round(_reference_integer(rec["t"], (int, float)) / period)
+                _reference_pose(rec["pose_truth"])
+                _reference_integer(rec["node_id"])
+                if type(rec["gated"]) is not bool:
+                    raise ValueError("gated is not a bool")
+            except Exception:
+                return no
+        return None
+
+    # (line index, field, value): the kept and the refused values of each field a
+    # line of traces holds, and of an estimate, which traces reads nothing of.
+    CHANGES = st.lists(
+        st.one_of(
+            st.tuples(st.integers(0, 29), st.just("t"), st.one_of(
+                st.integers(-2, 3),  # an integer t is at a tick of its own, or at t = 0.0
+                st.sampled_from([math.inf, math.nan, 10**400, True, "0.0", None, [0.0]]),
+            )),
+            st.tuples(st.integers(0, 29), st.just("p"), _float_vectors(3, st.lists(
+                st.floats(-10.0, 10.0), min_size=3, max_size=3))),
+            st.tuples(st.integers(0, 29), st.just("q"), _float_vectors(4, _edge_quats())),
+            st.tuples(st.integers(0, 29), st.just("node_id"), st.one_of(
+                st.integers(0, 3), st.just(10**30), st.sampled_from([True, 1.0, "1", None, [1]]),
+            )),
+            st.tuples(st.integers(0, 29), st.just("gated"), st.sampled_from([True, False, None, 0, 1, "true"])),
+            st.tuples(st.integers(0, 29), st.just("estimate"), st.tuples(st.sampled_from(
+                ["p_hat", "sigma_p", "q_hat", "sigma_q", "src", "dst", "peer_tick", "estimates"]), _COMPONENTS)),
+            st.tuples(st.integers(0, 29), st.just("json"), st.sampled_from(["{", "{}", "[]", "null", '"t"'])),
+        ),
+        min_size=1, max_size=2, unique_by=lambda change: change[0],
+    )
+
+    @settings(max_examples=300, derandomize=True, database=None, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow, HealthCheck.function_scoped_fixture])
+    @given(changes=CHANGES)
+    # A bad gated on an earlier line than a bad pose, and the reverse: line 6 is named either way.
+    @example(changes=[(4, "gated", None), (12, "p", [math.inf, 0.0, 0.0])])
+    @example(changes=[(4, "p", [math.inf, 0.0, 0.0]), (12, "gated", None)])
+    def test_first_refused_line_or_the_reference(self, metrics_inputs, caplog, changes):
+        # The first 30 records of a default runlog, with one or two lines changed.
+        source = metrics_inputs("runlog-default", 101)
+        cfg, _, lines = _read_input(argparse.Namespace(config=None, seed=None, input=str(source)))
+        lines = list(itertools.islice(lines, 30))
+        for k, field, value in changes:
+            if field == "json":
+                lines[k] = value
+                continue
+            rec = json.loads(lines[k])
+            if field in ("p", "q"):
+                rec["pose_truth"][field] = value
+            elif field == "estimate":
+                key, junk = value
+                if key == "estimates":
+                    rec["estimates"] = junk
+                else:
+                    rec["estimates"] = rec["estimates"] or [{}]
+                    rec["estimates"][0][key] = junk
+            else:
+                rec[field] = value
+            lines[k] = json.dumps(rec)
+        refused = self.first_refused(lines, cfg)
+        with tempfile.TemporaryDirectory() as tmp:
+            runlog = Path(tmp) / "runlog.jsonl"
+            runlog.write_text("\n".join([source.read_text().split("\n", 1)[0], *lines]) + "\n")
+            caplog.clear()
+            code = main(["traces", "--input", str(runlog), "--out", str(Path(tmp) / "got")])
+            if refused is not None:
+                assert code == EXIT_VALIDATION
+                assert f"validation: line {refused}: " in caplog.text
+            else:
+                assert code == EXIT_OK, caplog.text
+                _traces_reference(runlog, Path(tmp) / "want")
+                got = (Path(tmp) / "got" / "traces.csv").read_bytes()
+                assert got == (Path(tmp) / "want" / "traces.csv").read_bytes()
 
     def test_missing_leader_ticks(self, tmp_path, metrics_inputs):
         # Followers keep their rows at ticks without a leader record, with NaN errors.

@@ -7,7 +7,9 @@ Each run is a fresh Python process with ``PYTHONPATH`` set to the tree's
 start and imports stay out of the number. ``--out`` goes to a new temporary
 directory per run. Round k runs the first tree first when k is even and the
 second tree first when k is odd. For each side the tool prints the minimum
-and median seconds and the rounds it won; a tie counts for neither.
+and median seconds, the interquartile range (the distance between the
+inclusive quartiles, as ``tools/bench_json.py`` takes them) and the rounds it
+won; a tie counts for neither.
 """
 
 from __future__ import annotations
@@ -53,6 +55,14 @@ def alternate(trees: tuple[Path, Path], command: list[str], rounds: int) -> list
     return times
 
 
+def iqr(times: list[float]) -> float:
+    """Distance between the inclusive quartiles of ``times``; 0 for a single run."""
+    if len(times) < 2:
+        return 0.0
+    q1, _, q3 = statistics.quantiles(times, n=4, method="inclusive")
+    return q3 - q1
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     split = argv.index("--") if "--" in argv else len(argv)
@@ -68,9 +78,9 @@ def main(argv=None) -> int:
     times = alternate((args.first, args.second), command, args.rounds)
     won = [sum(a < b for a, b in zip(times[side], times[1 - side])) for side in (0, 1)]
     print(f"covis {' '.join(command)}: {args.rounds} rounds")
-    print(f"{'tree':<40} {'min_s':>10} {'median_s':>10} {'won':>5}")
+    print(f"{'tree':<40} {'min_s':>10} {'median_s':>10} {'iqr_s':>10} {'won':>5}")
     for tree, t, w in zip((args.first, args.second), times, won):
-        print(f"{str(tree):<40} {min(t):>10.4f} {statistics.median(t):>10.4f} {w:>5}")
+        print(f"{str(tree):<40} {min(t):>10.4f} {statistics.median(t):>10.4f} {iqr(t):>10.4f} {w:>5}")
     return 0
 
 

@@ -8,7 +8,8 @@ for y. "Occupied" is the complement of navigable space.
 
 ``BevGrid.sample`` is the one nearest-cell lookup for such grids, the world
 floor of ``scenario`` (a ``BevGrid`` in world coordinates) included: a point
-off the grid reads unknown. ``cell_centres`` gives the centre of every cell.
+off the grid reads unknown. ``cell_centres`` gives the centre of every cell,
+cached per geometry.
 
 ``to_base64`` writes and ``from_base64`` reads the wire form as base64 text:
 a 16-byte header (H, W as uint32, resolution as float32, 4 reserved bytes)
@@ -21,6 +22,7 @@ import base64
 import math
 import struct
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -107,11 +109,14 @@ class BevGrid:
         return BevGrid(cells, extent=h * float(res), resolution=float(res))
 
 
+@lru_cache(maxsize=4)  # callers use one crop geometry per process
 def cell_centres(extent: float, resolution: float) -> tuple[np.ndarray, np.ndarray]:
-    """x and y of every cell centre of a square grid, indexed like its cells."""
+    """x and y of every cell centre of a square grid, indexed like its cells (read-only)."""
     n = int(round(extent / resolution))
     coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
-    return np.meshgrid(coords, coords, indexing="ij")
+    xs, ys = np.meshgrid(coords, coords, indexing="ij")
+    xs.flags.writeable = ys.flags.writeable = False
+    return xs, ys
 
 
 def transform_grid(src: BevGrid, rel: Pose) -> BevGrid:

@@ -11,7 +11,8 @@ Subcommands::
 
 Inputs are read one line at a time, and each line is checked as it is read
 by the rules of ``Vec3``, ``UnitQuat`` and ``PoseEstimate``, so a defect gives
-the same message in either input. On a dataset, ``metrics`` builds each line's
+the same message in either input. A byte that is not UTF-8 fails its own
+line only. On a dataset, ``metrics`` builds each line's
 poses and estimates with those constructors and fuses the line's grids before
 it reads the next line, so only the numbers scoring needs outlive a line. On a
 runlog, ``metrics`` and ``traces`` take each line's checked pose from one
@@ -96,9 +97,11 @@ def _text_lines(path) -> Iterator[str]:
     """The lines of ``Path(path).read_text().strip().split("\\n")``, read one at a time.
 
     Blank lines before the first text line and after the last are dropped, the
-    text is stripped at both ends, and a blank line in between is kept.
+    text is stripped at both ends, and a blank line in between is kept. A byte
+    that is not UTF-8 is kept as a lone surrogate, so that ``_utf8`` fails its
+    own line and no other.
     """
-    with open(path) as file:
+    with open(path, encoding="utf-8", errors="surrogateescape") as file:
         held: list[str] = []  # the latest text line, then the blank lines read after it
         for line in file:
             line = line.removesuffix("\n")
@@ -110,6 +113,11 @@ def _text_lines(path) -> Iterator[str]:
         yield held[0].rstrip() if held else ""
 
 
+def _utf8(line: str) -> str:
+    """A line of ``_text_lines``, or UnicodeDecodeError at its first byte that is not UTF-8."""
+    return line if line.isascii() else line.encode("utf-8", "surrogateescape").decode("utf-8")
+
+
 def _read_input(args) -> tuple[RunConfig, str, Iterator[str]]:
     """Config, header schema and record lines of a JSONL input.
 
@@ -119,7 +127,10 @@ def _read_input(args) -> tuple[RunConfig, str, Iterator[str]]:
     """
     cfg = _load_config(args)
     lines = _text_lines(args.input)
-    header = json.loads(next(lines))
+    try:
+        header = json.loads(_utf8(next(lines)))
+    except ValueError as exc:  # bad JSON or a byte that is not UTF-8
+        raise ValueError(f"line 1: {exc}") from exc
     if not isinstance(header, dict):
         raise ValueError("header line is not a JSON object")
     schema = header.get("schema", "")
@@ -231,7 +242,7 @@ def _edges_from_dataset(lines: Iterable[str], cfg: RunConfig):
     rows, errors, grid_scores = array("d"), [], []  # rows: 25 numbers per edge, as unpacked below
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
-            rec = json.loads(line)
+            rec = json.loads(_utf8(line))
             nodes = {}
             for n in rec["nodes"]:
                 if nodes.setdefault(_typed(n, "id"), n) is not n:
@@ -282,7 +293,7 @@ def _runlog_lines(lines: Iterable[str], cfg: RunConfig, errors: dict[int, str]):
     period = 1.0 / cfg.superframe_hz
     for no, line in enumerate(lines, start=2):  # header was line 1
         try:
-            rec = json.loads(line)
+            rec = json.loads(_utf8(line))
             tick = round(_typed(rec, "t", "a number") / period)
             pose = _pose(rec["pose_truth"])
             key = (tick, _typed(rec, "node_id"))

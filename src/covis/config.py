@@ -113,8 +113,8 @@ class RunConfig:
         if not p.exists():
             raise ConfigError(f"config file not found: {p}")
         try:
-            data = json.loads(p.read_text())
-        except json.JSONDecodeError as exc:
+            data = json.loads(p.read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:  # JSON text is UTF-8 (RFC 8259)
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
         return RunConfig.from_dict(data)
 

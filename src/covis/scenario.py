@@ -141,10 +141,15 @@ def sample_free_position(world: BevGrid, rng: np.random.Generator) -> tuple[floa
 
 
 _RAY_STEPS = 96  # samples per visibility ray
-# Samples per block of whole rays. Each float64 temporary of a block is then
-# about 100 kB, under glibc's 128 kB mmap threshold, so freed buffers are
-# reused instead of being faulted in again on every call.
-_RAY_BLOCK = 12_000
+# Samples per block of whole rays. A call tests only the samples that a wall
+# can reach, a few percent of a block in open rooms, so the block bounds the
+# worst case: a pose within a wall cell's half-diagonal of its centre, where
+# every sample is tested. One block then holds the default 64 x 64 crop at
+# any FOV, and no float64 temporary exceeds about 2 MB.
+_RAY_BLOCK = 1 << 18
+_FIRST_SAMPLES = 8  # tested on every ray first; the rest only on rays still clear
+_BEARING_BINS = 2048  # world-bearing bins of the wall ranges
+_BIN = 2.0 * math.pi / _BEARING_BINS
 
 
 def _to_world(pose: Pose, ex: np.ndarray, ey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -171,12 +176,15 @@ class _RayTable:
     (i, j) is the pair of entries (i, k) and (j, k). ``blocks`` holds, per
     block of whole rays, the slice of ``marched`` it covers, the flat indices
     into ``points`` of its samples' x and y (views into one array each, ray
-    after ray) and each ray's first sample within the block. Small integer
+    after ray) and each ray's first sample within the block, so a ray's
+    sample count is the gap to the next ray's first sample. Small integer
     indices keep the table at a quarter of the size of the float64 points.
     """
 
     in_fov: np.ndarray  # cells whose bearing lies inside the FOV
     marched: np.ndarray  # flat index of each in-FOV cell whose ray has a sample
+    length: np.ndarray  # each marched ray's length, the distance to its cell's centre
+    bearing: np.ndarray  # each marched ray's ego bearing in radians
     points: np.ndarray
     blocks: tuple[tuple[slice, np.ndarray, np.ndarray, np.ndarray], ...]
 
@@ -185,8 +193,8 @@ class _RayTable:
 def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
     ex, ey = cell_centres(extent, resolution)
     n = ex.shape[0]
-    bearing = np.degrees(np.arctan2(ey, ex))
-    in_fov = np.abs(bearing) <= fov_deg / 2.0
+    bearing = np.arctan2(ey, ex)
+    in_fov = np.abs(np.degrees(bearing)) <= fov_deg / 2.0
     # Only cells inside the FOV can be visible, so only their rays are marched.
     cells = np.flatnonzero(in_fov)
 
@@ -196,7 +204,8 @@ def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
     alphas = (np.arange(_RAY_STEPS) + 0.5) / _RAY_STEPS
     cutoff = 1.0 - resolution / np.maximum(dist, resolution)
     steps = np.searchsorted(alphas, cutoff)  # how many alphas lie below each cutoff
-    cells, steps = cells[steps > 0], steps[steps > 0]  # a ray without samples is clear
+    keep = steps > 0  # a ray without samples is clear
+    cells, steps, dist = cells[keep], steps[keep], dist[keep]
     ends = np.cumsum(steps)
     first = ends - steps
     k = np.arange(ends[-1] if ends.size else 0) - np.repeat(first, steps)
@@ -213,10 +222,59 @@ def _ray_blocks(extent: float, resolution: float, fov_deg: float) -> _RayTable:
     for r0, r1 in zip(bounds, bounds[1:]):
         s0, s1 = first[r0], ends[r1 - 1]
         blocks.append((slice(r0, r1), ix[s0:s1], iy[s0:s1], first[r0:r1] - s0))
-    table = _RayTable(in_fov, cells, points, tuple(blocks))
-    for a in (table.in_fov, table.marched, table.points, *(block[3] for block in blocks)):
+    table = _RayTable(in_fov, cells, dist, bearing.ravel()[cells], points, tuple(blocks))
+    for a in (table.in_fov, table.marched, table.length, table.bearing, table.points, *(block[3] for block in blocks)):
         a.flags.writeable = False
     return table
+
+
+def _wall_ranges(world: BevGrid, pose: Pose, reach: float) -> np.ndarray:
+    """Per world-bearing bin, the nearest range from ``pose`` at which a sample can lie in a wall.
+
+    A point inside a wall cell lies within the cell's half-diagonal rho of the
+    cell's centre c. So its bearing is within asin(rho / |c|) of the centre's
+    and its range is at least |c| - rho. Each wall cell that a sample short of
+    ``reach`` can lie in lowers the bins of that bearing interval, widened by
+    one bin on each side, to |c| - rho; one with |c| <= rho lowers every bin
+    to 0. A bin that no wall reaches holds inf.
+    """
+    res, half, n = world.resolution, world.extent / 2.0, world.cells.shape[0]
+    rho = res * math.sqrt(0.5)
+    x, y, r = pose.position.x, pose.position.y, reach + rho
+    i0, j0 = (max(math.floor((v - r + half) / res), 0) for v in (x, y))
+    i1, j1 = (min(math.floor((v + r + half) / res) + 1, n) for v in (x, y))
+    ranges = np.full(_BEARING_BINS, np.inf)
+    if i0 >= i1 or j0 >= j1:  # the crop lies off the world
+        return ranges
+    wi, wj = np.divmod(np.flatnonzero(world.cells[i0:i1, j0:j1] > 0.5), j1 - j0)
+    cx, cy = (wi + (i0 + 0.5)) * res - (half + x), (wj + (j0 + 0.5)) * res - (half + y)
+    dist = np.hypot(cx, cy)
+    near = dist < r
+    if not near.any():
+        return ranges
+    cx, cy, dist = cx[near], cy[near], dist[near]
+    if dist.min() <= rho:
+        ranges[:] = 0.0
+        return ranges
+    theta, spread = np.arctan2(cy, cx), np.arcsin(rho / dist)
+    lo = np.floor((theta - spread) / _BIN).astype(np.intp) - 1
+    counts = np.floor((theta + spread) / _BIN).astype(np.intp) + 2 - lo
+    ends = np.cumsum(counts)
+    bins = np.arange(ends[-1]) + np.repeat(lo - (ends - counts), counts)
+    np.minimum.at(ranges, bins % _BEARING_BINS, np.repeat(dist - rho, counts))
+    return ranges
+
+
+def _clear_samples(walls: np.ndarray, bearing: np.ndarray, length: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """How many of each ray's first samples no wall can reach, less one sample of margin.
+
+    ``walls`` is ``_wall_ranges``' table, and ``bearing`` each ray's world
+    bearing in radians; a ray has ``steps`` samples over its ``length``.
+    """
+    bins = np.floor(bearing / _BIN).astype(np.intp) % _BEARING_BINS
+    # Sample k lies at range (k + 0.5) / _RAY_STEPS of the ray's length.
+    clear = np.ceil(walls.take(bins) * (_RAY_STEPS / length) - 0.5) - 1.0
+    return np.clip(clear, 0, steps).astype(np.intp)
 
 
 def observed_grid(world: BevGrid, pose: Pose, fov_deg: float, truth: BevGrid) -> BevGrid:
@@ -224,18 +282,42 @@ def observed_grid(world: BevGrid, pose: Pose, fov_deg: float, truth: BevGrid) ->
 
     A cell is visible when its bearing lies inside the horizontal FOV and no
     wall blocks the straight line from the ego (walls themselves are visible
-    as the first blocker). Invisible cells are unknown (0.5). ``truth`` is
-    this pose's ``bev_crop``, whose extent and resolution the result takes.
-    Everything but the world transform and the wall lookup is cached per
-    geometry and FOV, and rays are marched in blocks of whole rays.
+    as the first blocker): each ray is sampled at fixed fractions of its
+    length, and a sample in a wall cell blocks it. Invisible cells are
+    unknown (0.5). ``truth`` is this pose's ``bev_crop``, whose extent and
+    resolution the result takes. Everything but the world transform and the
+    wall lookup is cached per geometry and FOV.
+
+    Samples that no wall can reach are skipped: ``_wall_ranges`` bounds, per
+    bearing, the nearest range at which a sample can lie in a wall, and a
+    ray's samples short of that range, less one sample, are clear. The rest
+    are tested as before, the same points through the same lookup: the first
+    ``_FIRST_SAMPLES`` on every ray, then the others on rays still clear. The
+    bound and its bin and sample of margin only choose which samples to
+    skip, so the mask is the one of testing every sample.
     """
     extent, resolution = truth.extent, truth.resolution
     rays = _ray_blocks(extent, resolution, fov_deg)
-    blocked = np.empty(rays.marched.size, dtype=bool)
+    blocked = np.zeros(rays.marched.size, dtype=bool)
+    if rays.blocks:
+        yaw = pose.rotation.yaw()
+        walls = _wall_ranges(world, pose, float(rays.length.max()))
     for which, ix, iy, starts in rays.blocks:
-        wx, wy = _to_world(pose, rays.points.take(ix), rays.points.take(iy))
-        # Samples off the floor read unknown (0.5), which is never a wall.
-        blocked[which] = np.logical_or.reduceat(world.sample(wx, wy) > 0.5, starts)
+        steps = np.diff(starts, append=ix.size)
+        skip = _clear_samples(walls, rays.bearing[which] + yaw, rays.length[which], steps)
+        first, left = starts + skip, steps - skip
+        head = np.minimum(left, _FIRST_SAMPLES)
+        ray_blocked = blocked[which]  # a view: marks land in ``blocked``
+        for at, counts in ((first, head), (first + head, left - head)):
+            tested = np.flatnonzero((counts > 0) & ~ray_blocked)
+            if not tested.size:
+                continue
+            counts = counts[tested]
+            ends = np.cumsum(counts)
+            pos = np.arange(ends[-1]) + np.repeat(at[tested] - (ends - counts), counts)
+            wx, wy = _to_world(pose, rays.points.take(ix.take(pos)), rays.points.take(iy.take(pos)))
+            # Samples off the floor read unknown (0.5), which is never a wall.
+            ray_blocked[tested] = np.logical_or.reduceat(world.sample(wx, wy) > 0.5, ends - counts)
 
     visible = rays.in_fov.copy()
     visible.flat[rays.marched[blocked]] = False

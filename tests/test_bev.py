@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from covis.bev import BevGrid, coverage_gain, fuse, transform_grid
+from covis.bev import BevGrid, cell_centres, coverage_gain, fuse, transform_grid
 from covis.estimator import PoseEstimate
 from covis.geometry import Pose, UnitQuat, Vec3
 
@@ -89,6 +89,21 @@ class TestBevGrid:
         blob = base64.b64decode(BevGrid(np.full((64, 64), 0.5)).to_base64())
         with pytest.raises(ValueError, match="16395 != expected 16400"):
             BevGrid.from_base64(base64.b64encode(blob[:-5]))
+
+
+class TestCellCentres:
+    @pytest.mark.parametrize("extent, resolution", [(6.0, 6.0 / 64), (4.0, 0.125), (0.5, 0.5)])
+    def test_cached_read_only_centres(self, extent, resolution):
+        xs, ys = cell_centres(extent, resolution)
+        again = cell_centres(extent, resolution)
+        assert again[0] is xs and again[1] is ys
+        assert not xs.flags.writeable and not ys.flags.writeable
+        n = int(round(extent / resolution))
+        coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
+        want = np.meshgrid(coords, coords, indexing="ij")
+        assert xs.tobytes() == want[0].tobytes() and ys.tobytes() == want[1].tobytes()
+        with pytest.raises(ValueError):
+            xs[0, 0] = 1.0
 
 
 class TestTransformGrid:

@@ -299,6 +299,14 @@ class TestSimulate:
         rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
         assert rc == EXIT_CONFIG
 
+    def test_undecodable_config_exit_code(self, tmp_path, caplog):
+        # A byte that is not UTF-8 is a config error, as invalid JSON is.
+        path = tmp_path / "bad.json"
+        path.write_bytes(b'{"seed": 1}\xff')
+        rc = main(["simulate", "--config", str(path), "--out", str(tmp_path / "o")])
+        assert rc == EXIT_CONFIG
+        assert "'utf-8' codec can't decode byte 0xff in position 11" in caplog.text
+
     def test_seed_override(self, tmp_path):
         cfg = write_config(tmp_path, seed=1)
         out_a, out_b = tmp_path / "a", tmp_path / "b"
@@ -1797,6 +1805,31 @@ class TestInputLines:
             caplog.clear()
             assert main(["traces", "--input", str(broken), "--out", str(tmp_path / "tr")]) == EXIT_VALIDATION
             assert "line 6: Expecting value" in caplog.text
+
+    @pytest.mark.parametrize("name", ["runlog-default", "dataset-default"])
+    def test_bad_byte_is_one_malformed_line(self, tmp_path, metrics_inputs, caplog, name):
+        # A copy of a record line with one byte replaced by 0xff, put in as line 6.
+        source = metrics_inputs(name, 101)
+        lines = source.read_bytes().split(b"\n")
+        lines.insert(5, lines[5][:40] + b"\xff" + lines[5][41:])
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(b"\n".join(lines))
+        for path, out in ((source, "whole"), (broken, "cut")):
+            assert main(["metrics", "--input", str(path), "--out", str(tmp_path / out)]) == EXIT_OK
+        whole, cut = (read_csv(tmp_path / out / "summary.csv")[0] for out in ("whole", "cut"))
+        assert (cut["malformed_lines"], cut["edges"]) == ("1", whole["edges"])
+        message = "line 6: 'utf-8' codec can't decode byte 0xff in position 40"
+        assert message in caplog.text
+        if name.startswith("runlog"):
+            caplog.clear()
+            assert main(["traces", "--input", str(broken), "--out", str(tmp_path / "tr")]) == EXIT_VALIDATION
+            assert message in caplog.text
+
+    def test_bad_byte_in_the_header_names_line_1(self, tmp_path, metrics_inputs, caplog):
+        broken = tmp_path / "broken.jsonl"
+        broken.write_bytes(b"\xff" + metrics_inputs("dataset-default", 101).read_bytes())
+        assert main(["metrics", "--input", str(broken), "--out", str(tmp_path / "m")]) == EXIT_VALIDATION
+        assert "line 1: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
 
 
 class TestRunlogFirstFailure:

@@ -262,6 +262,29 @@ def _observed_grid_reference(world, pose, fov_deg, extent=6.0, resolution=6.0 / 
     return cells
 
 
+def _poses_near_walls(world, rng, count):
+    """Poses in free cells next to a wall and in doorways, alternately, uniform within the cell.
+
+    A doorway cell is a free cell with a wall within nine cells on both sides
+    along one axis: a door is eight cells wide, and a room at least 24.
+    """
+    occ = world.cells > 0.5
+
+    def wall_within(cells, axis, sign):
+        return np.logical_or.reduce([np.roll(occ, sign * s, axis) for s in range(1, cells + 1)])
+
+    beside = ~occ & np.logical_or.reduce([np.roll(occ, (a, b), (0, 1)) for a in (-1, 0, 1) for b in (-1, 0, 1)])
+    door = ~occ & np.logical_or.reduce(
+        [wall_within(9, axis, 1) & wall_within(9, axis, -1) for axis in (0, 1)]
+    )
+    kinds = [np.argwhere(beside), np.argwhere(door)]
+    assert all(len(cells) for cells in kinds)
+    for k in range(count):
+        cells = kinds[k % 2]
+        x, y = (cells[rng.integers(len(cells))] + rng.uniform(size=2)) * world.resolution - world.extent / 2.0
+        yield Pose(Vec3(float(x), float(y), 0.0), UnitQuat.from_yaw(rng.uniform(-math.pi, math.pi)))
+
+
 class TestObservedGridReference:
     """observed_grid returns byte-identical cells to the original ray march."""
 
@@ -288,6 +311,84 @@ class TestObservedGridReference:
                 got = observed_grid(world, pose, fov, bev_crop(world, pose, *grid)).cells
                 want = _observed_grid_reference(world, pose, fov, *grid)
                 assert got.tobytes() == want.tobytes(), (fov, x, y, grid)
+
+    @pytest.mark.parametrize(
+        "world_seed, extent, n_rooms", [(0, 24.0, 4), (3, 24.0, 8), (7, 14.0, 2), (11, 18.0, 6)]
+    )
+    def test_matches_reference_beside_walls_and_in_doorways(self, world_seed, extent, n_rooms):
+        world = gen_world(world_seed, extent=extent, n_rooms=n_rooms)
+        poses = _poses_near_walls(world, np.random.default_rng(world_seed + 1), 24)
+        for k, (pose, fov) in enumerate(zip(poses, itertools.cycle((30.0, 90.0, 120.0, 180.0)))):
+            grid = (4.0, 0.125) if k % 3 == 0 else (6.0, 6.0 / 64)
+            got = observed_grid(world, pose, fov, bev_crop(world, pose, *grid)).cells
+            want = _observed_grid_reference(world, pose, fov, *grid)
+            assert got.tobytes() == want.tobytes(), (fov, pose, grid)
+
+
+def _first_wall_samples(world, pose, fov_deg, extent, resolution, ray_steps=96):
+    """Per in-FOV cell, the first sample of the original ray march that lies in a wall (ray_steps if none)."""
+    n = int(round(extent / resolution))
+    coords = (np.arange(n) + 0.5) * resolution - extent / 2.0
+    ex, ey = np.meshgrid(coords, coords, indexing="ij")
+    in_fov = np.abs(np.degrees(np.arctan2(ey, ex))) <= fov_deg / 2.0
+    ex, ey = ex[in_fov], ey[in_fov]
+    alphas = (np.arange(ray_steps) + 0.5) / ray_steps
+    cutoff = 1.0 - resolution / np.maximum(np.hypot(ex, ey), resolution)
+    yaw = pose.rotation.yaw()
+    c, s = math.cos(yaw), math.sin(yaw)
+    px, py = ex[:, None] * alphas, ey[:, None] * alphas
+    wall = _lookup(world, pose.position.x + c * px - s * py, pose.position.y + s * px + c * py) > 0.5
+    wall &= alphas < cutoff[:, None]
+    return np.flatnonzero(in_fov), np.where(wall.any(axis=1), wall.argmax(axis=1), ray_steps)
+
+
+class TestObservedGridSkip:
+    """No sample that observed_grid skips lies in a wall.
+
+    Byte equality with the reference can hide a skipped wall sample when a
+    later sample of the same ray is in a wall too, so this checks each ray's
+    first wall sample of the full march against the samples the ray skips.
+    """
+
+    @pytest.mark.parametrize(
+        "world_seed, extent, n_rooms", [(0, 24.0, 4), (7, 14.0, 2), (11, 18.0, 6)]
+    )
+    def test_first_wall_sample_is_never_skipped(self, world_seed, extent, n_rooms):
+        world = gen_world(world_seed, extent=extent, n_rooms=n_rooms)
+        rng = np.random.default_rng(world_seed + 2)
+        half = world.extent / 2.0
+        walls = np.argwhere(world.cells > 0.5)
+        near = _poses_near_walls(world, rng, 10**6)
+        skipped = slack = 0
+        for k in range(60):
+            if k % 5 < 2:  # beside a wall, in a doorway
+                pose = next(near)
+            else:
+                if k % 5 == 2:  # free space
+                    x, y = sample_free_position(world, rng)
+                elif k % 5 == 3:  # on a wall
+                    x, y = (walls[rng.integers(len(walls))] + rng.uniform(size=2)) * world.resolution - half
+                else:  # off the world, up to 3 m beyond its edge
+                    x, y = rng.choice([-1.0, 1.0], size=2) * rng.uniform(half, half + 3.0, size=2)
+                pose = Pose(Vec3(float(x), float(y), 0.0), UnitQuat.from_yaw(rng.uniform(-math.pi, math.pi)))
+            fov = (30.0, 90.0, 120.0, 180.0)[k % 4]
+            extent_m, res = (4.0, 0.125) if k % 3 == 0 else (6.0, 6.0 / 64)
+            rays = scenario._ray_blocks(extent_m, res, fov)
+            ranges = scenario._wall_ranges(world, pose, float(rays.length.max()))
+            skip = np.zeros(rays.marched.size, dtype=int)
+            for which, ix, _, starts in rays.blocks:
+                steps = np.diff(starts, append=ix.size)
+                yaw = pose.rotation.yaw()
+                skip[which] = scenario._clear_samples(ranges, rays.bearing[which] + yaw, rays.length[which], steps)
+            cells, first_wall = _first_wall_samples(world, pose, fov, extent_m, res)
+            first_wall = first_wall[np.searchsorted(cells, rays.marched)]  # the marched rays, in order
+            hit = first_wall < scenario._RAY_STEPS
+            assert np.all(first_wall[hit] >= skip[hit]), (fov, pose, extent_m)
+            skipped += skip.sum()
+            slack = max(slack, np.sum(first_wall[hit] - skip[hit] <= 2))
+        # The check is not empty: samples are skipped, and some rays meet a
+        # wall within two samples of the first one they test.
+        assert skipped > 0 and slack > 0
 
 
 class TestObservedGridEdges:
@@ -349,6 +450,18 @@ class TestObservedGridEdges:
         # FOVs whose last block boundary falls inside the last ray, and 120 for contrast.
         for fov, pose in zip((29.2, 65.9, 100.0, 119.5, 120.0), itertools.cycle(self.POSES)):
             self._check(fov, 6.0, 6.0 / 64, pose)
+
+    def test_small_blocks_match_the_reference(self, monkeypatch):
+        # One block holds the default crop; blocks of 12,000 samples split it,
+        # with block boundaries inside rays at these FOVs.
+        monkeypatch.setattr(scenario, "_RAY_BLOCK", 12_000)
+        scenario._ray_blocks.cache_clear()
+        try:
+            for fov, pose in zip((29.2, 65.9, 100.0, 119.5, 180.0), itertools.cycle(self.POSES)):
+                assert len(scenario._ray_blocks(6.0, 6.0 / 64, fov).blocks) > 1
+                self._check(fov, 6.0, 6.0 / 64, pose)
+        finally:
+            scenario._ray_blocks.cache_clear()
 
     @pytest.mark.parametrize("extent, bound_mb", [(6.0, 1.0), (24.0, 2.0)])
     def test_warm_call_memory_is_bounded(self, extent, bound_mb):

@@ -375,10 +375,9 @@ class TestObservedGridSkip:
             extent_m, res = (4.0, 0.125) if k % 3 == 0 else (6.0, 6.0 / 64)
             rays = scenario._ray_blocks(extent_m, res, fov)
             ranges = scenario._wall_ranges(world, pose, float(rays.length.max()))
-            skip = np.zeros(rays.marched.size, dtype=int)
+            skip, yaw = np.zeros(rays.marched.size, dtype=int), pose.rotation.yaw()
             for which, ix, _, starts in rays.blocks:
                 steps = np.diff(starts, append=ix.size)
-                yaw = pose.rotation.yaw()
                 skip[which] = scenario._clear_samples(ranges, rays.bearing[which] + yaw, rays.length[which], steps)
             cells, first_wall = _first_wall_samples(world, pose, fov, extent_m, res)
             first_wall = first_wall[np.searchsorted(cells, rays.marched)]  # the marched rays, in order

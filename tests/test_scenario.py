@@ -359,7 +359,7 @@ class TestObservedGridSkip:
         half = world.extent / 2.0
         walls = np.argwhere(world.cells > 0.5)
         near = _poses_near_walls(world, rng, 10**6)
-        skipped = slack = 0
+        skipped = tight = 0
         for k in range(60):
             if k % 5 < 2:  # beside a wall, in a doorway
                 pose = next(near)
@@ -384,10 +384,10 @@ class TestObservedGridSkip:
             hit = first_wall < scenario._RAY_STEPS
             assert np.all(first_wall[hit] >= skip[hit]), (fov, pose, extent_m)
             skipped += skip.sum()
-            slack = max(slack, np.sum(first_wall[hit] - skip[hit] <= 2))
+            tight += np.sum(first_wall[hit] - skip[hit] <= 2)
         # The check is not empty: samples are skipped, and some rays meet a
         # wall within two samples of the first one they test.
-        assert skipped > 0 and slack > 0
+        assert skipped > 0 and tight > 0
 
 
 class TestObservedGridEdges:

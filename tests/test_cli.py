@@ -1832,6 +1832,64 @@ class TestInputLines:
         assert "line 1: 'utf-8' codec can't decode byte 0xff in position 0" in caplog.text
 
 
+# Byte edits of an input file: replace a byte, delete one, or insert a short run.
+_EDITS = st.lists(
+    st.tuples(
+        st.sampled_from(["replace", "delete", "insert"]),
+        st.floats(0.0, 1.0, exclude_max=True),  # where, as a fraction of the file
+        st.sampled_from([b"\xff", b"\x00", b"NaN", b"1e999", b"[", b"]", b"{", b'"', b",", b"\n", b"\r", b"9"]),
+    ),
+    min_size=1,
+    max_size=4,
+)
+
+
+def _edited(data: bytes, edits) -> bytes:
+    for kind, where, chunk in edits:
+        at = int(where * len(data))
+        if kind == "replace":
+            data = data[:at] + chunk[:1] + data[at + 1:]
+        elif kind == "delete":
+            data = data[:at] + data[at + 1:]
+        else:
+            data = data[:at] + chunk + data[at:]
+    return data
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 1 s, 3-node runlog, a 2-group dataset and the config that made them."""
+    root = tmp_path_factory.mktemp("small_inputs")
+    config = root / "config.json"
+    config.write_text(json.dumps({"duration_s": 1.0, "n_groups": 2, "seed": 3}))
+    for command in ("simulate", "datagen"):
+        assert main([command, "--config", str(config), "--out", str(root / command)]) == EXIT_OK
+    return config, root / "simulate" / "runlog.jsonl", root / "datagen" / "dataset.jsonl"
+
+
+class TestByteEdits:
+    """A byte edit of a config ends in exit 0 or 2, and of a runlog or dataset in 0 or 4, never in an unmapped error."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(which=st.sampled_from(["config", "runlog", "dataset"]), edits=_EDITS)
+    @example(which="config", edits=[("replace", 0.5, b"\xff")])
+    @example(which="runlog", edits=[("insert", 0.5, b"\xff")])
+    @example(which="dataset", edits=[("replace", 0.9, b"\xff")])
+    def test_edited_input_exits_with_a_mapped_code(self, tmp_path, small_inputs, which, edits):
+        config, runlog, dataset = small_inputs
+        source = {"config": config, "runlog": runlog, "dataset": dataset}[which]
+        edited = Path(tempfile.mkdtemp(dir=tmp_path)) / source.name
+        edited.write_bytes(_edited(source.read_bytes(), edits))
+        if which == "config":  # every command reads its config first; metrics then reads an input
+            runs, codes = [["metrics", "--config", str(edited), "--input", str(runlog)]], (EXIT_OK, EXIT_CONFIG)
+        else:
+            commands = ("metrics", "traces") if which == "runlog" else ("metrics",)
+            runs, codes = [[command, "--input", str(edited)] for command in commands], (EXIT_OK, EXIT_VALIDATION)
+        for argv in runs:
+            assert main([*argv, "--out", str(edited.parent / argv[0])]) in codes
+
+
 class TestRunlogFirstFailure:
     @pytest.mark.parametrize("missing, malformed", [(0, 1), (1, 0)], ids=["peer_first", "parse_first"])
     def test_order(self, tmp_path, metrics_inputs, caplog, missing, malformed):
